@@ -74,19 +74,38 @@ void transform(MutSampleView data, bool inverse) {
   if (n < 2) return;
   // Butterflies, twiddles read from the cached table: the stage of length
   // `len` uses every (n/len)-th entry. The inverse transform conjugates on
-  // the fly (one negation per butterfly, cheaper than a second table).
+  // the fly (the twiddle's imaginary part times -1, an exact negation).
+  //
+  // The butterfly works on the re/im doubles of the std::complex array
+  // (array-of-two-doubles access is guaranteed by [complex.numbers]),
+  // computing v = b * w with exactly the products and sums of the
+  // -fcx-limited-range expansion: (br*wr - bi*wi, br*wi + bi*wr). Doing
+  // it by hand keeps u and v in registers; the complex-typed version
+  // spilled u as two 8-byte stores and reloaded it as one 16-byte load
+  // in every butterfly, stalling on the failed store forward.
   const TwiddleTable& table = twiddles_for(n);
   const cplx* tw = table.w.data();
+  const double conj_sign = inverse ? -1.0 : 1.0;
+  double* d = reinterpret_cast<double*>(data.data());
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
     const std::size_t stride = n / len;
     for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx wk = tw[k * stride];
-        const cplx w = inverse ? std::conj(wk) : wk;
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
+      double* a = d + 2 * i;
+      double* b = d + 2 * (i + half);
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = tw[k * stride].real();
+        const double wi = conj_sign * tw[k * stride].imag();
+        const double br = b[2 * k];
+        const double bi = b[2 * k + 1];
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ur = a[2 * k];
+        const double ui = a[2 * k + 1];
+        a[2 * k] = ur + vr;
+        a[2 * k + 1] = ui + vi;
+        b[2 * k] = ur - vr;
+        b[2 * k + 1] = ui - vi;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "dsp/power.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -50,16 +51,16 @@ void set_mean_power(MutSampleView x, double target_power) {
 
 RssiMeter::RssiMeter(std::size_t window) : window_(window) {
   if (window_ == 0) throw std::invalid_argument("RssiMeter: window == 0");
+  ring_.resize(window_);
 }
 
 double RssiMeter::push(cplx x) {
   const double p = std::norm(x);
-  buf_.push_back(p);
   sum_ += p;
-  if (buf_.size() > window_) {
-    sum_ -= buf_.front();
-    buf_.pop_front();
-  }
+  // Once the window is full, ring_[pos_] holds the oldest sample.
+  if (count_ >= window_) sum_ -= ring_[pos_];
+  ring_[pos_] = p;
+  if (++pos_ == window_) pos_ = 0;
   ++count_;
   return value();
 }
@@ -77,14 +78,14 @@ double RssiMeter::push(SoaView x) {
 }
 
 double RssiMeter::value() const {
-  if (buf_.empty()) return 0.0;
-  return sum_ / static_cast<double>(buf_.size());
+  if (count_ == 0) return 0.0;
+  return sum_ / static_cast<double>(std::min(count_, window_));
 }
 
 void RssiMeter::reset() {
-  buf_.clear();
   sum_ = 0.0;
   count_ = 0;
+  pos_ = 0;
 }
 
 }  // namespace hs::dsp

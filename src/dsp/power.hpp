@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "dsp/types.hpp"
 
@@ -54,7 +54,8 @@ class RssiMeter {
 
  private:
   std::size_t window_;
-  std::deque<double> buf_;
+  std::vector<double> ring_;  // the last min(count_, window_) powers
+  std::size_t pos_ = 0;       // next write slot; the oldest once full
   double sum_ = 0.0;
   std::size_t count_ = 0;
 };

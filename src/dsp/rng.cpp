@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace hs::dsp {
 namespace {
@@ -15,6 +16,21 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+// One xoshiro256++ step on state words held wherever the caller keeps
+// them: the member array for next_u64(), registers inside the fills.
+inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
+                                  std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = rotl(s0 + s3, 23) + s0;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return result;
 }
 
 }  // namespace
@@ -41,15 +57,7 @@ std::uint64_t derive_seed(std::uint64_t seed, std::string_view stream_name) {
 }
 
 std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+  return xoshiro_next(s_[0], s_[1], s_[2], s_[3]);
 }
 
 double Rng::uniform() {
@@ -108,32 +116,43 @@ const ZigguratTables& ziggurat() {
   return tables;
 }
 
+// The common case: the draw lies inside its layer's rectangle and is
+// accepted with one compare and one multiply.
+inline bool ziggurat_rectangle(const ZigguratTables& z, std::int32_t hz,
+                               double& x) {
+  const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
+  if (std::abs(static_cast<std::int64_t>(hz)) >= z.kn[iz]) return false;
+  x = hz * z.wn[iz];
+  return true;
+}
+
 }  // namespace
 
 double Rng::gaussian() {
+  const auto hz = static_cast<std::int32_t>(next_u64());
+  double x = 0.0;
+  return ziggurat_rectangle(ziggurat(), hz, x) ? x : gaussian_slow(hz);
+}
+
+[[gnu::noinline]] double Rng::gaussian_slow(std::int32_t hz) {
   const ZigguratTables& z = ziggurat();
-  for (;;) {
-    const auto hz = static_cast<std::int32_t>(next_u64());
-    const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
-    if (std::abs(static_cast<std::int64_t>(hz)) < z.kn[iz]) {
-      return hz * z.wn[iz];  // inside the layer rectangle: accept
-    }
-    if (iz == 0) {
-      // Tail beyond kR (Marsaglia's exact tail method).
-      double x, y;
-      do {
-        x = -std::log(1.0 - uniform()) / ZigguratTables::kR;
-        y = -std::log(1.0 - uniform());
-      } while (y + y < x * x);
-      return hz > 0 ? ZigguratTables::kR + x : -ZigguratTables::kR - x;
-    }
-    // Wedge: exact accept/reject against the density.
-    const double x = hz * z.wn[iz];
-    if (z.fn[iz] + uniform() * (z.fn[iz - 1] - z.fn[iz]) <
-        std::exp(-0.5 * x * x)) {
-      return x;
-    }
+  const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
+  if (iz == 0) {
+    // Tail beyond kR (Marsaglia's exact tail method).
+    double x, y;
+    do {
+      x = -std::log(1.0 - uniform()) / ZigguratTables::kR;
+      y = -std::log(1.0 - uniform());
+    } while (y + y < x * x);
+    return hz > 0 ? ZigguratTables::kR + x : -ZigguratTables::kR - x;
   }
+  // Wedge: exact accept/reject against the density.
+  const double x = hz * z.wn[iz];
+  if (z.fn[iz] + uniform() * (z.fn[iz - 1] - z.fn[iz]) <
+      std::exp(-0.5 * x * x)) {
+    return x;
+  }
+  return gaussian();
 }
 
 double Rng::gaussian(double mean, double stddev) {
@@ -150,27 +169,64 @@ cplx Rng::random_phase() {
   return {std::cos(phi), std::sin(phi)};
 }
 
-// The fill loops below are the batched ziggurat: gaussian() is defined in
-// this TU, so the compiler inlines it here and hoists the table pointer
-// and the per-sample amplitude out of the loop — the common accept path
-// collapses to draw/mask/compare/multiply per variate. The rare
-// wedge/tail rejections run the identical code `gaussian()` runs, so a
-// fill consumes exactly the same stream draws as the equivalent sequence
-// of scalar calls.
+// The fills are the batched ziggurat. gaussian() is a call per variate
+// that loads and stores the four state words every time, so the fills
+// instead keep the state in locals, inline the rectangle accept path
+// (draw, mask, compare, multiply) and write the state back once at the
+// end. A draw that misses its rectangle stores the state, takes the same
+// out-of-line gaussian_slow() path gaussian() takes, and reloads it, so
+// a fill consumes exactly the stream draws, and returns exactly the
+// values, of the equivalent sequence of gaussian() calls (re before im,
+// sample by sample).
+template <class Put>
+void Rng::fill_normal_pairs(std::size_t n, Put put) {
+  const ZigguratTables& z = ziggurat();
+  std::array<std::uint64_t, 4> st = state();
+  const auto draw = [&]() {
+    const auto hz =
+        static_cast<std::int32_t>(xoshiro_next(st[0], st[1], st[2], st[3]));
+    double x = 0.0;
+    if (ziggurat_rectangle(z, hz, x)) [[likely]] {
+      return x;
+    }
+    set_state(st);
+    x = gaussian_slow(hz);
+    st = state();
+    return x;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double re = draw();
+    const double im = draw();
+    put(i, re, im);
+  }
+  set_state(st);
+}
 
 void Rng::fill_awgn(MutSampleView out, double power) {
   const double s = std::sqrt(power / 2.0);
-  for (auto& x : out) x = {s * gaussian(), s * gaussian()};
+  fill_normal_pairs(out.size(), [&](std::size_t i, double re, double im) {
+    out[i] = {s * re, s * im};
+  });
 }
 
 void Rng::fill_awgn(MutSoaView out, double power) {
   const double s = std::sqrt(power / 2.0);
   double* re = out.re;
   double* im = out.im;
-  for (std::size_t i = 0; i < out.n; ++i) {
-    re[i] = s * gaussian();
-    im[i] = s * gaussian();
+  fill_normal_pairs(out.n, [&](std::size_t i, double g_re, double g_im) {
+    re[i] = s * g_re;
+    im[i] = s * g_im;
+  });
+}
+
+void Rng::fill_cgaussian(MutSampleView out, std::span<const double> sigma) {
+  if (sigma.size() != out.size()) {
+    throw std::invalid_argument("fill_cgaussian: sigma/out size mismatch");
   }
+  const double* sg = sigma.data();
+  fill_normal_pairs(out.size(), [&](std::size_t i, double re, double im) {
+    out[i] = {sg[i] * re, sg[i] * im};
+  });
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "dsp/types.hpp"
@@ -50,13 +51,22 @@ class Rng {
   /// Uniform phase on the unit circle.
   cplx random_phase();
 
-  /// Fills `out` with complex AWGN of the given per-sample power.
+  /// Fills `out` with complex AWGN of the given per-sample power. Returns
+  /// exactly the values, and leaves exactly the stream state, of
+  /// `out[i] = {s * gaussian(), s * gaussian()}` with s = sqrt(power / 2).
   void fill_awgn(MutSampleView out, double power);
 
   /// Split-complex overload. Draw order is identical to the AoS overload
   /// (re then im, sample by sample), so both layouts produce bit-identical
   /// noise from the same stream state.
   void fill_awgn(MutSoaView out, double power);
+
+  /// Fills `out` with complex Gaussians of per-sample variance:
+  /// out[k] = {sigma[k] * g, sigma[k] * g'}, where sigma[k] is
+  /// sqrt(variance_k / 2), the component scale cgaussian(variance_k)
+  /// applies. Bit-identical to `out[k] = cgaussian(variance_k)` in a loop.
+  /// `sigma.size()` must equal `out.size()`.
+  void fill_cgaussian(MutSampleView out, std::span<const double> sigma);
 
   /// True with probability p.
   bool bernoulli(double p);
@@ -72,6 +82,14 @@ class Rng {
   }
 
  private:
+  // Wedge and tail of the ziggurat for a draw `hz` that missed its layer
+  // rectangle; on a wedge rejection it starts over with gaussian().
+  double gaussian_slow(std::int32_t hz);
+
+  // Draws 2n standard normals, calling put(i, re, im) for i in [0, n).
+  template <class Put>
+  void fill_normal_pairs(std::size_t n, Put put);
+
   std::uint64_t s_[4];
 };
 

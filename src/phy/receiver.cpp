@@ -1,8 +1,6 @@
 #include "phy/receiver.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "dsp/correlate.hpp"
@@ -202,10 +200,6 @@ void FskReceiver::try_detect() {
         best_corr = c;
         best = lag;
       }
-    }
-    if (std::getenv("HS_RX_DEBUG") != nullptr) {
-      std::fprintf(stderr, "LOCK at %zu corr=%.3f scan=%zu\n",
-                   buffer_base_ + best, best_corr, buffer_base_ + scan_pos_);
     }
     locked_ = true;
     lock_start_ = buffer_base_ + best;

@@ -125,7 +125,8 @@ void JammingSignalGenerator::load_state(snapshot::StateReader& r) {
   if (buffer_pos_ > buffer_.size()) {
     throw snapshot::SnapshotError("snapshot: jam buffer cursor invalid");
   }
-  // weights_ and scale_ are pure functions of the restored fields.
+  // weights_, bin_sigma_ and scale_ are pure functions of the restored
+  // fields.
   rebuild_weights();
   r.end("jamgen");
 }
@@ -141,6 +142,12 @@ void JammingSignalGenerator::rebuild_weights() {
   const double sum = std::accumulate(weights_.begin(), weights_.end(), 0.0);
   const double sample_var = sum / static_cast<double>(fft_size_ * fft_size_);
   scale_ = std::sqrt(power_mw_ / std::max(sample_var, 1e-30));
+  // Bin k is cgaussian(weights_[k]); its component scale is computed here
+  // once, by the same expression cgaussian() evaluates per call.
+  bin_sigma_.resize(fft_size_);
+  for (std::size_t k = 0; k < fft_size_; ++k) {
+    bin_sigma_[k] = std::sqrt(weights_[k] / 2.0);
+  }
 }
 
 void JammingSignalGenerator::set_power(double power_mw) {
@@ -154,21 +161,19 @@ void JammingSignalGenerator::set_profile(JamProfile profile) {
 }
 
 void JammingSignalGenerator::refill() {
-  // Bins are drawn in AoS order (one cgaussian per bin, exactly as
-  // before) so the RNG stream is unchanged; the IFFT output is then
-  // deinterleaved once per fft_size_ samples into the split buffer the
-  // slicing below (and SoA consumers) read plane-wise.
-  Samples bins(fft_size_);
-  for (std::size_t k = 0; k < fft_size_; ++k) {
-    bins[k] = rng_.cgaussian(weights_[k]);
-  }
-  dsp::ifft_inplace(bins);
+  // Bins are drawn in AoS order, bin k bit-identical to
+  // cgaussian(weights_[k]), so the RNG stream is unchanged; the IFFT
+  // output is then deinterleaved once per fft_size_ samples into the
+  // split buffer the slicing below (and SoA consumers) read plane-wise.
+  bins_.resize(fft_size_);
+  rng_.fill_cgaussian(bins_, bin_sigma_);
+  dsp::ifft_inplace(bins_);
   buffer_.resize(fft_size_);
   double* re = buffer_.re();
   double* im = buffer_.im();
   for (std::size_t k = 0; k < fft_size_; ++k) {
-    re[k] = bins[k].real() * scale_;
-    im[k] = bins[k].imag() * scale_;
+    re[k] = bins_[k].real() * scale_;
+    im[k] = bins_[k].imag() * scale_;
   }
   buffer_pos_ = 0;
 }

@@ -96,7 +96,9 @@ class JammingSignalGenerator {
   double power_mw_ = 1.0;
   std::vector<double> shaped_weights_;  // unit-mean FSK profile
   std::vector<double> weights_;         // active profile
+  std::vector<double> bin_sigma_;       // sqrt(weights_[k] / 2)
   double scale_ = 1.0;                  // per-sample amplitude scale
+  dsp::Samples bins_;                   // refill scratch: bins, then IFFT
   dsp::SoaSamples buffer_;  // split-complex IFFT output, consumed in slices
   std::size_t buffer_pos_ = 0;
 };

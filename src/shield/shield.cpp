@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "channel/geometry.hpp"
 #include "dsp/correlate.hpp"
@@ -553,14 +551,6 @@ void ShieldNode::consume(const sim::StepContext& ctx,
                                                   ref.size())));
     const bool plausible = std::abs(est_db - nominal_db) <= 8.0 &&
                            residual_power <= 20.0 * noise_floor_mw_;
-    if (std::getenv("HS_SHIELD_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "PROBE t=%.5f phase=%d est=%.1fdB nom=%.1fdB res=%.1fdBm floor=%.1fdBm ok=%d h=(%.4g,%.4g)\n",
-                   ctx.block_start_s(), (int)probe_phase_, est_db, nominal_db,
-                   dsp::mw_to_dbm(residual_power + 1e-30),
-                   dsp::mw_to_dbm(noise_floor_mw_ + 1e-30), (int)plausible,
-                   h.real(), h.imag());
-    }
     if (!plausible) {
       probe_phase_ = ProbePhase::kNone;
       probe_due_ = true;  // retry at the next quiet opportunity
@@ -638,12 +628,6 @@ void ShieldNode::consume(const sim::StepContext& ctx,
 
   // Active jamming continues until the medium goes idle again.
   if (active_jam_) {
-    if (std::getenv("HS_SHIELD_DEBUG") != nullptr) {
-      std::fprintf(stderr, "AJ t=%.5f p=%.1fdBm thr=%.1fdBm quiet=%zu lock=%d\n",
-                   ctx.block_start_s(), dsp::mw_to_dbm(block_power + 1e-30),
-                   dsp::mw_to_dbm(idle_threshold() + 1e-30), quiet_blocks_,
-                   (int)monitor_.locked());
-    }
     if (block_power < idle_threshold()) {
       ++quiet_blocks_;
     } else {

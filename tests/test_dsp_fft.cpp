@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
@@ -34,6 +35,43 @@ void recurrence_fft(Samples& data) {
         w *= wlen;
       }
     }
+  }
+}
+
+// The std::complex butterfly the transform ran before it was rewritten on
+// plain doubles, with the same twiddle table entries and bit-reversal.
+// fft_inplace/ifft_inplace must match it bit for bit: the rewrite keeps
+// the products and sums the -fcx-limited-range complex multiply expands
+// to.
+void complex_butterfly_reference(Samples& data, bool inverse) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  Samples tw(n / 2);
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    tw[k] = std::polar(1.0, -kTwoPi * static_cast<double>(k) /
+                                static_cast<double>(n));
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t stride = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cplx wk = tw[k * stride];
+        const cplx w = inverse ? std::conj(wk) : wk;
+        const cplx u = data[i + k];
+        const cplx v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : data) x *= inv_n;
   }
 }
 
@@ -259,6 +297,61 @@ TEST(Fft, ZeroPadRoundTripIsExplicit) {
   }
   for (std::size_t i = n; i < round.size(); ++i) {
     EXPECT_NEAR(std::abs(round[i]), 0.0, 1e-12);
+  }
+}
+
+#if defined(HS_NATIVE)
+constexpr bool kNativeFlavor = true;
+#else
+constexpr bool kNativeFlavor = false;
+#endif
+
+// Bit equality in the default build. HS_NATIVE may contract either side
+// into FMAs differently, so there it falls back to a tight tolerance
+// scaled by the transform's output magnitude.
+void expect_same_transform(const Samples& got, const Samples& want,
+                           double scale, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (kNativeFlavor) {
+      ASSERT_NEAR(got[i].real(), want[i].real(), 1e-12 * (1.0 + scale))
+          << what << " bin " << i;
+      ASSERT_NEAR(got[i].imag(), want[i].imag(), 1e-12 * (1.0 + scale))
+          << what << " bin " << i;
+    } else {
+      ASSERT_EQ(got[i].real(), want[i].real()) << what << " bin " << i;
+      ASSERT_EQ(got[i].imag(), want[i].imag()) << what << " bin " << i;
+    }
+  }
+}
+
+TEST(Fft, ButterflyMatchesComplexReferenceBitForBit) {
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    Rng rng(n + 7);
+    Samples noise(n);
+    rng.fill_awgn(noise, 1.0);
+    // Signed zeros and exact small integers exercise the sign and
+    // rounding corners the products and sums must reproduce.
+    Samples sparse(n, cplx{-0.0, 0.0});
+    sparse[0] = {1.0, -0.0};
+    sparse[n / 2] = {-3.0, 2.0};
+    for (const Samples* input : {&noise, &sparse}) {
+      for (const bool inverse : {false, true}) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 (inverse ? " inverse" : " forward") +
+                                 (input == &noise ? " noise" : " sparse");
+        Samples want = *input;
+        complex_butterfly_reference(want, inverse);
+        Samples got = *input;
+        if (inverse) {
+          ifft_inplace(got);
+        } else {
+          fft_inplace(got);
+        }
+        expect_same_transform(got, want, std::sqrt(static_cast<double>(n)),
+                              what);
+      }
+    }
   }
 }
 
