@@ -79,10 +79,11 @@ void transform(MutSampleView data, bool inverse) {
   // The butterfly works on the re/im doubles of the std::complex array
   // (array-of-two-doubles access is guaranteed by [complex.numbers]),
   // computing v = b * w with exactly the products and sums of the
-  // -fcx-limited-range expansion: (br*wr - bi*wi, br*wi + bi*wr). Doing
-  // it by hand keeps u and v in registers; the complex-typed version
-  // spilled u as two 8-byte stores and reloaded it as one 16-byte load
-  // in every butterfly, stalling on the failed store forward.
+  // -fcx-limited-range expansion, (br*wr - bi*wi, br*wi + bi*wr), so the
+  // result is bit-identical to the complex-typed butterfly. Written on
+  // doubles, u and v stay in registers; GCC compiles the complex-typed
+  // form to spill u as two 8-byte stores and reload it as one 16-byte
+  // load, which stalls on store forwarding in every butterfly.
   const TwiddleTable& table = twiddles_for(n);
   const cplx* tw = table.w.data();
   const double conj_sign = inverse ? -1.0 : 1.0;

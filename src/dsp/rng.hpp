@@ -65,7 +65,7 @@ class Rng {
   /// out[k] = {sigma[k] * g, sigma[k] * g'}, where sigma[k] is
   /// sqrt(variance_k / 2), the component scale cgaussian(variance_k)
   /// applies. Bit-identical to `out[k] = cgaussian(variance_k)` in a loop.
-  /// `sigma.size()` must equal `out.size()`.
+  /// Throws std::invalid_argument unless sigma.size() == out.size().
   void fill_cgaussian(MutSampleView out, std::span<const double> sigma);
 
   /// True with probability p.

@@ -476,7 +476,7 @@ campaign::Scenario shrink(const campaign::Scenario& preset) {
   return s;
 }
 
-std::string sha256_hex(const std::string& text) {
+[[maybe_unused]] std::string sha256_hex(const std::string& text) {
   const auto digest = crypto::Sha256::hash(crypto::ByteView(
       reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
   static constexpr char kHex[] = "0123456789abcdef";
@@ -499,7 +499,7 @@ struct PresetDigests {
   const char* json;
 };
 
-constexpr PresetDigests kGoldenDigests[] = {
+[[maybe_unused]] constexpr PresetDigests kGoldenDigests[] = {
     {"fig3-imd-timing",
      "c571ced3bd853b678fbf219da1ced2e494150f1c9e9b4bb90ddcbba1c2188609",
      "c6a97a9910da4b5aec030a390a32eca520e4a867e5b660693e1cf7475bf87093"},
@@ -589,11 +589,10 @@ constexpr PresetDigests kGoldenDigests[] = {
      "506c8a9ffd4208575a2acf5b1a2fb8dead67480134f1a42c6d7c16531d531b2a"},
 };
 
-void expect_golden_digests(const std::string& preset, const std::string& csv,
-                           const std::string& json) {
-#if defined(HS_NATIVE)
-  (void)preset, (void)csv, (void)json;
-#else
+void expect_golden_digests([[maybe_unused]] const std::string& preset,
+                           [[maybe_unused]] const std::string& csv,
+                           [[maybe_unused]] const std::string& json) {
+#if !defined(HS_NATIVE)
   const PresetDigests* golden = nullptr;
   for (const PresetDigests& d : kGoldenDigests) {
     if (preset == d.preset) golden = &d;
