@@ -126,33 +126,68 @@ inline bool ziggurat_rectangle(const ZigguratTables& z, std::int32_t hz,
   return true;
 }
 
-}  // namespace
-
-double Rng::gaussian() {
-  const auto hz = static_cast<std::int32_t>(next_u64());
-  double x = 0.0;
-  return ziggurat_rectangle(ziggurat(), hz, x) ? x : gaussian_slow(hz);
-}
-
-[[gnu::noinline]] double Rng::gaussian_slow(std::int32_t hz) {
+// Wedge and tail of the ziggurat for a draw `hz` that missed its layer
+// rectangle; on a wedge rejection it starts over with rng.gaussian().
+[[gnu::noinline]] double gaussian_slow(Rng& rng, std::int32_t hz) {
   const ZigguratTables& z = ziggurat();
   const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
   if (iz == 0) {
     // Tail beyond kR (Marsaglia's exact tail method).
     double x, y;
     do {
-      x = -std::log(1.0 - uniform()) / ZigguratTables::kR;
-      y = -std::log(1.0 - uniform());
+      x = -std::log(1.0 - rng.uniform()) / ZigguratTables::kR;
+      y = -std::log(1.0 - rng.uniform());
     } while (y + y < x * x);
     return hz > 0 ? ZigguratTables::kR + x : -ZigguratTables::kR - x;
   }
   // Wedge: exact accept/reject against the density.
   const double x = hz * z.wn[iz];
-  if (z.fn[iz] + uniform() * (z.fn[iz - 1] - z.fn[iz]) <
+  if (z.fn[iz] + rng.uniform() * (z.fn[iz - 1] - z.fn[iz]) <
       std::exp(-0.5 * x * x)) {
     return x;
   }
-  return gaussian();
+  return rng.gaussian();
+}
+
+// The fills are the batched ziggurat. gaussian() is a call per variate
+// that loads and stores the four state words every time, so the fills
+// instead keep the state in locals, inline the rectangle accept path
+// (draw, mask, compare, multiply) and write the state back once at the
+// end. A draw that misses its rectangle stores the state, takes the same
+// out-of-line gaussian_slow() path gaussian() takes, and reloads it, so
+// a fill consumes exactly the stream draws, and returns exactly the
+// values, of the equivalent sequence of gaussian() calls (re before im,
+// sample by sample). Calls put(i, re, im) for i in [0, n).
+template <class Put>
+void fill_normal_pairs(Rng& rng, std::size_t n, Put put) {
+  const ZigguratTables& z = ziggurat();
+  std::array<std::uint64_t, 4> st = rng.state();
+  const auto draw = [&]() {
+    const auto hz =
+        static_cast<std::int32_t>(xoshiro_next(st[0], st[1], st[2], st[3]));
+    double x = 0.0;
+    if (ziggurat_rectangle(z, hz, x)) [[likely]] {
+      return x;
+    }
+    rng.set_state(st);
+    x = gaussian_slow(rng, hz);
+    st = rng.state();
+    return x;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double re = draw();
+    const double im = draw();
+    put(i, re, im);
+  }
+  rng.set_state(st);
+}
+
+}  // namespace
+
+double Rng::gaussian() {
+  const auto hz = static_cast<std::int32_t>(next_u64());
+  double x = 0.0;
+  return ziggurat_rectangle(ziggurat(), hz, x) ? x : gaussian_slow(*this, hz);
 }
 
 double Rng::gaussian(double mean, double stddev) {
@@ -169,54 +204,23 @@ cplx Rng::random_phase() {
   return {std::cos(phi), std::sin(phi)};
 }
 
-// The fills are the batched ziggurat. gaussian() is a call per variate
-// that loads and stores the four state words every time, so the fills
-// instead keep the state in locals, inline the rectangle accept path
-// (draw, mask, compare, multiply) and write the state back once at the
-// end. A draw that misses its rectangle stores the state, takes the same
-// out-of-line gaussian_slow() path gaussian() takes, and reloads it, so
-// a fill consumes exactly the stream draws, and returns exactly the
-// values, of the equivalent sequence of gaussian() calls (re before im,
-// sample by sample).
-template <class Put>
-void Rng::fill_normal_pairs(std::size_t n, Put put) {
-  const ZigguratTables& z = ziggurat();
-  std::array<std::uint64_t, 4> st = state();
-  const auto draw = [&]() {
-    const auto hz =
-        static_cast<std::int32_t>(xoshiro_next(st[0], st[1], st[2], st[3]));
-    double x = 0.0;
-    if (ziggurat_rectangle(z, hz, x)) [[likely]] {
-      return x;
-    }
-    set_state(st);
-    x = gaussian_slow(hz);
-    st = state();
-    return x;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = draw();
-    const double im = draw();
-    put(i, re, im);
-  }
-  set_state(st);
-}
-
 void Rng::fill_awgn(MutSampleView out, double power) {
   const double s = std::sqrt(power / 2.0);
-  fill_normal_pairs(out.size(), [&](std::size_t i, double re, double im) {
-    out[i] = {s * re, s * im};
-  });
+  fill_normal_pairs(*this, out.size(),
+                    [&](std::size_t i, double re, double im) {
+                      out[i] = {s * re, s * im};
+                    });
 }
 
 void Rng::fill_awgn(MutSoaView out, double power) {
   const double s = std::sqrt(power / 2.0);
   double* re = out.re;
   double* im = out.im;
-  fill_normal_pairs(out.n, [&](std::size_t i, double g_re, double g_im) {
-    re[i] = s * g_re;
-    im[i] = s * g_im;
-  });
+  fill_normal_pairs(*this, out.n,
+                    [&](std::size_t i, double g_re, double g_im) {
+                      re[i] = s * g_re;
+                      im[i] = s * g_im;
+                    });
 }
 
 void Rng::fill_cgaussian(MutSampleView out, std::span<const double> sigma) {
@@ -224,9 +228,10 @@ void Rng::fill_cgaussian(MutSampleView out, std::span<const double> sigma) {
     throw std::invalid_argument("fill_cgaussian: sigma/out size mismatch");
   }
   const double* sg = sigma.data();
-  fill_normal_pairs(out.size(), [&](std::size_t i, double re, double im) {
-    out[i] = {sg[i] * re, sg[i] * im};
-  });
+  fill_normal_pairs(*this, out.size(),
+                    [&](std::size_t i, double re, double im) {
+                      out[i] = {sg[i] * re, sg[i] * im};
+                    });
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

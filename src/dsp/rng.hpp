@@ -82,14 +82,6 @@ class Rng {
   }
 
  private:
-  // Wedge and tail of the ziggurat for a draw `hz` that missed its layer
-  // rectangle; on a wedge rejection it starts over with gaussian().
-  double gaussian_slow(std::int32_t hz);
-
-  // Draws 2n standard normals, calling put(i, re, im) for i in [0, n).
-  template <class Put>
-  void fill_normal_pairs(std::size_t n, Put put);
-
   std::uint64_t s_[4];
 };
 
