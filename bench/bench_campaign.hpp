@@ -13,9 +13,8 @@
 
 namespace hs::bench {
 
-/// Runs a named campaign preset with the CLI's seed/trials/threads and
-/// deployment-reuse switch; exits with a diagnostic if the preset does
-/// not exist.
+/// Runs a named campaign preset with the CLI's seed/trials/threads;
+/// exits with a diagnostic if the preset does not exist.
 inline campaign::CampaignResult run_preset(const char* scenario_name,
                                            const Args& args) {
   const campaign::Scenario* scenario =
@@ -31,15 +30,13 @@ inline campaign::CampaignResult run_preset(const char* scenario_name,
   options.seed = args.seed;
   options.trials_per_point = args.trials;
   options.threads = args.threads;
-  options.reuse_deployments = args.reuse;
   return campaign::run_campaign(*scenario, options);
 }
 
 inline void print_campaign_footer(const campaign::CampaignResult& result) {
-  std::printf("  campaign: %zu trials on %u thread(s), %.1f trials/s%s\n",
+  std::printf("  campaign: %zu trials on %u thread(s), %.1f trials/s\n",
               result.total_trials, result.options.threads,
-              result.trials_per_second(),
-              result.options.reuse_deployments ? "" : " (no reuse)");
+              result.trials_per_second());
 }
 
 }  // namespace hs::bench

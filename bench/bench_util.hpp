@@ -20,9 +20,6 @@ struct Args {
   /// packets-per-location of the pre-campaign loops.
   std::size_t trials = 0;
   unsigned threads = 0;    ///< campaign workers; 0 => hardware concurrency
-  /// false => rebuild the deployment per trial instead of reusing the
-  /// worker's pooled one (--no-reuse; identical aggregates, slower).
-  bool reuse = true;
 
   static Args parse(int argc, char** argv) {
     Args args;
@@ -34,11 +31,9 @@ struct Args {
       } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
         args.threads = static_cast<unsigned>(
             std::strtoul(argv[i] + 10, nullptr, 10));
-      } else if (std::strcmp(argv[i], "--no-reuse") == 0) {
-        args.reuse = false;
       } else if (std::strcmp(argv[i], "--help") == 0) {
         std::printf(
-            "usage: %s [--seed=N] [--trials=N] [--threads=N] [--no-reuse]\n"
+            "usage: %s [--seed=N] [--trials=N] [--threads=N]\n"
             "  campaign benches: --trials is campaign trials per sweep "
             "point\n",
             argv[0]);

@@ -1,20 +1,18 @@
-// Campaign CLI: runs any named scenario preset across the work-stealing
-// worker pool and emits CSV/JSON aggregates; runs one shard of a
-// multi-process campaign (--shards/--shard/--emit-chunks) writing a
-// mergeable chunk stream; merges shard streams back into reports
-// byte-identical to a serial run (--merge); and writes the
-// BENCH_campaign.json perf snapshot (--bench-json) comparing no-reuse vs
-// deployment-reuse and 1-thread vs N-thread throughput. Aggregates are
-// bit-identical across every combination by construction; the tool
-// verifies both determinism axes on every --bench-json run and refuses
-// to record a "parallel" leg that silently ran on one thread.
+// Campaign CLI: runs any named scenario preset across the worker pool
+// and emits CSV/JSON aggregates; runs one shard of a multi-process
+// campaign (--shards/--shard/--emit-chunks) writing a mergeable chunk
+// stream; merges shard streams back into reports byte-identical to a
+// serial run (--merge); recovers partial shard streams (--recover); and
+// runs the whole campaign through the fault-tolerant dispatcher
+// (--dispatch). Aggregates are bit-identical across every mode and
+// thread count by construction.
 //
 // Observability: --metrics-json writes the merged counter/phase-timer
 // report (serial, parallel, per-shard, or aggregated across shards by
 // --merge from the chunk-stream trailers); --trace writes a Chrome
-// trace-event timeline (chrome://tracing / Perfetto) of workers, chunks,
-// steals and snapshot events. Neither changes any aggregate or report
-// byte (see src/obs/metrics.hpp).
+// trace-event timeline (chrome://tracing / Perfetto) of workers, chunks
+// and snapshot events. Neither changes any aggregate or report byte (see
+// src/obs/metrics.hpp).
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -34,7 +32,6 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
-#include "dsp/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "snapshot/state_io.hpp"
@@ -81,23 +78,6 @@ void list_presets_json(std::FILE* out) {
   std::fputs(doc.c_str(), out);
 }
 
-bool aggregates_identical(const campaign::CampaignResult& a,
-                          const campaign::CampaignResult& b) {
-  if (a.points.size() != b.points.size()) return false;
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    for (std::size_t m = 0; m < campaign::kMetricCount; ++m) {
-      const auto& sa = a.points[p].metrics[m];
-      const auto& sb = b.points[p].metrics[m];
-      if (sa.count() != sb.count() || sa.mean() != sb.mean() ||
-          sa.stddev() != sb.stddev() || sa.min() != sb.min() ||
-          sa.max() != sb.max()) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// `--version`: every schema this binary reads or writes, one per line,
 /// machine-greppable. Scripts (CI, run_sharded.py) use it to confirm a
 /// binary and a recorded artifact speak the same format.
@@ -113,9 +93,9 @@ int usage(const char* argv0, bool is_error) {
   std::fprintf(
       is_error ? stderr : stdout,
       "usage: %s [--list [--json]] [--scenario=NAME] [--seed=N]\n"
-      "          [--trials=N] [--threads=N] [--chunk=N] [--no-reuse]\n"
+      "          [--trials=N] [--threads=N] [--chunk=N]\n"
       "          [--no-snapshot] [--snapshot-dir=DIR] [--canonical]\n"
-      "          [--csv=PATH] [--json=PATH] [--bench-json=PATH]\n"
+      "          [--csv=PATH] [--json=PATH]\n"
       "          [--metrics-json=PATH] [--trace=PATH] [--version]\n"
       "          [--timeout-seconds=N]\n"
       "       %s --shards=K --shard=I --emit-chunks=PATH [run options]\n"
@@ -131,9 +111,6 @@ int usage(const char* argv0, bool is_error) {
       "  Every value flag also accepts the space-separated form\n"
       "  (--shards 3). --threads=0 uses all hardware threads (default).\n"
       "  --list --json emits the preset list as machine-readable JSON.\n"
-      "  --no-reuse rebuilds the deployment for every trial instead of\n"
-      "  reset-and-reseeding the worker's pooled one (identical\n"
-      "  aggregates, slower; the escape hatch for A/B timing).\n"
       "  Warm-state snapshots are on by default: each trial restores the\n"
       "  post-warm-up deployment state from an in-memory snapshot instead\n"
       "  of re-simulating the warm-up. --snapshot-dir=DIR persists the\n"
@@ -148,11 +125,6 @@ int usage(const char* argv0, bool is_error) {
       "  byte-identical to the serial run (tools/run_sharded.py drives\n"
       "  the whole flow). Shard runs print `shard i/K: chunks c/C`\n"
       "  progress lines to stderr.\n"
-      "  --bench-json re-runs at 1 thread without reuse, with reset-based\n"
-      "  reuse, and with warm-snapshot restores, checks all aggregates\n"
-      "  are bit-identical, and writes a trials/sec perf snapshot with a\n"
-      "  phase breakdown and the metrics-instrumentation overhead; it\n"
-      "  refuses a parallel leg of fewer than 2 threads.\n"
       "  --metrics-json writes the counter + phase-timer report (schema\n"
       "  in docs/REPRODUCING.md); in --merge mode it aggregates the K\n"
       "  shard trailers. --trace writes a Chrome trace-event timeline\n"
@@ -292,7 +264,7 @@ int main(int argc, char** argv) {
   std::string scenario_name = "fig9-eaves-ber";
   campaign::CampaignOptions options;
   options.threads = 0;  // hardware concurrency
-  std::string csv_path, json_path, bench_json_path, emit_chunks_path;
+  std::string csv_path, json_path, emit_chunks_path;
   std::string metrics_json_path, trace_path;
   std::string fault_plan_spec, chunks_spec, executor_name = "thread";
   std::string workdir;
@@ -340,9 +312,6 @@ int main(int argc, char** argv) {
       max_rounds = parse_u64(value, "--max-rounds");
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
       timeout_seconds = parse_u64(value, "--timeout-seconds");
-    } else if (std::strcmp(arg, "--no-reuse") == 0) {
-      options.reuse_deployments = false;
-      run_flag = "--no-reuse";
     } else if (std::strcmp(arg, "--no-snapshot") == 0) {
       options.snapshots = false;
       run_flag = "--no-snapshot";
@@ -381,8 +350,6 @@ int main(int argc, char** argv) {
       // Bare --json (no value) selects the machine-readable preset list;
       // --json=PATH / --json PATH stays the report destination above.
       list_json = true;
-    } else if ((value = flag_value(arg, "--bench-json", argc, argv, &i))) {
-      bench_json_path = value;
     } else if (arg[0] != '-' && (merge_mode || recover_mode)) {
       merge_files.push_back(arg);
     } else {
@@ -419,8 +386,8 @@ int main(int argc, char** argv) {
   }
 
   // `--timeout-seconds` watchdog. Armed here so it covers every
-  // executing mode (normal run, shard, --recover re-runs, --dispatch,
-  // the --bench-json legs) and even a wedged --merge parse; the chunk
+  // executing mode (normal run, shard, --recover re-runs, --dispatch)
+  // and even a wedged --merge parse; the chunk
   // progress counter is fed by the runner through
   // CampaignOptions::chunks_completed.
   std::atomic<std::size_t> watchdog_chunks{0};
@@ -435,22 +402,22 @@ int main(int argc, char** argv) {
                    "(possibly failed) shard runs\n");
       return 1;
     }
-    if (!bench_json_path.empty() || !emit_chunks_path.empty() ||
-        shard_count > 0 || have_shard_index || !trace_path.empty() ||
-        !fault_plan_spec.empty() || !chunks_spec.empty()) {
+    if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index ||
+        !trace_path.empty() || !fault_plan_spec.empty() ||
+        !chunks_spec.empty()) {
       std::fprintf(stderr,
                    "--recover folds existing streams and re-runs only "
                    "missing chunks; it cannot be combined with "
-                   "--bench-json, --emit-chunks, --shards, --shard, "
-                   "--trace, --fault-plan or --chunks\n");
+                   "--emit-chunks, --shards, --shard, --trace, "
+                   "--fault-plan or --chunks\n");
       return 1;
     }
     if (identity_flag != nullptr) {
       std::fprintf(stderr,
                    "--recover takes the campaign identity from the "
                    "salvaged headers — %s would be silently ignored; "
-                   "drop it (--threads/--no-reuse/--no-snapshot still "
-                   "shape the repair execution)\n",
+                   "drop it (--threads/--no-snapshot still shape the "
+                   "repair execution)\n",
                    identity_flag);
       return 1;
     }
@@ -526,12 +493,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--merge needs at least one chunk-stream file\n");
       return 1;
     }
-    if (!bench_json_path.empty() || !emit_chunks_path.empty() ||
-        shard_count > 0 || have_shard_index) {
+    if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index) {
       std::fprintf(stderr,
                    "--merge folds existing chunk streams; it cannot be "
-                   "combined with --bench-json, --emit-chunks, --shards "
-                   "or --shard\n");
+                   "combined with --emit-chunks, --shards or --shard\n");
       return 1;
     }
     if (!trace_path.empty()) {
@@ -605,13 +570,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--dispatch requires --shards=K\n");
       return 1;
     }
-    if (have_shard_index || !emit_chunks_path.empty() ||
-        !chunks_spec.empty() || !bench_json_path.empty() ||
+    if (have_shard_index || !emit_chunks_path.empty() || !chunks_spec.empty() ||
         !trace_path.empty()) {
       std::fprintf(stderr,
                    "--dispatch runs (and recovers) all K shards itself; "
                    "it cannot be combined with --shard, --emit-chunks, "
-                   "--chunks, --bench-json or --trace\n");
+                   "--chunks or --trace\n");
       return 1;
     }
     if (executor_name != "thread" && executor_name != "process") {
@@ -653,23 +617,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--emit-chunks requires --shards and --shard\n");
     return 1;
   }
-  if (!emit_chunks_path.empty() &&
-      (!csv_path.empty() || !json_path.empty() || !bench_json_path.empty())) {
+  if (!emit_chunks_path.empty() && (!csv_path.empty() || !json_path.empty())) {
     std::fprintf(stderr,
                  "--emit-chunks writes one shard's chunk stream; partial "
                  "aggregates would be misleading — use --merge on all "
                  "shard streams to produce CSV/JSON reports\n");
     return 1;
-  }
-
-  if (!bench_json_path.empty() && !options.reuse_deployments) {
-    // The snapshot's "parallel" section is defined as N threads WITH
-    // reuse; honoring --no-reuse there would record an inconsistent
-    // trajectory (the no-reuse measurement has its own section).
-    std::fprintf(stderr,
-                 "note: --bench-json measures the no-reuse case itself; "
-                 "ignoring --no-reuse for the main run\n");
-    options.reuse_deployments = true;
   }
 
   const campaign::Scenario* scenario = campaign::find_scenario(scenario_name);
@@ -679,23 +632,8 @@ int main(int argc, char** argv) {
     list_presets(stderr);
     return 1;
   }
-  const unsigned hardware_threads =
-      std::max(1u, std::thread::hardware_concurrency());
   if (options.threads == 0) {
-    options.threads = hardware_threads;
-  }
-  if (!bench_json_path.empty() && options.threads < 2) {
-    // The self-check that BENCH_campaign.json can never again record a
-    // "parallel" leg that silently ran on one thread: on a
-    // 1-hardware-thread machine --threads=0 resolves to 1, which would
-    // make thread_speedup a lie of measurement noise.
-    std::fprintf(stderr,
-                 "FATAL: --bench-json parallel leg resolved to %u thread(s) "
-                 "(hardware_concurrency=%u); pass --threads=N with N>=2 — "
-                 "on a 1-core machine that measures oversubscription "
-                 "honestly instead of relabeling a serial run\n",
-                 options.threads, hardware_threads);
-    return 1;
+    options.threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
   // Observability wiring: timers are collected exactly when a metrics
@@ -834,15 +772,14 @@ int main(int argc, char** argv) {
       shard_trials += c.trial_end - c.trial_begin;
     }
     std::printf("shard %zu/%zu of %s: %zu/%zu chunks (%zu trials), "
-                "%u thread(s), %.2fs (%.1f trials/s), %zu chunk(s) stolen "
-                "-> %s\n",
+                "%u thread(s), %.2fs (%.1f trials/s) -> %s\n",
                 shard_index, shard_count, scenario->name.c_str(),
                 exec.plan.chunks.size(), exec.plan.total_chunks,
                 shard_trials, exec.threads, exec.wall_seconds,
                 exec.wall_seconds > 0.0
                     ? static_cast<double>(shard_trials) / exec.wall_seconds
                     : 0.0,
-                exec.chunks_stolen, emit_chunks_path.c_str());
+                emit_chunks_path.c_str());
     return 0;
   }
 
@@ -878,146 +815,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!bench_json_path.empty()) {
-    if (result.options.threads < 2) {
-      std::fprintf(stderr,
-                   "FATAL: the parallel leg ran on %u thread(s) after "
-                   "clamping to the chunk count — the workload is too "
-                   "small for a meaningful thread_speedup row\n",
-                   result.options.threads);
-      return 1;
-    }
-    // The trajectory's legs, all 1 thread: fresh construction per trial,
-    // reset-based deployment reuse (snapshots off), and warm-snapshot
-    // restores. The main `result` above is the parallel leg (snapshots
-    // on by default). The timing legs run uninstrumented — the dedicated
-    // obs leg below measures the instrumentation cost itself.
-    campaign::CampaignOptions serial_options = options;
-    serial_options.threads = 1;
-    serial_options.reuse_deployments = true;
-    serial_options.snapshots = false;
-    serial_options.metrics_timers = false;
-    serial_options.trace = nullptr;
-    const auto serial = campaign::run_campaign(*scenario, serial_options);
-
-    campaign::CampaignOptions no_reuse_options = serial_options;
-    no_reuse_options.reuse_deployments = false;
-    const auto no_reuse = campaign::run_campaign(*scenario, no_reuse_options);
-
-    campaign::CampaignOptions warm_options = serial_options;
-    warm_options.snapshots = true;
-    warm_options.snapshot_dir = options.snapshot_dir;
-    const auto warm = campaign::run_campaign(*scenario, warm_options);
-
-    // The observability leg: identical campaign to `warm` but with phase
-    // timers on, so the snapshot records what --metrics-json costs
-    // (obs_overhead; acceptance gate <= 1.02) and where the wall time
-    // goes (phase_breakdown).
-    campaign::CampaignOptions obs_options = warm_options;
-    obs_options.metrics_timers = true;
-    const auto obs_run = campaign::run_campaign(*scenario, obs_options);
-
-    // The SIMD self-check leg: the serial campaign once more with kernel
-    // dispatch pinned to the scalar reference loops. Every vector backend
-    // promises bit-identical results to the scalar reference, so these
-    // aggregates must match the serial leg exactly.
-    const dsp::kernels::Backend bench_backend = dsp::kernels::active_backend();
-    dsp::kernels::set_backend(dsp::kernels::Backend::kScalar);
-    const auto scalar_run = campaign::run_campaign(*scenario, serial_options);
-    dsp::kernels::set_backend(bench_backend);
-
-    // Determinism self-checks: the work-stealing pool must not change
-    // aggregates (1 vs N threads), neither may deployment reuse
-    // (reset-and-reseeded deployments vs freshly constructed ones), and
-    // neither may warm-snapshot restores vs cold warm-up replays.
-    if (!aggregates_identical(serial, result)) {
-      std::fprintf(stderr,
-                   "FATAL: 1-thread and %u-thread aggregates differ\n",
-                   result.options.threads);
-      return 1;
-    }
-    if (!aggregates_identical(no_reuse, serial)) {
-      std::fprintf(stderr,
-                   "FATAL: reused and fresh-construction aggregates "
-                   "differ\n");
-      return 1;
-    }
-    if (!aggregates_identical(warm, serial)) {
-      std::fprintf(stderr,
-                   "FATAL: warm-restored and cold-warm-up aggregates "
-                   "differ\n");
-      return 1;
-    }
-    if (!aggregates_identical(obs_run, warm)) {
-      std::fprintf(stderr,
-                   "FATAL: metrics-instrumented and uninstrumented "
-                   "aggregates differ\n");
-      return 1;
-    }
-    if (!aggregates_identical(scalar_run, serial)) {
-      std::fprintf(stderr,
-                   "FATAL: %s-backend and scalar-reference kernel "
-                   "aggregates differ\n",
-                   dsp::kernels::backend_name(bench_backend));
-      return 1;
-    }
-    if (warm.snapshots_restored == 0 && warm.snapshots_saved == 0 &&
-        campaign::experiment_uses_deployments(scenario->kind)) {
-      // Pure-DSP kinds (spectrum/wideband/multipath) legitimately never
-      // build a deployment, so an untouched cache is only suspicious
-      // when the kind does. Under WarmStrategy::kRestoreOnBuild a serial
-      // warm leg publishes one snapshot and then resets its pooled
-      // deployment, so "saved" (not per-trial restores) is the sign of
-      // life.
-      std::fprintf(stderr,
-                   "FATAL: the warm leg never touched the snapshot cache — "
-                   "the recorded 'warm' row would just be a second reuse "
-                   "measurement\n");
-      return 1;
-    }
-    // Warm-leg regression tripwire: the whole point of the snapshot
-    // machinery is that the warm leg must not lose to the plain reset
-    // baseline (it briefly did — warm_speedup 0.972 — when per-trial
-    // restores were kept mandatory after the SIMD kernels made warm-up
-    // replay cheaper than snapshot deserialization; WarmStrategy::
-    // kRestoreOnBuild is the fix). Below 0.98 the recorded row is a
-    // regression, not noise.
-    const double warm_speedup = warm.wall_seconds > 0.0
-                                    ? serial.wall_seconds / warm.wall_seconds
-                                    : 0.0;
-    if (warm_speedup < 0.98) {
-      std::fprintf(stderr,
-                   "WARNING: warm leg regressed against the reset baseline "
-                   "(warm_speedup %.3f < 0.98) — snapshot restores are "
-                   "costing more than the warm-up replay they skip\n",
-                   warm_speedup);
-    }
-    std::printf("\n  determinism: %u-thread aggregates bit-identical to "
-                "1-thread (%zu chunks stolen)\n",
-                result.options.threads, result.chunks_stolen);
-    std::printf("  determinism: deployment reuse bit-identical to fresh "
-                "construction\n");
-    std::printf("  determinism: warm-snapshot restores bit-identical to "
-                "cold warm-ups (%zu restored, %zu saved)\n",
-                warm.snapshots_restored, warm.snapshots_saved);
-    std::printf("  determinism: metrics instrumentation bit-identical to "
-                "uninstrumented run\n");
-    std::printf("  determinism: %s kernel backend bit-identical to scalar "
-                "reference\n",
-                dsp::kernels::backend_name(bench_backend));
-    std::printf("  no-reuse %.1f trials/s, reuse %.1f trials/s "
-                "(%zu built + %zu reused), warm %.1f trials/s, "
-                "parallel %.1f trials/s, instrumented %.1f trials/s\n",
-                no_reuse.trials_per_second(), serial.trials_per_second(),
-                serial.deployments_built, serial.deployments_reused,
-                warm.trials_per_second(), result.trials_per_second(),
-                obs_run.trials_per_second());
-    if (!campaign::write_file(
-            bench_json_path,
-            campaign::perf_snapshot_json(no_reuse, serial, warm, result,
-                                         hardware_threads, &obs_run))) {
-      return 1;
-    }
-  }
   return 0;
 }

@@ -748,23 +748,11 @@ CampaignResult merge_chunk_streams(const Scenario& scenario,
     }
   }
 
-  CampaignResult result;
-  result.scenario = scenario;
-  result.options = options;
-  result.points.resize(h0.point_count);
-  for (std::size_t p = 0; p < h0.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = scenario.axis_value_at(p);
-  }
-  // The fixed fold order that makes the merge bit-identical to a serial
-  // run: ascending global chunk id, exactly like run_campaign.
-  for (const ChunkRecord* rec : by_id) {
-    auto& point = result.points[rec->ref.point_index];
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      point.metrics[m].merge(rec->metrics[m]);
-    }
-  }
-  result.total_trials = h0.point_count * h0.trials_per_point;
+  std::vector<ChunkMetrics> chunk_metrics;
+  chunk_metrics.reserve(by_id.size());
+  for (const ChunkRecord* rec : by_id) chunk_metrics.push_back(rec->metrics);
+  const ShardPlan global = plan_shard(scenario, options, 1, 0);
+  CampaignResult result = fold_chunks(scenario, options, global, chunk_metrics);
 
   if (metrics != nullptr) {
     *metrics = MergedMetrics{};

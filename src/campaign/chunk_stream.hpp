@@ -19,7 +19,7 @@
 ///   last line metrics trailer (v2+, mandatory): the shard's merged
 ///             observability report, so `--merge` can aggregate all K
 ///             shards' counters and phase timers:
-///             {"trailer":"hs-metrics","version":2,"threads":T,
+///             {"trailer":"hs-metrics","version":3,"threads":T,
 ///              "wall_ns":W,"counters":{"<counter>":n,... every
 ///              obs::Counter in enum order},"phases":{"<phase>":
 ///              {"calls":c,"ns":t},... every obs::Phase in enum order},
@@ -201,7 +201,7 @@ ChunkStream load_chunk_stream(const std::string& path);
 /// through the dispatcher (dispatch.hpp), which validates an explicit
 /// chunk cover instead. Every rejection names the offending shard,
 /// stream source and record line. The result's runtime fields (wall
-/// time, threads, pool counters) are zeroed — reports are canonical.
+/// time, threads) are zeroed — reports are canonical.
 /// With `metrics` non-null the shard trailers are aggregated into it
 /// (merge order never matters: Report::merge is integer addition).
 /// Throws ChunkStreamError.

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <optional>
 #include <thread>
 
 #include "campaign/report.hpp"
@@ -315,7 +313,6 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     }
     cmd += " --threads=" + std::to_string(options_.threads);
     cmd += " --chunk=" + std::to_string(options_.chunk_size);
-    if (!options_.reuse_deployments) cmd += " --no-reuse";
     if (!options_.snapshots) cmd += " --no-snapshot";
     if (!options_.snapshot_dir.empty()) {
       cmd += " --snapshot-dir=" + shell_quote(options_.snapshot_dir);
@@ -401,32 +398,88 @@ void add_dispatch_counters(DispatchReport& rep) {
       rep.tasks_retried;
 }
 
-/// Canonical fold, exactly as merge_chunk_streams: ascending global
-/// chunk id, runtime fields zeroed. Requires every id accepted.
-CampaignResult fold_canonical(
-    const Scenario& scenario, std::uint64_t seed, const ShardPlan& global,
-    const std::vector<std::optional<ChunkRecord>>& accepted) {
-  CampaignResult result;
-  result.scenario = scenario;
+/// Chunk accumulators accepted so far, by global chunk id.
+struct ChunkCover {
+  explicit ChunkCover(std::size_t total_chunks)
+      : metrics(total_chunks), accepted(total_chunks, false) {}
+
+  std::vector<std::size_t> missing() const {
+    std::vector<std::size_t> ids;
+    for (std::size_t id = 0; id < accepted.size(); ++id) {
+      if (!accepted[id]) ids.push_back(id);
+    }
+    return ids;
+  }
+
+  std::vector<ChunkMetrics> metrics;
+  std::vector<bool> accepted;
+};
+
+/// What one stream contributed to the cover.
+struct StreamAcceptance {
+  std::size_t duplicates = 0;
+  /// The stream matched the geometry and was complete, so its trailer
+  /// was added to the report.
+  bool trailer = false;
+};
+
+/// The record-acceptance step dispatch_campaign and recover_campaign
+/// share. A stream whose header disagrees with the campaign geometry
+/// contributes nothing. Otherwise its records, which salvage already
+/// checked one by one under the strict rules, are pinned to the global
+/// chunk enumeration (a stream from a different build or a hand-edited
+/// geometry cannot smuggle a mislabeled chunk in) and accepted
+/// first-wins by chunk id. Duplicates are bit-identical by determinism,
+/// so which copy merges never matters. Only a complete stream's trailer
+/// is trustworthy accounting: a salvaged prefix merges its records but
+/// forfeits its counters.
+StreamAcceptance accept_stream(const SalvagedStream& s,
+                               const Scenario& scenario, std::uint64_t seed,
+                               std::size_t shard_count, const ShardPlan& global,
+                               ChunkCover& cover, DispatchReport& rep) {
+  StreamAcceptance out;
+  const bool geometry_ok =
+      s.header_valid && s.header.scenario == scenario.name &&
+      s.header.seed == seed &&
+      s.header.trials_per_point == global.trials_per_point &&
+      s.header.chunk_size == global.chunk_size &&
+      s.header.shard_count == shard_count &&
+      s.header.point_count == global.point_count &&
+      s.header.total_chunks == global.total_chunks;
+  if (!geometry_ok) return out;
+  for (const ChunkRecord& rec : s.chunks) {
+    const std::size_t id = rec.ref.chunk_index;
+    if (!(rec.ref == global.chunks[id])) break;
+    if (cover.accepted[id]) {
+      ++out.duplicates;
+      continue;
+    }
+    cover.metrics[id] = rec.metrics;
+    cover.accepted[id] = true;
+  }
+  rep.chunks_duplicate += out.duplicates;
+  if (s.complete) {
+    out.trailer = true;
+    ++rep.streams_complete;
+    ++rep.metrics.shards;
+    rep.metrics.threads += s.trailer.threads;
+    rep.metrics.wall_ns += s.trailer.wall_ns;
+    rep.metrics.report.merge(s.trailer.report);
+  }
+  return out;
+}
+
+/// The canonical result of a fully covered campaign: runtime fields
+/// zeroed, exactly as merge_chunk_streams produces.
+CampaignResult fold_canonical(const Scenario& scenario, std::uint64_t seed,
+                              const ShardPlan& global,
+                              const ChunkCover& cover) {
   CampaignOptions canonical;
   canonical.seed = seed;
   canonical.trials_per_point = global.trials_per_point;
   canonical.chunk_size = global.chunk_size;
   canonical.threads = 0;
-  result.options = canonical;
-  result.points.resize(global.point_count);
-  for (std::size_t p = 0; p < global.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = scenario.axis_value_at(p);
-  }
-  for (const auto& rec : accepted) {
-    auto& point = result.points[rec->ref.point_index];
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      point.metrics[m].merge(rec->metrics[m]);
-    }
-  }
-  result.total_trials = global.point_count * global.trials_per_point;
-  return result;
+  return fold_chunks(scenario, canonical, global, cover.metrics);
 }
 
 }  // namespace
@@ -445,53 +498,17 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
   const ShardPlan global = plan_shard(scenario, options, 1, 0);
 
   DispatchReport rep;
-  std::vector<std::optional<ChunkRecord>> accepted(global.total_chunks);
-  std::size_t covered = 0;
+  ChunkCover cover(global.total_chunks);
   std::vector<bool> slot_complete(K, false);
 
   const auto process_outcome = [&](TaskOutcome& o, bool from_delay) {
     const SalvagedStream s = salvage_chunk_stream(o.stream_text, o.source);
-    const bool geometry_ok =
-        s.header_valid && s.header.scenario == scenario.name &&
-        s.header.seed == options.seed &&
-        s.header.trials_per_point == global.trials_per_point &&
-        s.header.chunk_size == global.chunk_size &&
-        s.header.shard_count == K &&
-        s.header.point_count == global.point_count &&
-        s.header.total_chunks == global.total_chunks;
-    std::size_t duplicates = 0;
-    if (geometry_ok) {
-      for (const ChunkRecord& rec : s.chunks) {
-        // Salvage already enforced the strict per-record rules; this
-        // pins the record to the recomputed enumeration (a stream from a
-        // different build or a hand-edited geometry cannot smuggle a
-        // mislabeled chunk in).
-        if (!(rec.ref == global.chunks[rec.ref.chunk_index])) break;
-        if (accepted[rec.ref.chunk_index].has_value()) {
-          // First-wins suppression. Duplicated chunks are bit-identical
-          // by determinism, so which copy merges never matters.
-          ++duplicates;
-          continue;
-        }
-        accepted[rec.ref.chunk_index] = rec;
-        ++covered;
-      }
-      if (s.complete) {
-        // Only a complete stream's trailer is trustworthy accounting;
-        // a salvaged prefix merges its records but forfeits its
-        // counters. Stragglers and their repair tasks BOTH count, so
-        // executed trials exceed merged trials exactly when work was
-        // duplicated.
-        ++rep.streams_complete;
-        ++rep.metrics.shards;
-        rep.metrics.threads += s.trailer.threads;
-        rep.metrics.wall_ns += s.trailer.wall_ns;
-        rep.metrics.report.merge(s.trailer.report);
-        if (o.generation == 0 && o.slot < K) slot_complete[o.slot] = true;
-      }
+    const StreamAcceptance a =
+        accept_stream(s, scenario, options.seed, K, global, cover, rep);
+    if (a.trailer && o.generation == 0 && o.slot < K) {
+      slot_complete[o.slot] = true;
     }
-    rep.chunks_duplicate += duplicates;
-    if (from_delay && duplicates > 0) ++rep.shards_straggler;
+    if (from_delay && a.duplicates > 0) ++rep.shards_straggler;
   };
 
   // Initial deal: the same round-robin plans a faultless sharded run
@@ -513,10 +530,7 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
       process_outcome(o, true);
     }
 
-    std::vector<std::size_t> missing;
-    for (std::size_t id = 0; id < accepted.size(); ++id) {
-      if (!accepted[id].has_value()) missing.push_back(id);
-    }
+    const std::vector<std::size_t> missing = cover.missing();
     if (missing.empty()) break;
     if (round >= dispatch.max_rounds) {
       throw DispatchError(
@@ -554,7 +568,7 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
 
   add_dispatch_counters(rep);
   CampaignResult result =
-      fold_canonical(scenario, options.seed, global, accepted);
+      fold_canonical(scenario, options.seed, global, cover);
   if (report != nullptr) *report = std::move(rep);
   return result;
 }
@@ -581,7 +595,7 @@ CampaignResult recover_campaign(const Scenario& scenario,
                         "', not '" + scenario.name + "'");
   }
   // Campaign identity from the salvaged header; execution knobs (worker
-  // threads, reuse, snapshots) from the caller.
+  // threads, snapshots) from the caller.
   CampaignOptions ropt = options;
   ropt.seed = h.seed;
   ropt.trials_per_point = h.trials_per_point;
@@ -597,40 +611,14 @@ CampaignResult recover_campaign(const Scenario& scenario,
   }
 
   DispatchReport rep;
-  std::vector<std::optional<ChunkRecord>> accepted(global.total_chunks);
+  ChunkCover cover(global.total_chunks);
   for (const SalvagedStream& s : streams) {
-    const bool geometry_ok =
-        s.header_valid && s.header.scenario == h.scenario &&
-        s.header.seed == h.seed &&
-        s.header.trials_per_point == h.trials_per_point &&
-        s.header.chunk_size == h.chunk_size && s.header.shard_count == K &&
-        s.header.point_count == h.point_count &&
-        s.header.total_chunks == h.total_chunks;
-    if (geometry_ok) {
-      for (const ChunkRecord& rec : s.chunks) {
-        if (!(rec.ref == global.chunks[rec.ref.chunk_index])) break;
-        if (accepted[rec.ref.chunk_index].has_value()) {
-          ++rep.chunks_duplicate;
-          continue;
-        }
-        accepted[rec.ref.chunk_index] = rec;
-      }
-    }
-    if (geometry_ok && s.complete) {
-      ++rep.streams_complete;
-      ++rep.metrics.shards;
-      rep.metrics.threads += s.trailer.threads;
-      rep.metrics.wall_ns += s.trailer.wall_ns;
-      rep.metrics.report.merge(s.trailer.report);
-    } else {
+    if (!accept_stream(s, scenario, h.seed, K, global, cover, rep).trailer) {
       ++rep.shards_dead;
     }
   }
 
-  std::vector<std::size_t> missing;
-  for (std::size_t id = 0; id < accepted.size(); ++id) {
-    if (!accepted[id].has_value()) missing.push_back(id);
-  }
+  const std::vector<std::size_t> missing = cover.missing();
   if (!missing.empty()) {
     // One in-process repair execution covers every missing chunk —
     // chunk identity, not worker identity, keys the trial seeds, so
@@ -641,10 +629,9 @@ CampaignResult recover_campaign(const Scenario& scenario,
     const ShardExecution exec = run_campaign_chunks(
         scenario, ropt, make_repair_plan(scenario, ropt, K, 0, missing));
     for (std::size_t c = 0; c < exec.plan.chunks.size(); ++c) {
-      ChunkRecord rec;
-      rec.ref = exec.plan.chunks[c];
-      rec.metrics = exec.chunk_metrics[c];
-      accepted[rec.ref.chunk_index] = std::move(rec);
+      const std::size_t id = exec.plan.chunks[c].chunk_index;
+      cover.metrics[id] = exec.chunk_metrics[c];
+      cover.accepted[id] = true;
     }
     ++rep.streams_complete;
     ++rep.metrics.shards;
@@ -655,7 +642,7 @@ CampaignResult recover_campaign(const Scenario& scenario,
   }
 
   add_dispatch_counters(rep);
-  CampaignResult result = fold_canonical(scenario, h.seed, global, accepted);
+  CampaignResult result = fold_canonical(scenario, h.seed, global, cover);
   if (report != nullptr) *report = std::move(rep);
   return result;
 }

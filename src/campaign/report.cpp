@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <string_view>
 
-#include "dsp/kernels.hpp"
-
 namespace hs::campaign {
 
 namespace {
@@ -217,11 +215,6 @@ bool write_file(const std::string& path, const std::string& content) {
 void canonicalize(CampaignResult& result) {
   result.wall_seconds = 0.0;
   result.options.threads = 0;
-  result.deployments_built = 0;
-  result.deployments_reused = 0;
-  result.chunks_stolen = 0;
-  result.snapshots_restored = 0;
-  result.snapshots_saved = 0;
 }
 
 std::string metrics_report_json(const std::string& scenario_name,
@@ -272,91 +265,6 @@ std::string metrics_report_json(const std::string& scenario_name,
     out += buf;
   }
   out += "  }\n}\n";
-  return out;
-}
-
-std::string perf_snapshot_json(const CampaignResult& serial_no_reuse,
-                               const CampaignResult& serial_reuse,
-                               const CampaignResult& warm,
-                               const CampaignResult& parallel_warm,
-                               unsigned hardware_threads,
-                               const CampaignResult* obs_run) {
-  const auto ratio = [](const CampaignResult& a, const CampaignResult& b) {
-    return a.wall_seconds > 0.0 && b.wall_seconds > 0.0
-               ? a.wall_seconds / b.wall_seconds
-               : 0.0;
-  };
-  char buf[1792];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"bench\": \"campaign_runner\",\n"
-      "  \"scenario\": \"%s\",\n"
-      "  \"seed\": %" PRIu64 ",\n"
-      "  \"total_trials\": %zu,\n"
-      "  \"hardware_threads\": %u,\n"
-      "  \"simd_backend\": \"%s\",\n"
-      "  \"serial_no_reuse\": {\"threads\": 1, \"wall_seconds\": %.6f, "
-      "\"trials_per_second\": %.3f},\n"
-      "  \"serial\": {\"threads\": 1, \"wall_seconds\": %.6f, "
-      "\"trials_per_second\": %.3f, \"deployments_built\": %zu, "
-      "\"deployments_reused\": %zu},\n"
-      "  \"warm\": {\"threads\": 1, \"wall_seconds\": %.6f, "
-      "\"trials_per_second\": %.3f, \"snapshots_restored\": %zu, "
-      "\"snapshots_saved\": %zu},\n"
-      "  \"parallel\": {\"threads\": %u, \"wall_seconds\": %.6f, "
-      "\"trials_per_second\": %.3f, \"chunks_stolen\": %zu, "
-      "\"snapshots_restored\": %zu},\n"
-      "  \"reuse_speedup\": %.3f,\n"
-      "  \"warm_speedup\": %.3f,\n"
-      "  \"thread_speedup\": %.3f,\n"
-      "  \"speedup\": %.3f",
-      serial_no_reuse.scenario.name.c_str(), serial_no_reuse.options.seed,
-      serial_no_reuse.total_trials, hardware_threads,
-      dsp::kernels::backend_name(dsp::kernels::active_backend()),
-      serial_no_reuse.wall_seconds,
-      serial_no_reuse.trials_per_second(), serial_reuse.wall_seconds,
-      serial_reuse.trials_per_second(), serial_reuse.deployments_built,
-      serial_reuse.deployments_reused, warm.wall_seconds,
-      warm.trials_per_second(), warm.snapshots_restored,
-      warm.snapshots_saved, parallel_warm.options.threads,
-      parallel_warm.wall_seconds, parallel_warm.trials_per_second(),
-      parallel_warm.chunks_stolen, parallel_warm.snapshots_restored,
-      ratio(serial_no_reuse, serial_reuse),
-      ratio(serial_reuse, warm),
-      ratio(warm, parallel_warm),
-      ratio(serial_no_reuse, parallel_warm));
-  std::string out(buf);
-
-  if (obs_run != nullptr) {
-    // The instrumented leg: same campaign as `warm` but with phase
-    // timers on. obs_overhead is the acceptance metric (<= 1.02);
-    // phase_breakdown surfaces where the wall time went.
-    std::snprintf(buf, sizeof buf,
-                  ",\n"
-                  "  \"obs\": {\"threads\": 1, \"wall_seconds\": %.6f, "
-                  "\"trials_per_second\": %.3f},\n"
-                  "  \"obs_overhead\": %.3f,\n"
-                  "  \"phase_breakdown\": {",
-                  obs_run->wall_seconds, obs_run->trials_per_second(),
-                  ratio(*obs_run, warm));
-    out += buf;
-    const double wall_ns =
-        obs_run->wall_seconds > 0.0 ? obs_run->wall_seconds * 1e9 : 0.0;
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-      const obs::PhaseTotals& t = obs_run->metrics.phases[i];
-      const double share =
-          wall_ns > 0.0 ? static_cast<double>(t.ns) / wall_ns : 0.0;
-      std::snprintf(
-          buf, sizeof buf, "%s\"%.*s\": %.4f", i > 0 ? ", " : "",
-          static_cast<int>(
-              obs::phase_name(static_cast<obs::Phase>(i)).size()),
-          obs::phase_name(static_cast<obs::Phase>(i)).data(), share);
-      out += buf;
-    }
-    out += "}";
-  }
-  out += "\n}\n";
   return out;
 }
 

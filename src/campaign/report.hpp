@@ -1,8 +1,7 @@
 /// @file
 /// CSV / JSON report emitters for campaign results, plus the
-/// perf-snapshot writer that records the bench trajectory: trials/sec
-/// without deployment reuse, with reuse, and with reuse across N
-/// threads. The emitted schemas are documented in docs/REPRODUCING.md.
+/// `--metrics-json` document writer. The emitted schemas are documented
+/// in docs/REPRODUCING.md.
 #pragma once
 
 #include <cstdio>
@@ -31,8 +30,8 @@ void print_summary(std::FILE* out, const CampaignResult& result);
 /// failure.
 bool write_file(const std::string& path, const std::string& content);
 
-/// Zeroes the runtime-dependent fields (wall time, thread count, pool
-/// counters) so reports from different executions of the same campaign —
+/// Zeroes the runtime-dependent fields (wall time, thread count) so
+/// reports from different executions of the same campaign —
 /// serial vs sharded-and-merged — compare byte-for-byte. Merged results
 /// from campaign::merge_chunk_streams are canonical already; apply this
 /// to the serial reference before diffing reports.
@@ -48,28 +47,5 @@ std::string metrics_report_json(const std::string& scenario_name,
                                 std::uint64_t seed, std::size_t shards,
                                 unsigned threads, double wall_seconds,
                                 const obs::Report& report);
-
-/// Perf snapshot comparing four runs of the same campaign — 1 thread
-/// without deployment reuse, 1 thread with reset-based reuse (snapshots
-/// off), 1 thread with warm-snapshot restores, N threads with snapshots —
-/// as JSON ("BENCH_campaign.json" trajectory format). `reuse_speedup` is
-/// the batched-deployment-reuse win, `warm_speedup` the warm-restore win
-/// on top of it, `thread_speedup` the worker-pool win on top of both.
-/// `hardware_threads` records what std::thread::hardware_concurrency()
-/// reported, so a snapshot taken on a small machine is self-describing
-/// (a 1-hardware-thread box cannot show thread_speedup > 1). The
-/// "simd_backend" field records which DSP kernel backend
-/// (dsp::kernels::active_backend()) produced the timings, so scalar,
-/// SSE2 and AVX2 snapshots are distinguishable after the fact.
-/// `obs_run`, when given, is a fifth leg identical to `warm` but with
-/// phase timers enabled: the snapshot gains an "obs" section, an
-/// "obs_overhead" ratio (obs wall / warm wall — the acceptance gate is
-/// <= 1.02) and a "phase_breakdown" of per-phase wall-time shares.
-std::string perf_snapshot_json(const CampaignResult& serial_no_reuse,
-                               const CampaignResult& serial_reuse,
-                               const CampaignResult& warm,
-                               const CampaignResult& parallel_warm,
-                               unsigned hardware_threads,
-                               const CampaignResult* obs_run = nullptr);
 
 }  // namespace hs::campaign

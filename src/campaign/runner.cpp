@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -400,29 +398,6 @@ std::vector<TrialSample> run_spectrum_trial(const Scenario& s,
   return out;
 }
 
-/// One worker's share of the shard's chunk list. The owner pops from the
-/// front; thieves pop from the back, so an owner streaming through
-/// consecutive chunks keeps its deployment-reuse locality for as long as
-/// possible.
-struct WorkerDeque {
-  std::mutex mutex;
-  std::deque<std::size_t> chunks;  // indices into plan.chunks
-
-  std::optional<std::size_t> pop(bool steal) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (chunks.empty()) return std::nullopt;
-    std::size_t c;
-    if (steal) {
-      c = chunks.back();
-      chunks.pop_back();
-    } else {
-      c = chunks.front();
-      chunks.pop_front();
-    }
-    return c;
-  }
-};
-
 }  // namespace
 
 std::uint64_t trial_seed(std::uint64_t campaign_seed,
@@ -474,16 +449,15 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
   return {};
 }
 
-std::array<StreamingStats, kMetricCount> run_chunk(
-    const Scenario& scenario, std::uint64_t campaign_seed,
-    const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache,
-    ChunkPoolCounters* fresh_counters) {
-  std::array<StreamingStats, kMetricCount> metrics{};
+ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
+                       const ChunkRef& chunk, shield::TrialContext* context,
+                       std::uint64_t warmup_seed,
+                       snapshot::SnapshotCache* cache) {
+  ChunkMetrics metrics{};
   // Re-applying the warm policy is idempotent for a dedicated worker
   // context and required for a shared one: a service worker runs chunks
   // of different campaigns back to back, each with its own warm seed.
-  if (context != nullptr) context->set_warm_policy(warmup_seed, cache);
+  context->set_warm_policy(warmup_seed, cache);
   const double axis_value = scenario.axis_value_at(chunk.point_index);
   for (std::size_t t = chunk.trial_begin; t < chunk.trial_end; ++t) {
     const std::uint64_t seed =
@@ -491,23 +465,8 @@ std::array<StreamingStats, kMetricCount> run_chunk(
     std::vector<TrialSample> samples;
     {
       obs::ScopedTimer trial_timer(obs::Phase::kTrial);
-      if (context != nullptr) {
-        samples =
-            run_trial(scenario, chunk.point_index, axis_value, seed, context);
-      } else {
-        // The A/B baseline: a throwaway context per trial keeps every
-        // node freshly constructed (only the warm policy carries over,
-        // so aggregates still match the pooled path bit-for-bit).
-        shield::TrialContext fresh;
-        fresh.set_warm_policy(warmup_seed, cache);
-        samples =
-            run_trial(scenario, chunk.point_index, axis_value, seed, &fresh);
-        if (fresh_counters != nullptr) {
-          fresh_counters->deployments_built += fresh.deployments_built();
-          fresh_counters->snapshots_restored += fresh.snapshots_restored();
-          fresh_counters->snapshots_saved += fresh.snapshots_saved();
-        }
-      }
+      samples =
+          run_trial(scenario, chunk.point_index, axis_value, seed, context);
     }
     obs::count(obs::Counter::kTrials);
     obs::ScopedTimer merge_timer(obs::Phase::kStatsMerge);
@@ -516,6 +475,28 @@ std::array<StreamingStats, kMetricCount> run_chunk(
     }
   }
   return metrics;
+}
+
+CampaignResult fold_chunks(const Scenario& scenario,
+                           const CampaignOptions& options,
+                           const ShardPlan& plan,
+                           const std::vector<ChunkMetrics>& chunk_metrics) {
+  CampaignResult result;
+  result.scenario = scenario;
+  result.options = options;
+  result.points.resize(plan.point_count);
+  for (std::size_t p = 0; p < plan.point_count; ++p) {
+    result.points[p].point_index = p;
+    result.points[p].axis_value = scenario.axis_value_at(p);
+  }
+  for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+    auto& point = result.points[plan.chunks[c].point_index];
+    for (std::size_t m = 0; m < kMetricCount; ++m) {
+      point.metrics[m].merge(chunk_metrics[c][m]);
+    }
+  }
+  result.total_trials = plan.point_count * plan.trials_per_point;
+  return result;
 }
 
 ShardExecution run_campaign_chunks(const Scenario& scenario,
@@ -539,16 +520,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                         chunks.size(), 1)));
   exec.threads = thread_count;
 
-  // Deal contiguous blocks of the chunk list into per-worker deques; the
-  // work-stealing loop rebalances from there. No chunk is ever added
-  // after this point, so "every deque observed empty" is a safe
-  // termination condition.
-  std::vector<WorkerDeque> queues(thread_count);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    queues[c * thread_count / std::max<std::size_t>(chunks.size(), 1)]
-        .chunks.push_back(c);
-  }
-
   // Two-phase seeding is unconditional for campaign trials: warm-up
   // streams draw from the shared campaign warm-up seed, trial streams
   // from the per-trial seed. Snapshots only change HOW the post-warm-up
@@ -570,15 +541,9 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   obs::MetricsRegistry registry(options.metrics_timers);
   const bool tracing = options.trace != nullptr;
 
-  // Legacy pool-effectiveness counters keep their historical accounting:
-  // the no-reuse baseline records only built/restored/saved from its
-  // throwaway contexts (within-trial resets excluded), matching what the
-  // A/B comparison has always reported. The obs report counts every
-  // event at its site and is the superset.
-  std::atomic<std::size_t> deployments_built{0};
-  std::atomic<std::size_t> deployments_reused{0};
-  std::atomic<std::size_t> snapshots_restored{0};
-  std::atomic<std::size_t> snapshots_saved{0};
+  // The chunk cursor: each worker claims the next unclaimed index into
+  // `chunks` until the list runs out.
+  std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> chunks_done{0};
   const std::size_t progress_every =
       std::max<std::size_t>(std::size_t{1}, chunks.size() / 10);
@@ -591,53 +556,27 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
     // run_chunk applies the warm policy on every chunk.
     shield::TrialContext pool;
     for (;;) {
-      std::optional<std::size_t> c;
-      bool stolen = false;
+      std::size_t c = 0;
       {
         obs::ScopedTimer acquire(obs::Phase::kChunkAcquire);
-        c = queues[self].pop(false);
-        for (unsigned v = 1; !c && v < thread_count; ++v) {
-          c = queues[(self + v) % thread_count].pop(true);
-          if (c) stolen = true;
-        }
+        c = next_chunk.fetch_add(1);
       }
-      if (!c) break;
-      const ChunkRef& chunk = chunks[*c];
-      if (stolen) {
-        obs::count(obs::Counter::kChunksStolen);
-        if (tracing) {
-          char args[48];
-          std::snprintf(args, sizeof args, "{\"chunk\":%zu}",
-                        chunk.chunk_index);
-          obs::trace_instant("steal", "steal", args);
-        }
-      }
+      if (c >= chunks.size()) break;
+      const ChunkRef& chunk = chunks[c];
       {
         std::optional<obs::TraceSpan> chunk_span;
         if (tracing) {
           char args[96];
           std::snprintf(args, sizeof args,
-                        "{\"chunk\":%zu,\"point\":%zu,\"trials\":%zu,"
-                        "\"stolen\":%s}",
+                        "{\"chunk\":%zu,\"point\":%zu,\"trials\":%zu}",
                         chunk.chunk_index, chunk.point_index,
-                        chunk.trial_end - chunk.trial_begin,
-                        stolen ? "true" : "false");
+                        chunk.trial_end - chunk.trial_begin);
           chunk_span.emplace("chunk",
                              "chunk " + std::to_string(chunk.chunk_index),
                              std::string(args));
         }
-        if (options.reuse_deployments) {
-          exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
-                                             &pool, warm_seed, cache_ptr);
-        } else {
-          ChunkPoolCounters fresh;
-          exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
-                                             nullptr, warm_seed, cache_ptr,
-                                             &fresh);
-          deployments_built.fetch_add(fresh.deployments_built);
-          snapshots_restored.fetch_add(fresh.snapshots_restored);
-          snapshots_saved.fetch_add(fresh.snapshots_saved);
-        }
+        exec.chunk_metrics[c] = run_chunk(scenario, options.seed, chunk,
+                                          &pool, warm_seed, cache_ptr);
       }
       obs::count(obs::Counter::kChunks);
       oscope.flush();  // chunk boundary: fold the thread block + spans
@@ -661,10 +600,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
         }
       }
     }
-    deployments_built.fetch_add(pool.deployments_built());
-    deployments_reused.fetch_add(pool.deployments_reused());
-    snapshots_restored.fetch_add(pool.snapshots_restored());
-    snapshots_saved.fetch_add(pool.snapshots_saved());
   };
 
   // steady_clock here is allowlisted in LINT.toml (steady-clock-scope):
@@ -684,11 +619,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   const auto t1 = std::chrono::steady_clock::now();
   exec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   exec.metrics = registry.report();
-  exec.deployments_built = deployments_built.load();
-  exec.deployments_reused = deployments_reused.load();
-  exec.chunks_stolen = exec.metrics.counter(obs::Counter::kChunksStolen);
-  exec.snapshots_restored = snapshots_restored.load();
-  exec.snapshots_saved = snapshots_saved.load();
   return exec;
 }
 
@@ -702,45 +632,23 @@ ShardExecution run_campaign_shard(const Scenario& scenario,
 
 CampaignResult run_campaign(const Scenario& scenario,
                             const CampaignOptions& options) {
-  CampaignResult result;
-  result.scenario = scenario;
-  result.options = options;
-
   ShardExecution exec = run_campaign_shard(scenario, options, 1, 0);
-  result.options.threads = exec.threads;
-  result.wall_seconds = exec.wall_seconds;
-  result.deployments_built = exec.deployments_built;
-  result.deployments_reused = exec.deployments_reused;
-  result.chunks_stolen = exec.chunks_stolen;
-  result.snapshots_restored = exec.snapshots_restored;
-  result.snapshots_saved = exec.snapshots_saved;
-  result.metrics = exec.metrics;
-
-  result.points.resize(exec.plan.point_count);
-  for (std::size_t p = 0; p < exec.plan.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = scenario.axis_value_at(p);
-  }
-  // A single shard's chunks are already every chunk in ascending id
-  // order — fold them exactly as the multi-shard merge does. The fold is
-  // timed through its own scope so --metrics-json attributes it to
-  // stats_merge alongside the in-worker accumulation.
+  // The fold is timed through its own scope so --metrics-json attributes
+  // it to stats_merge alongside the in-worker accumulation.
+  obs::MetricsRegistry fold_registry(options.metrics_timers);
+  CampaignResult result;
   {
-    obs::MetricsRegistry fold_registry(options.metrics_timers);
     obs::WorkerScope fold_scope(&fold_registry, nullptr, "merge");
     {
       obs::ScopedTimer fold_timer(obs::Phase::kStatsMerge);
-      for (std::size_t c = 0; c < exec.plan.chunks.size(); ++c) {
-        auto& point = result.points[exec.plan.chunks[c].point_index];
-        for (std::size_t m = 0; m < kMetricCount; ++m) {
-          point.metrics[m].merge(exec.chunk_metrics[c][m]);
-        }
-      }
+      result = fold_chunks(scenario, options, exec.plan, exec.chunk_metrics);
     }
     fold_scope.flush();
-    result.metrics.merge(fold_registry.report());
   }
-  result.total_trials = exec.plan.point_count * exec.plan.trials_per_point;
+  result.options.threads = exec.threads;
+  result.wall_seconds = exec.wall_seconds;
+  result.metrics = exec.metrics;
+  result.metrics.merge(fold_registry.report());
   return result;
 }
 

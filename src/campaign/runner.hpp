@@ -5,21 +5,20 @@
 /// units over a std::thread pool, and aggregates per-point statistics.
 /// Determinism: every trial's seed is derived from (campaign seed,
 /// scenario name, point index, trial index) through the named-substream
-/// Rng, and chunk accumulators are merged in fixed chunk order — so
-/// 1-thread and N-thread runs produce bit-identical aggregates.
+/// Rng, and chunk accumulators are merged in fixed chunk order by
+/// fold_chunks() — so 1-thread and N-thread runs produce bit-identical
+/// aggregates.
 ///
 /// Each worker owns a shield::TrialContext: deployments and experiment
 /// nodes are reset-and-reseeded between trials instead of reconstructed
 /// (reused trials are bit-identical to fresh ones; see trial_context.hpp).
-/// CampaignOptions::reuse_deployments — the CLI's `--no-reuse` — turns
-/// the pool off.
 ///
-/// Chunks are scheduled through per-worker deques with work stealing: an
-/// idle worker takes chunks from the tail of a busy worker's deque. Only
-/// chunk boundaries — never the steal order — define the RNG streams and
-/// the merge order, so the stolen schedule preserves bit-identity.
-/// run_campaign_shard() runs one shard of a multi-process campaign on the
-/// same pool (see shard.hpp / chunk_stream.hpp).
+/// Workers take chunks from one shared cursor: an atomic index into the
+/// plan's chunk list. Only chunk boundaries — never which worker ran a
+/// chunk — define the RNG streams and the merge order, so any schedule
+/// preserves bit-identity. run_campaign_shard() runs one shard of a
+/// multi-process campaign on the same pool (see shard.hpp /
+/// chunk_stream.hpp).
 #pragma once
 
 #include <array>
@@ -56,10 +55,6 @@ struct CampaignOptions {
   /// One trial per chunk maximizes parallelism (a trial simulates a full
   /// deployment, so accumulator merge overhead is negligible).
   std::size_t chunk_size = 1;
-  /// Reuse each worker's deployment across trials (reset + reseed) rather
-  /// than reconstructing it per trial. Aggregates are bit-identical
-  /// either way; false is the `--no-reuse` escape hatch.
-  bool reuse_deployments = true;
   /// Restore post-warm-up deployment state from warm snapshots instead of
   /// re-simulating the warm-up on every trial (see src/snapshot/). The
   /// per-trial RNG streams always run two-phase (warm-up streams keyed by
@@ -86,9 +81,8 @@ struct CampaignOptions {
   obs::TraceRecorder* trace = nullptr;
   /// Optional liveness counter, incremented once per completed chunk
   /// (relaxed; not owned). The CLI's `--timeout-seconds` watchdog reads
-  /// it to report partial progress when it aborts a hung campaign, and
-  /// server-side request deadlines build on the same hook. Never read by
-  /// the engine itself — aggregates are unaffected.
+  /// it to report partial progress when it aborts a hung campaign. Never
+  /// read by the engine itself — aggregates are unaffected.
   std::atomic<std::size_t>* chunks_completed = nullptr;
 };
 
@@ -109,20 +103,9 @@ struct CampaignResult {
   std::vector<PointResult> points;
   std::size_t total_trials = 0;
   double wall_seconds = 0.0;
-  /// Trial-context pool effectiveness, summed over workers (reused stays
-  /// 0 with reuse_deployments off or for kinds that need no deployment).
-  std::size_t deployments_built = 0;
-  std::size_t deployments_reused = 0;
-  /// Chunks an idle worker took from another worker's deque. Schedule
-  /// observability only — steals never affect aggregates.
-  std::size_t chunks_stolen = 0;
-  /// Warm-snapshot effectiveness: trials whose warm-up was skipped by a
-  /// snapshot restore, and cold warm-ups published to the cache. Both 0
-  /// with snapshots off.
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
-  /// Merged observability report: every counter above plus (when
-  /// CampaignOptions::metrics_timers was set) per-phase wall time.
+  /// Merged observability report: every obs::Counter (trials, chunks,
+  /// deployment builds/reuses, snapshot restores/saves) plus, when
+  /// CampaignOptions::metrics_timers was set, per-phase wall time.
   /// Runtime-only — reports/CSV/JSON never include it, so canonical
   /// outputs stay byte-identical with metrics on or off.
   obs::Report metrics;
@@ -163,15 +146,8 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
                                    double axis_value, std::uint64_t seed,
                                    shield::TrialContext* context = nullptr);
 
-/// Pool-effectiveness counters run_chunk reports for the throwaway
-/// (context == nullptr) path, where the per-trial contexts are internal
-/// to the call. Matches the historical no-reuse accounting: built /
-/// restored / saved only, within-trial resets excluded.
-struct ChunkPoolCounters {
-  std::size_t deployments_built = 0;
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
-};
+/// One chunk's per-metric accumulators.
+using ChunkMetrics = std::array<StreamingStats, kMetricCount>;
 
 /// Executes one chunk and returns its metric accumulators — the
 /// chunk-granular submission point for external schedulers (the service
@@ -182,40 +158,44 @@ struct ChunkPoolCounters {
 /// reproduces the serial aggregates bit-for-bit once chunks are folded
 /// in ascending chunk id.
 ///
-/// `context` is the caller's resident TrialContext (its warm policy is
-/// (re)applied from `warmup_seed`/`cache` on every call, so one context
-/// may serve chunks of different campaigns back to back). A null
-/// `context` builds a fresh context per trial — the `--no-reuse` A/B
-/// baseline — accumulating pool counters into `fresh_counters` when
-/// given. `warmup_seed` must come from campaign_warmup_seed(); `cache`
+/// `context` is the caller's resident TrialContext and must not be null
+/// (its warm policy is (re)applied from `warmup_seed`/`cache` on every
+/// call, so one context may serve chunks of different campaigns back to
+/// back). `warmup_seed` must come from campaign_warmup_seed(); `cache`
 /// may be null (two-phase seeding stays on, only the snapshot cache is
 /// bypassed).
-std::array<StreamingStats, kMetricCount> run_chunk(
-    const Scenario& scenario, std::uint64_t campaign_seed,
-    const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache,
-    ChunkPoolCounters* fresh_counters = nullptr);
+ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
+                       const ChunkRef& chunk, shield::TrialContext* context,
+                       std::uint64_t warmup_seed,
+                       snapshot::SnapshotCache* cache);
+
+/// The one fold of chunk accumulators into per-point aggregates, shared
+/// by every execution path (run_campaign, the service scheduler, the
+/// dispatcher and the shard merge). `plan` must be the campaign's whole
+/// 1-shard plan and `chunk_metrics[c]` the accumulator of `plan.chunks[c]`;
+/// chunks merge in ascending chunk id, the order that makes every path
+/// bit-identical to a serial run. The result's runtime fields (wall
+/// time, metrics) stay zero; options are copied as given.
+CampaignResult fold_chunks(const Scenario& scenario,
+                           const CampaignOptions& options,
+                           const ShardPlan& plan,
+                           const std::vector<ChunkMetrics>& chunk_metrics);
 
 /// One shard's execution: per-chunk accumulators (parallel to
-/// plan.chunks) plus the pool counters. Kept un-merged so the chunk
-/// stream can serialize every chunk individually.
+/// plan.chunks). Kept un-merged so the chunk stream can serialize every
+/// chunk individually.
 struct ShardExecution {
   ShardPlan plan;
-  std::vector<std::array<StreamingStats, kMetricCount>> chunk_metrics;
+  std::vector<ChunkMetrics> chunk_metrics;
   unsigned threads = 1;
   double wall_seconds = 0.0;
-  std::size_t deployments_built = 0;
-  std::size_t deployments_reused = 0;
-  std::size_t chunks_stolen = 0;
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
   /// Merged-across-workers observability report for this shard; the
   /// chunk-stream trailer serializes it so `--merge` can aggregate all
   /// K shards' metrics (see chunk_stream.hpp).
   obs::Report metrics;
 };
 
-/// Runs an explicit chunk plan on the work-stealing pool — the engine
+/// Runs an explicit chunk plan on the worker pool — the engine
 /// underneath both the round-robin shard path and the dispatcher's
 /// repair tasks (make_repair_plan). Chunk ids, not the plan's provenance,
 /// key every trial seed and accumulator, so a chunk executed by a repair
@@ -225,7 +205,7 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                                    const CampaignOptions& options,
                                    ShardPlan plan);
 
-/// Runs shard `shard_index` of `shard_count` on the work-stealing pool.
+/// Runs shard `shard_index` of `shard_count` on the worker pool.
 /// (shard_count, shard_index) = (1, 0) executes the whole campaign —
 /// run_campaign is exactly that plus the fixed-order chunk merge.
 ShardExecution run_campaign_shard(const Scenario& scenario,

@@ -1,7 +1,7 @@
 // Hand-vectorized SIMD kernels for the DSP hot paths, behind a runtime
 // dispatch table.
 //
-// The profile (BENCH_campaign.json phase_breakdown) puts ~62% of per-trial
+// The profile (the --metrics-json phase breakdown) puts ~62% of per-trial
 // wall time in the receiver demod path and ~18% in Medium::mix; the SoA
 // plane refactor (PR 3/PR 5) made those loops contiguous-plane arithmetic,
 // and this layer is where they become real vector instructions on purpose.

@@ -11,7 +11,6 @@ namespace {
 constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "trials",
     "chunks",
-    "chunks_stolen",
     "deployments_built",
     "deployments_reused",
     "snapshots_restored",

@@ -41,13 +41,12 @@ namespace hs::obs {
 /// Schema version of the metrics report (--metrics-json document and the
 /// chunk-stream metrics trailer). v2 added the fault-tolerant dispatch
 /// counters (chunks_redealt, chunks_duplicate, shards_dead,
-/// shards_straggler, tasks_retried).
-inline constexpr int kMetricsVersion = 2;
+/// shards_straggler, tasks_retried); v3 dropped the work-steal counter.
+inline constexpr int kMetricsVersion = 3;
 
 enum class Counter : unsigned {
   kTrials,
   kChunks,
-  kChunksStolen,
   kDeploymentsBuilt,
   kDeploymentsReused,
   kSnapshotsRestored,
@@ -86,7 +85,7 @@ enum class Phase : unsigned {
   kReceiverDemod,    ///< FSK receiver push: detection + demodulation
   kTrial,            ///< one whole Monte Carlo trial
   kStatsMerge,       ///< sample accumulation + fixed-order chunk folds
-  kChunkAcquire,     ///< dequeue/steal wait between chunks
+  kChunkAcquire,     ///< chunk-cursor fetch between chunks
   kCount_,
 };
 inline constexpr std::size_t kPhaseCount =

@@ -172,15 +172,11 @@ Request parse_request(std::string_view line) {
         once(have_overrides);
         sc.expect('{');
         if (!sc.consume('}')) {
-          bool have_reuse = false, have_snapshots = false;
+          bool have_snapshots = false;
           for (;;) {
             const std::string okey = sc.parse_string();
             sc.expect(':');
-            if (okey == "reuse") {
-              if (have_reuse) sc.fail("duplicate override 'reuse'");
-              have_reuse = true;
-              req.run.reuse = sc.parse_bool();
-            } else if (okey == "snapshots") {
+            if (okey == "snapshots") {
               if (have_snapshots) sc.fail("duplicate override 'snapshots'");
               have_snapshots = true;
               req.run.snapshots = sc.parse_bool();
@@ -189,7 +185,7 @@ Request parse_request(std::string_view line) {
               // bytes are overridable; reject the rest loudly so a
               // client cannot believe it changed something it did not.
               sc.fail("unknown override '" + okey +
-                      "' (allowed: reuse, snapshots)");
+                      "' (allowed: snapshots)");
             }
             if (sc.consume(',')) continue;
             sc.expect('}');

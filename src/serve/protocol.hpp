@@ -4,8 +4,7 @@
 /// Requests (client -> server), one JSON object per line:
 ///
 ///   {"cmd":"run","preset":"fig9-eaves-ber","seed":1,"trials":40,
-///    "chunk_size":1,"priority":2,"overrides":{"reuse":true,
-///    "snapshots":true}}
+///    "chunk_size":1,"priority":2,"overrides":{"snapshots":true}}
 ///   {"cmd":"cancel","id":7}
 ///   {"cmd":"stats"}
 ///   {"cmd":"ping"}
@@ -14,12 +13,12 @@
 /// is deliberately tolerant — any key order, arbitrary whitespace —
 /// because clients are external programs (tools/hs_client.py sends
 /// json.dumps output); unknown keys and malformed values are still hard
-/// errors, never silently ignored. "overrides" accepts only the
-/// execution-shaping knobs that provably cannot change report bytes
-/// ("reuse", "snapshots") — anything that could alter aggregates (seed,
-/// trials, chunk_size) is a first-class field of the request, so the
-/// serial CLI command the report must byte-match is derivable from the
-/// request alone.
+/// errors, never silently ignored. "overrides" accepts only
+/// "snapshots", an execution-shaping knob that provably cannot change
+/// report bytes — anything that could alter aggregates (seed, trials,
+/// chunk_size) is a first-class field of the request, so the serial CLI
+/// command the report must byte-match is derivable from the request
+/// alone.
 ///
 /// Responses (server -> client), one JSON object per line, "type"-keyed:
 ///
@@ -80,7 +79,6 @@ struct RunRequest {
   std::size_t trials = 0;      ///< 0 = the preset's default_trials
   std::size_t chunk_size = 1;
   unsigned priority = 1;       ///< kMinPriority..kMaxPriority
-  bool reuse = true;           ///< overrides.reuse
   bool snapshots = true;       ///< overrides.snapshots
 };
 

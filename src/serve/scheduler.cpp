@@ -40,8 +40,7 @@ struct Scheduler::RequestState {
   std::size_t in_flight = 0;
   std::size_t completed = 0;
   std::size_t delivered = 0;
-  std::vector<std::array<campaign::StreamingStats, campaign::kMetricCount>>
-      chunk_metrics;
+  std::vector<campaign::ChunkMetrics> chunk_metrics;
   // steady_clock is allowlisted for this file in LINT.toml: request
   // latency timing is service observability, never trial input.
   std::chrono::steady_clock::time_point admitted_at;
@@ -75,7 +74,6 @@ Admission Scheduler::submit(const campaign::Scenario& scenario,
   state->options.trials_per_point = request.trials;
   state->options.chunk_size = std::max<std::size_t>(request.chunk_size, 1);
   state->options.threads = 1;
-  state->options.reuse_deployments = request.reuse;
   state->options.snapshots = request.snapshots;
   state->plan = campaign::plan_shard(scenario, state->options, 1, 0);
   state->warm_seed =
@@ -180,10 +178,6 @@ void Scheduler::drain() {
 void Scheduler::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Already stopped; workers may be joined (or being joined) by the
-      // first caller.
-    }
     stopping_ = true;
   }
   cv_work_.notify_all();
@@ -267,25 +261,10 @@ std::uint64_t Scheduler::estimate_retry_ms_locked() const {
 
 campaign::CampaignResult Scheduler::assemble_result(
     const RequestState& req) const {
-  campaign::CampaignResult result;
-  result.scenario = req.scenario;
-  result.options = req.options;
-  result.options.trials_per_point = req.plan.trials_per_point;  // resolved
-  result.points.resize(req.plan.point_count);
-  for (std::size_t p = 0; p < req.plan.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = req.scenario.axis_value_at(p);
-  }
-  // The determinism-defining fold: ascending chunk id, exactly like
-  // run_campaign and merge_chunk_streams. A 1-shard plan's chunks are
-  // already every chunk in ascending id order.
-  for (std::size_t c = 0; c < req.plan.chunks.size(); ++c) {
-    auto& point = result.points[req.plan.chunks[c].point_index];
-    for (std::size_t m = 0; m < campaign::kMetricCount; ++m) {
-      point.metrics[m].merge(req.chunk_metrics[c][m]);
-    }
-  }
-  result.total_trials = req.plan.point_count * req.plan.trials_per_point;
+  campaign::CampaignOptions options = req.options;
+  options.trials_per_point = req.plan.trials_per_point;  // resolved
+  campaign::CampaignResult result = campaign::fold_chunks(
+      req.scenario, options, req.plan, req.chunk_metrics);
   campaign::canonicalize(result);
   return result;
 }
@@ -308,8 +287,7 @@ void Scheduler::worker_loop() {
     const campaign::ChunkRef& chunk = req->plan.chunks[chunk_idx];
     const auto c0 = std::chrono::steady_clock::now();
     auto metrics = campaign::run_chunk(
-        req->scenario, req->options.seed, chunk,
-        req->options.reuse_deployments ? &pool : nullptr, req->warm_seed,
+        req->scenario, req->options.seed, chunk, &pool, req->warm_seed,
         req->options.snapshots ? &cache_ : nullptr);
     const double chunk_ms =
         ms_between(c0, std::chrono::steady_clock::now());
@@ -370,7 +348,7 @@ void Scheduler::worker_loop() {
       // The trailer mirrors the shard trailer: run geometry plus the
       // engine counters this scheduler tracks per request (trials and
       // chunks; service workers run obs-detached, so phase timers and
-      // pool counters are not collected per request).
+      // deployment/snapshot counters are not collected per request).
       obs::Report report;
       report.counters[static_cast<std::size_t>(obs::Counter::kTrials)] =
           result.total_trials;

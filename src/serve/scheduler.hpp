@@ -10,8 +10,8 @@
 /// CLI builds. Workers execute chunks through campaign::run_chunk, whose
 /// trial seeds and accumulators are pure functions of (campaign seed,
 /// scenario, chunk); each chunk's accumulator is stored by chunk id and
-/// the final fold walks ascending chunk ids — exactly run_campaign's
-/// merge order. So no matter how requests interleave, how many other
+/// the final fold is campaign::fold_chunks — run_campaign's own merge in
+/// ascending chunk id. So no matter how requests interleave, how many other
 /// campaigns share the pool, which worker (with whatever TrialContext
 /// history) runs a chunk, or in what order chunks finish, the assembled
 /// canonical report is byte-identical to the serial run. Scheduling

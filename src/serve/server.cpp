@@ -154,16 +154,17 @@ void Server::run() {
   // request runs to completion and streams its frames before we close.
   scheduler_.drain();
 
-  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     stopping_ = true;
-    conns = conns_;
+    readers.swap(finished_readers_);
+    for (auto& [id, reader] : readers_) {
+      ::shutdown(reader.conn->fd, SHUT_RDWR);  // wakes it out of poll/read
+      readers.push_back(std::move(reader.thread));
+    }
   }
-  for (const auto& conn : conns) {
-    ::shutdown(conn->fd, SHUT_RDWR);  // wakes the reader out of poll/read
-  }
-  for (auto& t : reader_threads_) {
+  for (auto& t : readers) {
     if (t.joinable()) t.join();
   }
   scheduler_.stop();
@@ -190,15 +191,22 @@ void Server::accept_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof(send_timeout));
     auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    if (stopping_) continue;  // fd closes via conn's destructor
-    conns_.push_back(conn);
-    reader_threads_.emplace_back(
-        [this, conn] { reader_loop(std::move(conn)); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mutex_);
+      if (stopping_) continue;  // fd closes via conn's destructor
+      const std::uint64_t id = next_reader_id_++;
+      Reader& reader = readers_[id];
+      reader.conn = conn;
+      reader.thread = std::thread(
+          [this, id, conn]() mutable { reader_loop(id, std::move(conn)); });
+      finished.swap(finished_readers_);
+    }
+    for (auto& t : finished) t.join();
   }
 }
 
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
+void Server::reader_loop(std::uint64_t id, std::shared_ptr<Connection> conn) {
   std::string buffer;
   char chunk[4096];
   bool protocol_abort = false;
@@ -251,6 +259,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     conn->dead = true;
   }
   if (protocol_abort) ::shutdown(conn->fd, SHUT_RDWR);
+
+  // Leave the live set: the fd closes once this frame and any in-flight
+  // callback release `conn`, and the next accept joins this thread.
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  const auto it = readers_.find(id);
+  if (it != readers_.end()) {
+    finished_readers_.push_back(std::move(it->second.thread));
+    readers_.erase(it);
+  }
 }
 
 void Server::handle_line(const std::shared_ptr<Connection>& conn,

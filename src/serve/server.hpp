@@ -23,6 +23,12 @@
 /// mid-stream never takes a worker down — its remaining frames are
 /// dropped and its in-flight requests cancelled.
 ///
+/// A reader that sees its client go away removes its connection from the
+/// live set, so the fd closes as soon as the last in-flight callback
+/// releases the connection; the accept loop joins exited readers on its
+/// next wakeup. A long-lived daemon therefore holds fds and threads only
+/// for connected clients.
+///
 /// Shutdown: shutdown() only write()s one byte to a self-pipe
 /// (async-signal-safe — the SIGTERM handler may call it directly). run()
 /// then stops accepting, drains the scheduler (admitted requests finish
@@ -30,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,7 +86,7 @@ class Server {
   struct Connection;
 
   void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
+  void reader_loop(std::uint64_t id, std::shared_ptr<Connection> conn);
   void handle_line(const std::shared_ptr<Connection>& conn,
                    std::string_view line);
   void handle_run(const std::shared_ptr<Connection>& conn,
@@ -95,10 +102,19 @@ class Server {
   std::uint16_t bound_port_ = 0;
   std::string bound_unix_path_;  ///< unlinked on close
 
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
+
   std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
-  bool stopping_ = false;  ///< guarded by conns_mutex_
+  /// Connected clients by accept order; guarded by conns_mutex_.
+  std::map<std::uint64_t, Reader> readers_;
+  /// Threads of readers that have exited, awaiting a join; guarded by
+  /// conns_mutex_.
+  std::vector<std::thread> finished_readers_;
+  std::uint64_t next_reader_id_ = 0;  ///< guarded by conns_mutex_
+  bool stopping_ = false;             ///< guarded by conns_mutex_
 };
 
 }  // namespace hs::serve

@@ -14,7 +14,8 @@
 /// estimation.
 ///
 /// Each campaign worker thread owns one TrialContext (contexts are not
-/// thread-safe); the `--no-reuse` escape hatch simply stops passing one.
+/// thread-safe). Every campaign path pools; a test that needs the fresh
+/// reference builds a new context per trial.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +42,10 @@ enum class WarmStrategy {
   /// pooled deployment whose node set matches is reset — replaying the
   /// warm-up — instead of deserializing a snapshot. The default: since
   /// the SIMD kernels cut warm-up replay below snapshot-restore
-  /// deserialization cost, per-trial restores were a net loss (the
-  /// BENCH_campaign.json `warm_speedup: 0.972` regression), while
-  /// restores still win exactly where they are irreplaceable — first
-  /// trials of freshly built contexts (sharded startup, serverd
-  /// workers, `--no-reuse`) skipping the cold warm-up simulation.
+  /// deserialization cost, per-trial restores are a net loss, while
+  /// restores can still help where a context is freshly built —
+  /// sharded startup and serverd workers skip the cold warm-up
+  /// simulation.
   kRestoreOnBuild,
   /// Restore from the cache on every trial, matching pooled deployment
   /// or not — the historical policy, kept for A/B timing.
@@ -102,7 +102,8 @@ class TrialContext {
                                  JamProfile profile, std::uint64_t seed,
                                  std::size_t fft_size = 256);
 
-  /// Pool effectiveness counters (reported in the campaign perf snapshot).
+  /// Pool effectiveness counters. The same events feed the obs counters
+  /// (CampaignResult::metrics), which is where campaigns report them.
   std::size_t deployments_built() const { return deployments_built_; }
   std::size_t deployments_reused() const { return deployments_reused_; }
   /// Trials whose warm-up was skipped by a snapshot restore, and cold

@@ -240,6 +240,31 @@ TEST(TrialContext, DeploymentResetMatchesFreshConstruction) {
   EXPECT_FALSE(pooled.can_reset_to(observed));
 }
 
+/// The fresh-construction reference the pool must match: every trial
+/// gets a new TrialContext carrying only the campaign's warm policy (no
+/// snapshot cache), and the chunk accumulators fold in chunk order.
+CampaignResult run_fresh(const Scenario& s, const CampaignOptions& options) {
+  const ShardPlan plan = plan_shard(s, options, 1, 0);
+  const std::uint64_t warm_seed = campaign_warmup_seed(options.seed, s.name);
+  std::vector<ChunkMetrics> chunk_metrics(plan.chunks.size());
+  for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+    const ChunkRef& chunk = plan.chunks[c];
+    const double axis_value = s.axis_value_at(chunk.point_index);
+    for (std::size_t t = chunk.trial_begin; t < chunk.trial_end; ++t) {
+      shield::TrialContext fresh;
+      fresh.set_warm_policy(warm_seed, nullptr);
+      const std::uint64_t seed =
+          trial_seed(options.seed, s.name, chunk.point_index, t);
+      for (const TrialSample& sample :
+           run_trial(s, chunk.point_index, axis_value, seed, &fresh)) {
+        const auto m = static_cast<std::size_t>(sample.metric);
+        chunk_metrics[c][m].add(sample.value);
+      }
+    }
+  }
+  return fold_chunks(s, options, plan, chunk_metrics);
+}
+
 TEST(TrialContext, PoolReusesAndStaysBitIdentical) {
   // The tentpole determinism claim: per-point aggregates with the
   // trial-context pool are bit-identical to fresh per-trial construction,
@@ -268,19 +293,15 @@ TEST(TrialContext, PoolReusesAndStaysBitIdentical) {
     s.units_per_trial = c.units_per_trial;
     s.default_trials = c.trials;
 
-    CampaignOptions fresh;
-    fresh.seed = 7;
-    fresh.threads = 1;
-    fresh.reuse_deployments = false;
-    const auto reference = run_campaign(s, fresh);
-    EXPECT_EQ(reference.deployments_reused, 0u);
+    CampaignOptions pooled;
+    pooled.seed = 7;
+    pooled.threads = 1;
+    const auto reference = run_fresh(s, pooled);
 
-    CampaignOptions pooled = fresh;
-    pooled.reuse_deployments = true;
     const auto reused = run_campaign(s, pooled);
     expect_identical(reference, reused);
     // The pool must actually have kicked in, not silently rebuilt.
-    EXPECT_GT(reused.deployments_reused, 0u);
+    EXPECT_GT(reused.metrics.counter(obs::Counter::kDeploymentsReused), 0u);
 
     CampaignOptions pooled_mt = pooled;
     pooled_mt.threads = 3;
@@ -365,24 +386,6 @@ TEST(Report, CsvAndJsonWellFormed) {
   // Balanced braces is a cheap well-formedness proxy.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-
-  CampaignOptions serial = opt;
-  serial.threads = 1;
-  CampaignOptions no_reuse = serial;
-  no_reuse.reuse_deployments = false;
-  CampaignOptions warm = serial;
-  warm.snapshots = true;
-  const auto snapshot = perf_snapshot_json(
-      run_campaign(s, no_reuse), run_campaign(s, serial),
-      run_campaign(s, warm), result, 8);
-  EXPECT_NE(snapshot.find("\"bench\": \"campaign_runner\""),
-            std::string::npos);
-  EXPECT_NE(snapshot.find("\"serial_no_reuse\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"hardware_threads\": 8"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"reuse_speedup\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"warm\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"warm_speedup\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"speedup\""), std::string::npos);
 }
 
 }  // namespace

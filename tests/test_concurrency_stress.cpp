@@ -22,7 +22,7 @@
 //     run.
 //
 // The TSan CI job runs these suites with halt-on-error; any data race
-// in SnapshotCache, the work-stealing deques, the DelayQueue or the
+// in SnapshotCache, the runner's chunk cursor, the DelayQueue or the
 // obs thread-local merge fails the build. Keep this file free of
 // sleeps: stress comes from contention, not timing.
 #include <gtest/gtest.h>

@@ -331,7 +331,7 @@ TEST(ObsCampaign, MetricsJsonWellFormedAndVersioned) {
       s.name, opt.seed, 1, result.options.threads, result.wall_seconds,
       result.metrics);
   EXPECT_NE(doc.find("\"format\": \"hs-metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"version\": 2"), std::string::npos);
+  EXPECT_NE(doc.find("\"version\": 3"), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"phases\""), std::string::npos);
   // Every counter and phase name appears.
@@ -369,7 +369,7 @@ TEST(ObsCampaign, TruncatedTrailerIsRejected) {
   // Corrupt the trailer version (resealed, so the version check — not
   // the CRC — does the rejecting).
   std::string forged = text;
-  const std::size_t vpos = forged.find("\"version\":2", tpos);
+  const std::size_t vpos = forged.find("\"version\":3", tpos);
   ASSERT_NE(vpos, std::string::npos);
   forged.replace(vpos, 11, "\"version\":9");
   forged = reseal_containing_line(std::move(forged), vpos);

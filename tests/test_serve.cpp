@@ -7,7 +7,8 @@
 // the same bytes), admission control (bounded queue, 429-style reject
 // with retry-after, recovery after drain-down), cancellation semantics,
 // graceful drain, and the socket layer end to end (unknown preset,
-// mid-stream client disconnect, concurrent clients over real TCP).
+// mid-stream client disconnect, concurrent clients over real TCP, fds
+// released when clients hang up).
 //
 // Also part of the TSan suite (see .github/workflows/ci.yml): the
 // scheduler's worker pool, per-request callback serialization and the
@@ -20,8 +21,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,14 +55,13 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   const auto req = serve::parse_request(
       R"({"cmd":"run","preset":"fig9-eaves-ber","seed":42,"trials":8,)"
       R"("chunk_size":2,"priority":5,)"
-      R"("overrides":{"reuse":false,"snapshots":false}})");
+      R"("overrides":{"snapshots":false}})");
   EXPECT_EQ(req.kind, serve::RequestKind::kRun);
   EXPECT_EQ(req.run.preset, "fig9-eaves-ber");
   EXPECT_EQ(req.run.seed, 42u);
   EXPECT_EQ(req.run.trials, 8u);
   EXPECT_EQ(req.run.chunk_size, 2u);
   EXPECT_EQ(req.run.priority, 5u);
-  EXPECT_FALSE(req.run.reuse);
   EXPECT_FALSE(req.run.snapshots);
 }
 
@@ -71,7 +73,6 @@ TEST(ServeProtocol, DefaultsAndKeyOrderTolerance) {
   EXPECT_EQ(req.run.trials, 0u);      // preset default
   EXPECT_EQ(req.run.chunk_size, 1u);
   EXPECT_EQ(req.run.priority, 1u);
-  EXPECT_TRUE(req.run.reuse);
   EXPECT_TRUE(req.run.snapshots);
 
   const auto cancel = serve::parse_request(R"({"id":7,"cmd":"cancel"})");
@@ -89,7 +90,7 @@ TEST(ServeProtocol, EveryTruncationOfAValidRequestIsRejected) {
   // request must throw — none may parse as a smaller valid request.
   const std::string valid =
       R"({"cmd":"run","preset":"fig9-eaves-ber","seed":42,"trials":8,)"
-      R"("chunk_size":2,"priority":5,"overrides":{"reuse":true}})";
+      R"("chunk_size":2,"priority":5,"overrides":{"snapshots":true}})";
   EXPECT_NO_THROW(serve::parse_request(valid));
   for (std::size_t len = 0; len < valid.size(); ++len) {
     EXPECT_THROW(serve::parse_request(valid.substr(0, len)),
@@ -116,7 +117,9 @@ TEST(ServeProtocol, MalformedRequestsAreRejectedNotGuessed) {
       R"({"cmd":"run","preset":"x","bogus":1})",             // unknown key
       R"({"cmd":"run","preset":"x","id":3})",                // cancel-only key
       R"({"cmd":"run","preset":"x","overrides":{"seed":1}})",
-      R"({"cmd":"run","preset":"x","overrides":{"reuse":"yes"}})",
+      R"({"cmd":"run","preset":"x","overrides":{"snapshots":"yes"}})",
+      R"({"cmd":"run","preset":"x","overrides":{"reuse":true}})",
+      R"({"cmd":"run","preset":"x","overrides":{"reuse":false}})",
       R"({"cmd":"run","preset":"x"} trailing)",
       R"({"cmd":"cancel"})",                        // no id
       R"({"cmd":"cancel","id":1,"preset":"x"})",    // run-only key
@@ -586,6 +589,39 @@ TEST(ServeServer, ConcurrentWireClientsGetSerialIdenticalReports) {
               std::string::npos);
   }
   EXPECT_EQ(fx.stats.snapshot().requests_completed, kClients);
+}
+
+/// Entries in /proc/self/fd, the listing's own handle included.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/fd");
+       it != std::filesystem::directory_iterator(); ++it) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeServer, FinishedConnectionsReleaseTheirFds) {
+  // A daemon holds fds only for connected clients: 300 clients that ping
+  // and hang up leave its fd count where it started.
+  ServerFixture fx;
+  const std::uint16_t port = fx.server->bound_port();
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 300; ++i) {
+    LineClient c(port);
+    c.send_line(R"({"cmd":"ping"})");
+    ASSERT_EQ(c.read_line(), R"({"type":"pong"})");
+  }
+  // Each reader notices its hang-up on its own thread; poll until the
+  // last one has let go of its connection.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::size_t after = open_fds();
+  while (after > before + 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + 4);
 }
 
 }  // namespace

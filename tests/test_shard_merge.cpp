@@ -4,7 +4,7 @@
 // including Welford variance and Wilson intervals) and byte-for-byte in
 // CSV/JSON; (2) ChunkStream.* — the wire format round-trips exactly and
 // rejects truncation, duplication and header mismatches instead of
-// silently merging; (3) WorkStealing.* — the stealing scheduler never
+// silently merging; (3) WorkerPool.* — the chunk cursor's schedule never
 // perturbs aggregates or the deployment-pool accounting, across thread
 // counts and many repetitions.
 #include <gtest/gtest.h>
@@ -526,11 +526,11 @@ TEST_F(ChunkStreamCorruption, MergeRejectsRepairStreams) {
   }
 }
 
-TEST(WorkStealing, Fig9AggregatesAndAccountingStableUnderStress) {
+TEST(WorkerPool, Fig9AggregatesAndAccountingStableUnderStress) {
   // fig9's eavesdrop path, shrunk to two locations and one packet per
-  // trial. 50 repetitions at every thread count: the stealing schedule
-  // varies run to run, the aggregates and the deployment-pool accounting
-  // must not.
+  // trial. 50 repetitions at every thread count: which worker claims
+  // which chunk varies run to run, the aggregates and the
+  // deployment-pool accounting must not.
   Scenario s = shrunk("fig9-eaves-ber", {1.0, 7.0}, 1);
   CampaignOptions opt;
   opt.seed = 17;
@@ -541,8 +541,13 @@ TEST(WorkStealing, Fig9AggregatesAndAccountingStableUnderStress) {
   // Every eavesdrop trial acquires exactly one pooled deployment, so
   // builds + reuses must equal the trial count — the accounting identity
   // that catches a worker double-counting or dropping acquisitions.
-  const std::size_t acquisitions =
-      reference.deployments_built + reference.deployments_reused;
+  const auto built = [](const CampaignResult& r) {
+    return r.metrics.counter(obs::Counter::kDeploymentsBuilt);
+  };
+  const auto reused = [](const CampaignResult& r) {
+    return r.metrics.counter(obs::Counter::kDeploymentsReused);
+  };
+  const std::size_t acquisitions = built(reference) + reused(reference);
   EXPECT_EQ(acquisitions, reference.total_trials);
 
   std::vector<unsigned> thread_counts = {2, 3};
@@ -555,18 +560,17 @@ TEST(WorkStealing, Fig9AggregatesAndAccountingStableUnderStress) {
       parallel.threads = threads;
       const auto result = run_campaign(s, parallel);
       expect_identical(reference, result);
-      EXPECT_EQ(result.deployments_built + result.deployments_reused,
-                acquisitions)
+      EXPECT_EQ(built(result) + reused(result), acquisitions)
           << "rep " << rep << " threads " << threads;
       // Each worker builds at most one deployment for this single-config
-      // scenario, however the steals landed.
-      EXPECT_LE(result.deployments_built, static_cast<std::size_t>(threads));
+      // scenario, whichever chunks it claimed.
+      EXPECT_LE(built(result), static_cast<std::size_t>(threads));
       if (testing::Test::HasFailure()) return;  // don't spam 50x
     }
   }
 }
 
-TEST(WorkStealing, ChunkSizeBoundariesNotThreadsDefineAggregates) {
+TEST(WorkerPool, ChunkSizeBoundariesNotThreadsDefineAggregates) {
   // Changing thread count never changes aggregates; changing chunk_size
   // legitimately may (it changes the merge tree). Guard both directions
   // so nobody "fixes" determinism by accident of a shared accumulator.

@@ -3,7 +3,8 @@
 // documents (no partial restores, ever), the keyed snapshot cache with
 // its disk fallback, deployment save/restore bit-identity — including a
 // randomized round-trip property test — and campaign-level byte identity
-// of warm-restored runs against cold runs for every scenario preset.
+// of warm-restored runs against cold runs, on every kernel backend the
+// host supports, for every scenario preset.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,11 +13,13 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
 #include "crypto/sha256.hpp"
+#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 #include "imd/profiles.hpp"
 #include "shield/deployment.hpp"
@@ -604,10 +607,28 @@ void expect_golden_digests([[maybe_unused]] const std::string& preset,
 #endif
 }
 
+/// Restores the active kernel backend when the scope ends.
+struct BackendGuard {
+  BackendGuard() = default;
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+  ~BackendGuard() { dsp::kernels::set_backend(saved); }
+
+  dsp::kernels::Backend saved = dsp::kernels::active_backend();
+};
+
 TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
   // The tentpole invariant, enforced preset by preset: a warm-restored
   // campaign emits byte-identical canonical CSV and JSON to a cold run,
-  // and both match the recorded golden digests.
+  // and both match the recorded golden digests. The cold leg runs once
+  // per kernel backend this host supports, so every backend is held to
+  // the same bytes.
+  using dsp::kernels::Backend;
+  std::vector<Backend> backends;
+  for (const Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2}) {
+    if (dsp::kernels::backend_table(b) != nullptr) backends.push_back(b);
+  }
+  const BackendGuard restore_backend;
   for (const auto& preset : campaign::scenario_presets()) {
     SCOPED_TRACE(preset.name);
     const campaign::Scenario s = shrink(preset);
@@ -616,7 +637,6 @@ TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
     cold.seed = 13;
     cold.threads = 1;
     cold.snapshots = false;
-    auto cold_result = campaign::run_campaign(s, cold);
 
     campaign::CampaignOptions warm = cold;
     warm.snapshots = true;
@@ -626,17 +646,24 @@ TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
       // every later trial by resetting its pooled deployment, so the
       // cache's footprint is "published at least one snapshot" (and
       // restored on any rebuild), not "restored every trial".
-      EXPECT_GT(warm_result.snapshots_restored + warm_result.snapshots_saved,
-                0u);
+      const std::uint64_t touched =
+          warm_result.metrics.counter(obs::Counter::kSnapshotsRestored) +
+          warm_result.metrics.counter(obs::Counter::kSnapshotsSaved);
+      EXPECT_GT(touched, 0u);
     }
-
-    campaign::canonicalize(cold_result);
     campaign::canonicalize(warm_result);
-    const std::string csv = campaign::to_csv(cold_result);
-    const std::string json = campaign::to_json(cold_result);
-    EXPECT_EQ(campaign::to_csv(warm_result), csv);
-    EXPECT_EQ(campaign::to_json(warm_result), json);
+    const std::string csv = campaign::to_csv(warm_result);
+    const std::string json = campaign::to_json(warm_result);
     expect_golden_digests(preset.name, csv, json);
+
+    for (const Backend b : backends) {
+      SCOPED_TRACE(dsp::kernels::backend_name(b));
+      ASSERT_TRUE(dsp::kernels::set_backend(b));
+      auto cold_result = campaign::run_campaign(s, cold);
+      campaign::canonicalize(cold_result);
+      EXPECT_EQ(campaign::to_csv(cold_result), csv);
+      EXPECT_EQ(campaign::to_json(cold_result), json);
+    }
   }
 }
 
@@ -657,11 +684,13 @@ TEST(CampaignSnapshot, SnapshotDirIsSharedAcrossProcessesAndRuns) {
   first.snapshots = true;
   first.snapshot_dir = dir;
   const auto first_result = campaign::run_campaign(s, first);
-  EXPECT_GT(first_result.snapshots_saved, 0u);
+  EXPECT_GT(first_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
 
   auto second_result = campaign::run_campaign(s, first);
-  EXPECT_EQ(second_result.snapshots_saved, 0u);  // all keys on disk
-  EXPECT_GT(second_result.snapshots_restored, 0u);
+  // All keys are on disk already.
+  EXPECT_EQ(second_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
+  EXPECT_GT(second_result.metrics.counter(obs::Counter::kSnapshotsRestored),
+            0u);
 
   campaign::canonicalize(cold_result);
   campaign::canonicalize(second_result);

@@ -27,12 +27,11 @@ import math
 import pathlib
 import sys
 
-METRICS_VERSION = 2
+METRICS_VERSION = 3
 COUNTERS = [
-    "trials", "chunks", "chunks_stolen", "deployments_built",
-    "deployments_reused", "snapshots_restored", "snapshots_saved",
-    "chunks_redealt", "chunks_duplicate", "shards_dead",
-    "shards_straggler", "tasks_retried",
+    "trials", "chunks", "deployments_built", "deployments_reused",
+    "snapshots_restored", "snapshots_saved", "chunks_redealt",
+    "chunks_duplicate", "shards_dead", "shards_straggler", "tasks_retried",
 ]
 PHASES = [
     "warmup", "snapshot_save", "snapshot_restore", "medium_mix", "jamgen",

@@ -23,13 +23,11 @@ reassemble into a stream the serial chunk-stream parser would accept
 (we check the sealed-line CRC suffix shape and the chunk count here;
 the gtest suite does the full reparse).
 
---update-bench BENCH_campaign.json appends a "service" row (same idiom
-as run_sharded.py --update-bench / bench_native.py):
+--json PATH writes the load-test result document:
 
-    "service": {"clients": N, "campaigns": C, "preset": ...,
-                "campaigns_per_second": ..., "p50_ms": ..., "p90_ms": ...,
-                "p99_ms": ..., "rejected_retries": ...,
-                "byte_identical": true|null}
+    {"clients": N, "campaigns": C, "preset": ...,
+     "campaigns_per_second": ..., "p50_ms": ..., "p90_ms": ...,
+     "p99_ms": ..., "rejected_retries": ..., "byte_identical": true|null}
 
 A rejected (429) response is retried after its retry_after_ms hint —
 closed-loop clients never drop work, they back off.
@@ -211,8 +209,6 @@ def main():
     ap.add_argument("--verify-runner", default="",
                     help="campaign_runner binary; byte-compare every "
                          "report against its serial --canonical output")
-    ap.add_argument("--update-bench", default="", metavar="BENCH.json",
-                    help="append a 'service' row to this perf snapshot")
     ap.add_argument("--json", default="", metavar="PATH",
                     help="write the load-test result document to PATH")
     args = ap.parse_args()
@@ -264,15 +260,6 @@ def main():
 
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-    if args.update_bench:
-        snap_path = pathlib.Path(args.update_bench)
-        if not snap_path.exists():
-            sys.exit(f"hs_client: snapshot not found: {snap_path} "
-                     f"(run campaign_runner --bench-json first)")
-        snap = json.loads(snap_path.read_text())
-        snap["service"] = doc
-        snap_path.write_text(json.dumps(snap, indent=2) + "\n")
-        print(f"hs_client: added service row to {snap_path}")
 
 
 if __name__ == "__main__":

@@ -46,14 +46,9 @@ and turns each shard's phase timers on (per-shard documents land next to
 the chunk streams as shard-i.metrics.json);
 --trace-dir DIR gives every shard process its own Chrome-trace timeline
 (shard-i.trace.json, pid = shard index — load them together in Perfetto).
-
---update-bench BENCH_campaign.json appends a "sharded" row (wall time,
-trials/sec, merge_verified) and a "sharded_speedup" ratio to an existing
-perf snapshot written by `campaign_runner --bench-json`.
 """
 
 import argparse
-import json
 import pathlib
 import subprocess
 import sys
@@ -113,8 +108,6 @@ def main():
     ap.add_argument("--trace-dir", default="", metavar="DIR",
                     help="write each shard's Chrome-trace timeline to "
                          "DIR/shard-i.trace.json (created if missing)")
-    ap.add_argument("--update-bench", default="", metavar="SNAPSHOT",
-                    help="add a 'sharded' row to this BENCH_campaign.json")
     args = ap.parse_args()
 
     if args.shards < 1:
@@ -208,37 +201,6 @@ def main():
                          f"from the serial run's {serial}")
         print("run_sharded: verify OK — merged reports byte-identical to "
               "the serial run")
-
-    # --- optional bench-snapshot row --------------------------------------
-    if args.update_bench:
-        snap_path = pathlib.Path(args.update_bench)
-        snap = json.loads(snap_path.read_text())
-        # The sharded row only means something next to serial/parallel rows
-        # of the SAME workload: refuse a snapshot from another scenario,
-        # seed, or trial count rather than writing inflated ratios.
-        merged = json.loads(pathlib.Path(json_path).read_text())
-        for key, got in (("scenario", merged["scenario"]),
-                         ("seed", merged["seed"]),
-                         ("total_trials", merged["total_trials"])):
-            want = snap.get(key)
-            if want != got:
-                sys.exit(f"run_sharded: --update-bench refused: snapshot "
-                         f"{key}={want!r} but this sharded run has "
-                         f"{key}={got!r}; rerun campaign_runner "
-                         f"--bench-json with matching options first")
-        total_trials = snap.get("total_trials", 0)
-        snap["sharded"] = {
-            "shards": args.shards,
-            "threads_per_shard": args.threads,
-            "wall_seconds": round(wall, 6),
-            "trials_per_second": round(total_trials / wall, 3) if wall else 0.0,
-            "merge_verified": bool(args.verify),
-        }
-        serial_wall = snap.get("serial", {}).get("wall_seconds", 0.0)
-        snap["sharded_speedup"] = (
-            round(serial_wall / wall, 3) if wall and serial_wall else 0.0)
-        snap_path.write_text(json.dumps(snap, indent=2) + "\n")
-        print(f"run_sharded: added sharded row to {snap_path}")
 
 
 if __name__ == "__main__":
