@@ -5,7 +5,8 @@
 // serial run (--merge); recovers partial shard streams (--recover); and
 // runs the whole campaign through the fault-tolerant dispatcher
 // (--dispatch). Aggregates are bit-identical across every mode and
-// thread count by construction.
+// thread count by construction. main() parses the flags once and hands
+// the run to one function per mode.
 //
 // Observability: --metrics-json writes the merged counter/phase-timer
 // report (serial, parallel, per-shard, or aggregated across shards by
@@ -21,8 +22,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,8 +55,8 @@ void list_presets(std::FILE* out) {
   }
 }
 
-/// `--list --json`: the preset list as machine-readable JSON, so tools
-/// (run_sharded.py, CI matrix generators) stop scraping the human table.
+/// `--list --json`: the preset list as machine-readable JSON, so scripts
+/// and CI matrix generators need not scrape the human table.
 void list_presets_json(std::FILE* out) {
   std::string doc = "[\n";
   const auto& presets = campaign::scenario_presets();
@@ -79,8 +82,8 @@ void list_presets_json(std::FILE* out) {
 }
 
 /// `--version`: every schema this binary reads or writes, one per line,
-/// machine-greppable. Scripts (CI, run_sharded.py) use it to confirm a
-/// binary and a recorded artifact speak the same format.
+/// machine-greppable. Scripts and CI use it to confirm a binary and a
+/// recorded artifact speak the same format.
 void print_versions(std::FILE* out) {
   std::fprintf(out, "chunk-stream %d\nsnapshot %d\nmetrics %d\ntrace %d\n",
                campaign::kChunkStreamVersion, snapshot::kSnapshotVersion,
@@ -122,9 +125,8 @@ int usage(const char* argv0, bool is_error) {
       "  --shards/--shard/--emit-chunks run one deterministic shard of\n"
       "  the campaign and write its chunk stream (JSONL); shards never\n"
       "  communicate, and --merge folds their streams into aggregates\n"
-      "  byte-identical to the serial run (tools/run_sharded.py drives\n"
-      "  the whole flow). Shard runs print `shard i/K: chunks c/C`\n"
-      "  progress lines to stderr.\n"
+      "  byte-identical to the serial run (--dispatch\n"
+      "  --executor=process runs the whole flow as child processes).\n"
       "  --metrics-json writes the counter + phase-timer report (schema\n"
       "  in docs/REPRODUCING.md); in --merge mode it aggregates the K\n"
       "  shard trailers. --trace writes a Chrome trace-event timeline\n"
@@ -198,9 +200,9 @@ unsigned parse_u32(const char* value, const char* flag) {
 /// If the campaign has not finished when the deadline passes, it prints
 /// a partial-progress line (chunks completed out of the known total, fed
 /// by CampaignOptions::chunks_completed) to stderr and hard-exits with
-/// status 124 — the conventional timeout status — so CI and
-/// run_sharded.py can tell a hang from a crash. _Exit skips destructors
-/// on purpose: worker threads are by definition wedged.
+/// status 124 — the conventional timeout status — so CI can tell a hang
+/// from a crash. _Exit skips destructors on purpose: worker threads are
+/// by definition wedged.
 class Watchdog {
  public:
   Watchdog(std::uint64_t timeout_seconds, const std::string& label,
@@ -213,21 +215,14 @@ class Watchdog {
                        [this] { return done_; })) {
         return;
       }
-      if (total_chunks_ > 0) {
-        std::fprintf(stderr,
-                     "FATAL: %s timed out after %llu s: %zu/%zu chunk(s) "
-                     "completed\n",
-                     label.c_str(),
-                     static_cast<unsigned long long>(timeout_seconds),
-                     progress_->load(), total_chunks_);
-      } else {
-        std::fprintf(stderr,
-                     "FATAL: %s timed out after %llu s: %zu chunk(s) "
-                     "completed\n",
-                     label.c_str(),
-                     static_cast<unsigned long long>(timeout_seconds),
-                     progress_->load());
-      }
+      std::string done = std::to_string(progress_->load());
+      if (total_chunks_ > 0) done += '/' + std::to_string(total_chunks_);
+      std::fprintf(stderr,
+                   "FATAL: %s timed out after %llu s: %s chunk(s) "
+                   "completed\n",
+                   label.c_str(),
+                   static_cast<unsigned long long>(timeout_seconds),
+                   done.c_str());
       std::_Exit(124);
     });
   }
@@ -258,12 +253,11 @@ class Watchdog {
   std::thread thread_;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole command line, parsed once; each mode reads what it needs.
+struct Cli {
+  const char* argv0 = "";
   std::string scenario_name = "fig9-eaves-ber";
   campaign::CampaignOptions options;
-  options.threads = 0;  // hardware concurrency
   std::string csv_path, json_path, emit_chunks_path;
   std::string metrics_json_path, trace_path;
   std::string fault_plan_spec, chunks_spec, executor_name = "thread";
@@ -273,112 +267,481 @@ int main(int argc, char** argv) {
   bool have_shard_index = false, merge_mode = false, canonical = false;
   bool list_mode = false, list_json = false;
   bool recover_mode = false, dispatch_mode = false;
-  std::vector<std::string> merge_files;
-  // First run-shaping flag seen, for the merge-mode conflict diagnostic
-  // (merging replays recorded streams; a --seed there would be ignored).
+  std::vector<std::string> stream_files;  ///< --merge / --recover inputs
+  /// First run-shaping flag seen, for the merge-mode conflict diagnostic
+  /// (merging replays recorded streams; a --seed there would be ignored).
   const char* run_flag = nullptr;
-  // Campaign-identity flags specifically: --recover takes identity from
-  // the salvaged headers, so these conflict there while --threads &co
-  // (which shape the repair execution) do not.
+  /// Campaign-identity flags specifically: --recover takes identity from
+  /// the salvaged headers, so these conflict there while --threads &co
+  /// (which shape the repair execution) do not.
   const char* identity_flag = nullptr;
+};
 
+/// Parses argv into `cli`. Returns an exit status when the command line
+/// alone ends the run (--version, --help, an unknown flag).
+std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
+  cli.argv0 = argv[0];
+  cli.options.threads = 0;  // hardware concurrency
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
     if (std::strcmp(arg, "--list") == 0) {
-      list_mode = true;
+      cli.list_mode = true;
     } else if (std::strcmp(arg, "--version") == 0) {
       print_versions(stdout);
       return 0;
     } else if ((value = flag_value(arg, "--metrics-json", argc, argv, &i))) {
-      metrics_json_path = value;
+      cli.metrics_json_path = value;
     } else if ((value = flag_value(arg, "--trace", argc, argv, &i))) {
-      trace_path = value;
+      cli.trace_path = value;
     } else if (std::strcmp(arg, "--merge") == 0) {
-      merge_mode = true;
+      cli.merge_mode = true;
     } else if (std::strcmp(arg, "--recover") == 0) {
-      recover_mode = true;
+      cli.recover_mode = true;
     } else if (std::strcmp(arg, "--dispatch") == 0) {
-      dispatch_mode = true;
+      cli.dispatch_mode = true;
     } else if ((value = flag_value(arg, "--fault-plan", argc, argv, &i))) {
-      fault_plan_spec = value;
+      cli.fault_plan_spec = value;
     } else if ((value = flag_value(arg, "--chunks", argc, argv, &i))) {
-      chunks_spec = value;
+      cli.chunks_spec = value;
     } else if ((value = flag_value(arg, "--executor", argc, argv, &i))) {
-      executor_name = value;
+      cli.executor_name = value;
     } else if ((value = flag_value(arg, "--workdir", argc, argv, &i))) {
-      workdir = value;
+      cli.workdir = value;
     } else if ((value = flag_value(arg, "--max-rounds", argc, argv, &i))) {
-      max_rounds = parse_u64(value, "--max-rounds");
+      cli.max_rounds = parse_u64(value, "--max-rounds");
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
-      timeout_seconds = parse_u64(value, "--timeout-seconds");
+      cli.timeout_seconds = parse_u64(value, "--timeout-seconds");
     } else if (std::strcmp(arg, "--no-snapshot") == 0) {
-      options.snapshots = false;
-      run_flag = "--no-snapshot";
+      cli.options.snapshots = false;
+      cli.run_flag = "--no-snapshot";
     } else if (std::strcmp(arg, "--canonical") == 0) {
-      canonical = true;
+      cli.canonical = true;
     } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
-      options.snapshot_dir = value;
-      run_flag = "--snapshot-dir";
+      cli.options.snapshot_dir = value;
+      cli.run_flag = "--snapshot-dir";
     } else if ((value = flag_value(arg, "--scenario", argc, argv, &i))) {
-      scenario_name = value;
-      run_flag = identity_flag = "--scenario";
+      cli.scenario_name = value;
+      cli.run_flag = cli.identity_flag = "--scenario";
     } else if ((value = flag_value(arg, "--seed", argc, argv, &i))) {
-      options.seed = parse_u64(value, "--seed");
-      run_flag = identity_flag = "--seed";
+      cli.options.seed = parse_u64(value, "--seed");
+      cli.run_flag = cli.identity_flag = "--seed";
     } else if ((value = flag_value(arg, "--trials", argc, argv, &i))) {
-      options.trials_per_point = parse_u64(value, "--trials");
-      run_flag = identity_flag = "--trials";
+      cli.options.trials_per_point = parse_u64(value, "--trials");
+      cli.run_flag = cli.identity_flag = "--trials";
     } else if ((value = flag_value(arg, "--threads", argc, argv, &i))) {
-      options.threads = parse_u32(value, "--threads");
-      run_flag = "--threads";
+      cli.options.threads = parse_u32(value, "--threads");
+      cli.run_flag = "--threads";
     } else if ((value = flag_value(arg, "--chunk", argc, argv, &i))) {
-      options.chunk_size = parse_u64(value, "--chunk");
-      run_flag = identity_flag = "--chunk";
+      cli.options.chunk_size = parse_u64(value, "--chunk");
+      cli.run_flag = cli.identity_flag = "--chunk";
     } else if ((value = flag_value(arg, "--shards", argc, argv, &i))) {
-      shard_count = parse_u64(value, "--shards");
+      cli.shard_count = parse_u64(value, "--shards");
     } else if ((value = flag_value(arg, "--shard", argc, argv, &i))) {
-      shard_index = parse_u64(value, "--shard");
-      have_shard_index = true;
+      cli.shard_index = parse_u64(value, "--shard");
+      cli.have_shard_index = true;
     } else if ((value = flag_value(arg, "--emit-chunks", argc, argv, &i))) {
-      emit_chunks_path = value;
+      cli.emit_chunks_path = value;
     } else if ((value = flag_value(arg, "--csv", argc, argv, &i))) {
-      csv_path = value;
+      cli.csv_path = value;
     } else if ((value = flag_value(arg, "--json", argc, argv, &i))) {
-      json_path = value;
+      cli.json_path = value;
     } else if (std::strcmp(arg, "--json") == 0) {
       // Bare --json (no value) selects the machine-readable preset list;
       // --json=PATH / --json PATH stays the report destination above.
-      list_json = true;
-    } else if (arg[0] != '-' && (merge_mode || recover_mode)) {
-      merge_files.push_back(arg);
+      cli.list_json = true;
+    } else if (arg[0] != '-' && (cli.merge_mode || cli.recover_mode)) {
+      cli.stream_files.push_back(arg);
     } else {
       return usage(argv[0], std::strcmp(arg, "--help") != 0);
     }
   }
+  return std::nullopt;
+}
 
-  if (list_mode) {
-    if (list_json) {
-      list_presets_json(stdout);
-    } else {
-      list_presets(stdout);
-    }
-    return 0;
+/// Writes the CSV/JSON reports that were asked for.
+bool write_reports(const Cli& cli, const campaign::CampaignResult& result) {
+  return (cli.csv_path.empty() ||
+          campaign::write_file(cli.csv_path, campaign::to_csv(result))) &&
+         (cli.json_path.empty() ||
+          campaign::write_file(cli.json_path, campaign::to_json(result)));
+}
+
+/// Writes the --metrics-json document, if one was asked for.
+bool write_metrics(const Cli& cli, const std::string& scenario_name,
+                   std::uint64_t seed, std::size_t shards, unsigned threads,
+                   double wall_seconds, const obs::Report& report) {
+  return cli.metrics_json_path.empty() ||
+         campaign::write_file(
+             cli.metrics_json_path,
+             campaign::metrics_report_json(scenario_name, seed, shards,
+                                           threads, wall_seconds, report));
+}
+
+/// Writes the --trace timeline, if one was asked for.
+bool write_trace(const Cli& cli) {
+  return cli.options.trace == nullptr ||
+         campaign::write_file(cli.trace_path, cli.options.trace->to_json());
+}
+
+/// The outputs of a result folded from shard streams. Its metrics are
+/// the shards' summed trailers, so wall_seconds is the total compute
+/// budget, not elapsed time. Returns the exit status.
+int write_folded_outputs(const Cli& cli,
+                         const campaign::CampaignResult& result,
+                         const campaign::MergedMetrics& metrics) {
+  const bool ok =
+      write_reports(cli, result) &&
+      write_metrics(cli, result.scenario.name, result.options.seed,
+                    metrics.shards, metrics.threads,
+                    static_cast<double>(metrics.wall_ns) / 1e9,
+                    metrics.report);
+  return ok ? 0 : 1;
+}
+
+int run_list(const Cli& cli) {
+  if (cli.list_json) {
+    list_presets_json(stdout);
+  } else {
+    list_presets(stdout);
   }
-  if (list_json) {
+  return 0;
+}
+
+/// --recover: salvage partial streams, re-run what was lost.
+int run_recover(const Cli& cli) {
+  if (cli.stream_files.empty()) {
+    std::fprintf(stderr,
+                 "--recover needs the chunk-stream files of the "
+                 "(possibly failed) shard runs\n");
+    return 1;
+  }
+  if (!cli.emit_chunks_path.empty() || cli.shard_count > 0 ||
+      cli.have_shard_index || !cli.trace_path.empty() ||
+      !cli.fault_plan_spec.empty() || !cli.chunks_spec.empty()) {
+    std::fprintf(stderr,
+                 "--recover folds existing streams and re-runs only "
+                 "missing chunks; it cannot be combined with "
+                 "--emit-chunks, --shards, --shard, --trace, "
+                 "--fault-plan or --chunks\n");
+    return 1;
+  }
+  if (cli.identity_flag != nullptr) {
+    std::fprintf(stderr,
+                 "--recover takes the campaign identity from the "
+                 "salvaged headers — %s would be silently ignored; "
+                 "drop it (--threads/--no-snapshot still shape the "
+                 "repair execution)\n",
+                 cli.identity_flag);
+    return 1;
+  }
+  try {
+    std::vector<campaign::SalvagedStream> streams;
+    streams.reserve(cli.stream_files.size());
+    for (const auto& path : cli.stream_files) {
+      streams.push_back(campaign::salvage_chunk_stream_file(path));
+      const auto& s = streams.back();
+      if (s.complete) {
+        std::fprintf(stderr, "recover: %s: complete (%zu chunks)\n",
+                     path.c_str(), s.chunks.size());
+      } else {
+        std::fprintf(stderr, "recover: %s: salvaged %zu chunk(s) — %s\n",
+                     path.c_str(), s.chunks.size(),
+                     s.truncation_reason.c_str());
+      }
+    }
+    const auto first_valid =
+        std::find_if(streams.begin(), streams.end(),
+                     [](const auto& s) { return s.header_valid; });
+    if (first_valid == streams.end()) {
+      std::fprintf(stderr, "recover: no stream has a salvageable header\n");
+      return 1;
+    }
+    const campaign::Scenario* scenario =
+        campaign::find_scenario(first_valid->header.scenario);
+    if (!scenario) {
+      std::fprintf(stderr, "unknown scenario '%s' in %s\n",
+                   first_valid->header.scenario.c_str(),
+                   first_valid->source.c_str());
+      return 1;
+    }
+    campaign::DispatchReport drep;
+    const auto result =
+        campaign::recover_campaign(*scenario, cli.options, streams, &drep);
+    campaign::print_summary(stdout, result);
+    std::printf("\n  recovered: %zu stream(s) complete, %zu dead, "
+                "%zu chunk(s) re-dealt, %zu duplicate(s) suppressed\n",
+                drep.streams_complete, drep.shards_dead, drep.chunks_redealt,
+                drep.chunks_duplicate);
+    return write_folded_outputs(cli, result, drep.metrics);
+  } catch (const campaign::DispatchError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+}
+
+/// --merge: fold complete shard chunk streams into canonical reports.
+int run_merge(const Cli& cli) {
+  if (cli.stream_files.empty()) {
+    std::fprintf(stderr, "--merge needs at least one chunk-stream file\n");
+    return 1;
+  }
+  if (!cli.emit_chunks_path.empty() || cli.shard_count > 0 ||
+      cli.have_shard_index) {
+    std::fprintf(stderr,
+                 "--merge folds existing chunk streams; it cannot be "
+                 "combined with --emit-chunks, --shards or --shard\n");
+    return 1;
+  }
+  if (!cli.trace_path.empty()) {
+    std::fprintf(stderr,
+                 "--merge replays recorded streams — there is no live "
+                 "execution to trace; pass --trace to the shard runs "
+                 "instead\n");
+    return 1;
+  }
+  if (cli.run_flag != nullptr) {
+    std::fprintf(stderr,
+                 "--merge replays the streams' recorded campaign — %s "
+                 "would be silently ignored; drop it (the header pins "
+                 "scenario/seed/trials/chunk size)\n",
+                 cli.run_flag);
+    return 1;
+  }
+  try {
+    std::vector<campaign::ChunkStream> streams;
+    streams.reserve(cli.stream_files.size());
+    for (const auto& path : cli.stream_files) {
+      streams.push_back(campaign::load_chunk_stream(path));
+    }
+    const campaign::Scenario* scenario =
+        campaign::find_scenario(streams.front().header.scenario);
+    if (!scenario) {
+      std::fprintf(stderr, "unknown scenario '%s' in %s\n",
+                   streams.front().header.scenario.c_str(),
+                   cli.stream_files.front().c_str());
+      return 1;
+    }
+    campaign::MergedMetrics merged_metrics;
+    const auto result =
+        campaign::merge_chunk_streams(*scenario, streams, &merged_metrics);
+    campaign::print_summary(stdout, result);
+    std::printf("\n  merged %zu shard stream(s), %zu chunks verified\n",
+                streams.size(), streams.front().header.total_chunks);
+    return write_folded_outputs(cli, result, merged_metrics);
+  } catch (const campaign::ChunkStreamError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+}
+
+/// The flag combinations the dispatch, shard and serial modes refuse.
+/// Prints the reason and returns false.
+bool run_flags_ok(const Cli& cli) {
+  if (cli.have_shard_index && cli.shard_count == 0) {
+    std::fprintf(stderr, "--shard requires --shards=K\n");
+    return false;
+  }
+  if (cli.dispatch_mode) {
+    if (cli.shard_count == 0) {
+      std::fprintf(stderr, "--dispatch requires --shards=K\n");
+      return false;
+    }
+    if (cli.have_shard_index || !cli.emit_chunks_path.empty() ||
+        !cli.chunks_spec.empty() || !cli.trace_path.empty()) {
+      std::fprintf(stderr,
+                   "--dispatch runs (and recovers) all K shards itself; "
+                   "it cannot be combined with --shard, --emit-chunks, "
+                   "--chunks or --trace\n");
+      return false;
+    }
+    if (cli.executor_name != "thread" && cli.executor_name != "process") {
+      std::fprintf(stderr, "--executor must be 'thread' or 'process'\n");
+      return false;
+    }
+    if (cli.executor_name == "process" && cli.workdir.empty()) {
+      std::fprintf(stderr,
+                   "--executor=process needs --workdir=DIR (an existing "
+                   "directory for the child shard streams)\n");
+      return false;
+    }
+  } else if (cli.shard_count > 0 &&
+             (!cli.have_shard_index || cli.emit_chunks_path.empty())) {
+    std::fprintf(stderr,
+                 "--shards needs both --shard=I and --emit-chunks=PATH "
+                 "(a shard run only makes sense if its chunk stream is "
+                 "kept for the merge)\n");
+    return false;
+  }
+  if (!cli.chunks_spec.empty() && cli.shard_count == 0) {
+    std::fprintf(stderr,
+                 "--chunks re-runs an explicit chunk set as a repair "
+                 "stream; it needs --shards/--shard/--emit-chunks\n");
+    return false;
+  }
+  if (!cli.fault_plan_spec.empty() && cli.shard_count == 0) {
+    std::fprintf(stderr,
+                 "--fault-plan injects faults into a shard run or a "
+                 "--dispatch campaign; it needs --shards\n");
+    return false;
+  }
+  if (cli.shard_count > 0 && cli.shard_index >= cli.shard_count) {
+    std::fprintf(stderr, "--shard=%zu out of range for --shards=%zu\n",
+                 cli.shard_index, cli.shard_count);
+    return false;
+  }
+  if (!cli.emit_chunks_path.empty() && cli.shard_count == 0) {
+    std::fprintf(stderr, "--emit-chunks requires --shards and --shard\n");
+    return false;
+  }
+  if (!cli.emit_chunks_path.empty() &&
+      (!cli.csv_path.empty() || !cli.json_path.empty())) {
+    std::fprintf(stderr,
+                 "--emit-chunks writes one shard's chunk stream; partial "
+                 "aggregates would be misleading — use --merge on all "
+                 "shard streams to produce CSV/JSON reports\n");
+    return false;
+  }
+  return true;
+}
+
+/// --dispatch: all K shards through the recovering dispatcher.
+int run_dispatch(const Cli& cli, const campaign::Scenario& scenario) {
+  try {
+    campaign::DispatchOptions dopt;
+    dopt.shard_count = cli.shard_count;
+    dopt.max_rounds = cli.max_rounds;
+    dopt.faults = campaign::FaultPlan::parse(cli.fault_plan_spec);
+    campaign::DispatchReport drep;
+    campaign::CampaignResult result;
+    if (cli.executor_name == "thread") {
+      campaign::ThreadExecutor ex(scenario, cli.options, dopt.faults);
+      result = campaign::dispatch_campaign(scenario, cli.options, dopt, ex,
+                                           &drep);
+    } else {
+      campaign::SubprocessExecutor ex(cli.argv0, cli.workdir, scenario.name,
+                                      cli.options, dopt.faults);
+      result = campaign::dispatch_campaign(scenario, cli.options, dopt, ex,
+                                           &drep);
+    }
+    campaign::print_summary(stdout, result);
+    std::printf("\n  dispatched %zu shard(s) (%s executor): %zu recovery "
+                "round(s), %zu chunk(s) re-dealt, %zu duplicate(s) "
+                "suppressed, %zu dead, %zu straggler(s), %zu repair "
+                "task(s)\n",
+                cli.shard_count, cli.executor_name.c_str(), drep.rounds,
+                drep.chunks_redealt, drep.chunks_duplicate, drep.shards_dead,
+                drep.shards_straggler, drep.tasks_retried);
+    return write_folded_outputs(cli, result, drep.metrics);
+  } catch (const campaign::DispatchError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+}
+
+/// --shards/--shard/--emit-chunks: run this shard's chunks, write the
+/// stream.
+int run_shard(const Cli& cli, const campaign::Scenario& scenario,
+              Watchdog& watchdog) {
+  campaign::ShardPlan plan;
+  campaign::FaultPlan faults;
+  try {
+    faults = campaign::FaultPlan::parse(cli.fault_plan_spec);
+    if (cli.chunks_spec.empty()) {
+      plan = campaign::plan_shard(scenario, cli.options, cli.shard_count,
+                                  cli.shard_index);
+    } else {
+      // Repair run: the explicit chunk ids a dispatcher re-dealt here.
+      std::vector<std::size_t> ids;
+      const std::string& spec = cli.chunks_spec;
+      std::size_t start = 0;
+      while (start <= spec.size()) {
+        std::size_t end = spec.find(',', start);
+        if (end == std::string::npos) end = spec.size();
+        const std::string token = spec.substr(start, end - start);
+        if (!token.empty()) ids.push_back(parse_u64(token.c_str(), "--chunks"));
+        start = end + 1;
+      }
+      plan = campaign::make_repair_plan(scenario, cli.options,
+                                        cli.shard_count, cli.shard_index, ids);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  watchdog.set_total_chunks(plan.chunks.size());
+  const auto exec =
+      campaign::run_campaign_chunks(scenario, cli.options, std::move(plan));
+  bool fault_killed = false;
+  const std::string stream_text = campaign::apply_stream_faults(
+      faults, cli.shard_index,
+      campaign::serialize_chunk_stream(scenario, cli.options, exec),
+      &fault_killed);
+  if (!campaign::write_file(cli.emit_chunks_path, stream_text)) return 1;
+  if (fault_killed) {
+    // The injected crash: the truncated stream is on disk, the process
+    // dies with a distinctive status (EX_SOFTWARE) for the dispatcher to
+    // observe.
+    std::fprintf(stderr, "fault-plan: shard %zu killed (stream truncated)\n",
+                 cli.shard_index);
+    return 70;
+  }
+  if (!write_metrics(cli, scenario.name, cli.options.seed, 1, exec.threads,
+                     exec.wall_seconds, exec.metrics) ||
+      !write_trace(cli)) {
+    return 1;
+  }
+  std::size_t shard_trials = 0;
+  for (const auto& c : exec.plan.chunks) {
+    shard_trials += c.trial_end - c.trial_begin;
+  }
+  std::printf("shard %zu/%zu of %s: %zu/%zu chunks (%zu trials), "
+              "%u thread(s), %.2fs (%.1f trials/s) -> %s\n",
+              cli.shard_index, cli.shard_count, scenario.name.c_str(),
+              exec.plan.chunks.size(), exec.plan.total_chunks, shard_trials,
+              exec.threads, exec.wall_seconds,
+              exec.wall_seconds > 0.0
+                  ? static_cast<double>(shard_trials) / exec.wall_seconds
+                  : 0.0,
+              cli.emit_chunks_path.c_str());
+  return 0;
+}
+
+/// The plain run: the whole campaign in this process.
+int run_serial(const Cli& cli, const campaign::Scenario& scenario,
+               Watchdog& watchdog) {
+  watchdog.set_total_chunks(
+      campaign::plan_shard(scenario, cli.options, 1, 0).chunks.size());
+  const auto result = campaign::run_campaign(scenario, cli.options);
+  campaign::print_summary(stdout, result);
+  auto report = result;
+  if (cli.canonical) campaign::canonicalize(report);
+  const bool ok = write_reports(cli, report) &&
+                  write_metrics(cli, scenario.name, cli.options.seed, 1,
+                                result.options.threads, result.wall_seconds,
+                                result.metrics) &&
+                  write_trace(cli);
+  return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Cli cli;
+  if (const auto status = parse_cli(argc, argv, cli)) return *status;
+
+  if (cli.list_mode) return run_list(cli);
+  if (cli.list_json) {
     std::fprintf(stderr, "bare --json selects the JSON preset list and "
                          "needs --list (use --json=PATH for a report)\n");
     return 1;
   }
-  if (!options.snapshots && !options.snapshot_dir.empty()) {
+  if (!cli.options.snapshots && !cli.options.snapshot_dir.empty()) {
     std::fprintf(stderr,
                  "--no-snapshot and --snapshot-dir contradict each other\n");
     return 1;
   }
-
-  const int mode_count = (merge_mode ? 1 : 0) + (recover_mode ? 1 : 0) +
-                         (dispatch_mode ? 1 : 0);
-  if (mode_count > 1) {
+  if (cli.merge_mode + cli.recover_mode + cli.dispatch_mode > 1) {
     std::fprintf(stderr,
                  "--merge, --recover and --dispatch are mutually "
                  "exclusive modes\n");
@@ -387,433 +750,38 @@ int main(int argc, char** argv) {
 
   // `--timeout-seconds` watchdog. Armed here so it covers every
   // executing mode (normal run, shard, --recover re-runs, --dispatch)
-  // and even a wedged --merge parse; the chunk
-  // progress counter is fed by the runner through
-  // CampaignOptions::chunks_completed.
+  // and even a wedged --merge parse; the chunk progress counter is fed
+  // by the runner through CampaignOptions::chunks_completed.
   std::atomic<std::size_t> watchdog_chunks{0};
-  if (timeout_seconds > 0) options.chunks_completed = &watchdog_chunks;
-  Watchdog watchdog(timeout_seconds, "campaign_runner", &watchdog_chunks);
+  if (cli.timeout_seconds > 0) cli.options.chunks_completed = &watchdog_chunks;
+  Watchdog watchdog(cli.timeout_seconds, "campaign_runner", &watchdog_chunks);
 
-  // ---- recover mode: salvage partial streams, re-run what was lost ----
-  if (recover_mode) {
-    if (merge_files.empty()) {
-      std::fprintf(stderr,
-                   "--recover needs the chunk-stream files of the "
-                   "(possibly failed) shard runs\n");
-      return 1;
-    }
-    if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index ||
-        !trace_path.empty() || !fault_plan_spec.empty() ||
-        !chunks_spec.empty()) {
-      std::fprintf(stderr,
-                   "--recover folds existing streams and re-runs only "
-                   "missing chunks; it cannot be combined with "
-                   "--emit-chunks, --shards, --shard, --trace, "
-                   "--fault-plan or --chunks\n");
-      return 1;
-    }
-    if (identity_flag != nullptr) {
-      std::fprintf(stderr,
-                   "--recover takes the campaign identity from the "
-                   "salvaged headers — %s would be silently ignored; "
-                   "drop it (--threads/--no-snapshot still shape the "
-                   "repair execution)\n",
-                   identity_flag);
-      return 1;
-    }
-    try {
-      std::vector<campaign::SalvagedStream> streams;
-      streams.reserve(merge_files.size());
-      for (const auto& path : merge_files) {
-        streams.push_back(campaign::salvage_chunk_stream_file(path));
-        const auto& s = streams.back();
-        if (s.complete) {
-          std::fprintf(stderr, "recover: %s: complete (%zu chunks)\n",
-                       path.c_str(), s.chunks.size());
-        } else {
-          std::fprintf(stderr, "recover: %s: salvaged %zu chunk(s) — %s\n",
-                       path.c_str(), s.chunks.size(),
-                       s.truncation_reason.c_str());
-        }
-      }
-      const campaign::SalvagedStream* first_valid = nullptr;
-      for (const auto& s : streams) {
-        if (s.header_valid) {
-          first_valid = &s;
-          break;
-        }
-      }
-      if (first_valid == nullptr) {
-        std::fprintf(stderr,
-                     "recover: no stream has a salvageable header\n");
-        return 1;
-      }
-      const campaign::Scenario* scenario =
-          campaign::find_scenario(first_valid->header.scenario);
-      if (!scenario) {
-        std::fprintf(stderr, "unknown scenario '%s' in %s\n",
-                     first_valid->header.scenario.c_str(),
-                     first_valid->source.c_str());
-        return 1;
-      }
-      campaign::DispatchReport drep;
-      const auto result =
-          campaign::recover_campaign(*scenario, options, streams, &drep);
-      campaign::print_summary(stdout, result);
-      std::printf("\n  recovered: %zu stream(s) complete, %zu dead, "
-                  "%zu chunk(s) re-dealt, %zu duplicate(s) suppressed\n",
-                  drep.streams_complete, drep.shards_dead,
-                  drep.chunks_redealt, drep.chunks_duplicate);
-      if (!csv_path.empty() &&
-          !campaign::write_file(csv_path, campaign::to_csv(result))) {
-        return 1;
-      }
-      if (!json_path.empty() &&
-          !campaign::write_file(json_path, campaign::to_json(result))) {
-        return 1;
-      }
-      if (!metrics_json_path.empty()) {
-        const std::string doc = campaign::metrics_report_json(
-            result.scenario.name, result.options.seed, drep.metrics.shards,
-            drep.metrics.threads,
-            static_cast<double>(drep.metrics.wall_ns) / 1e9,
-            drep.metrics.report);
-        if (!campaign::write_file(metrics_json_path, doc)) return 1;
-      }
-    } catch (const campaign::DispatchError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
+  if (cli.recover_mode) return run_recover(cli);
+  if (cli.merge_mode) return run_merge(cli);
+  if (!run_flags_ok(cli)) return 1;
 
-  // ---- merge mode: fold shard chunk streams into canonical reports ----
-  if (merge_mode) {
-    if (merge_files.empty()) {
-      std::fprintf(stderr, "--merge needs at least one chunk-stream file\n");
-      return 1;
-    }
-    if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index) {
-      std::fprintf(stderr,
-                   "--merge folds existing chunk streams; it cannot be "
-                   "combined with --emit-chunks, --shards or --shard\n");
-      return 1;
-    }
-    if (!trace_path.empty()) {
-      std::fprintf(stderr,
-                   "--merge replays recorded streams — there is no live "
-                   "execution to trace; pass --trace to the shard runs "
-                   "instead\n");
-      return 1;
-    }
-    if (run_flag != nullptr) {
-      std::fprintf(stderr,
-                   "--merge replays the streams' recorded campaign — %s "
-                   "would be silently ignored; drop it (the header pins "
-                   "scenario/seed/trials/chunk size)\n",
-                   run_flag);
-      return 1;
-    }
-    try {
-      std::vector<campaign::ChunkStream> streams;
-      streams.reserve(merge_files.size());
-      for (const auto& path : merge_files) {
-        streams.push_back(campaign::load_chunk_stream(path));
-      }
-      const campaign::Scenario* scenario =
-          campaign::find_scenario(streams.front().header.scenario);
-      if (!scenario) {
-        std::fprintf(stderr, "unknown scenario '%s' in %s\n",
-                     streams.front().header.scenario.c_str(),
-                     merge_files.front().c_str());
-        return 1;
-      }
-      campaign::MergedMetrics merged_metrics;
-      const auto result = campaign::merge_chunk_streams(*scenario, streams,
-                                                        &merged_metrics);
-      campaign::print_summary(stdout, result);
-      std::printf("\n  merged %zu shard stream(s), %zu chunks verified\n",
-                  streams.size(), streams.front().header.total_chunks);
-      if (!csv_path.empty() &&
-          !campaign::write_file(csv_path, campaign::to_csv(result))) {
-        return 1;
-      }
-      if (!json_path.empty() &&
-          !campaign::write_file(json_path, campaign::to_json(result))) {
-        return 1;
-      }
-      if (!metrics_json_path.empty()) {
-        // Aggregate of the K shard trailers. wall_seconds is the summed
-        // shard wall time (total compute budget, not elapsed time — the
-        // shards ran as separate processes, possibly concurrently).
-        const std::string doc = campaign::metrics_report_json(
-            result.scenario.name, result.options.seed, merged_metrics.shards,
-            merged_metrics.threads,
-            static_cast<double>(merged_metrics.wall_ns) / 1e9,
-            merged_metrics.report);
-        if (!campaign::write_file(metrics_json_path, doc)) return 1;
-      }
-    } catch (const campaign::ChunkStreamError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  // ---- shard-flag validation ----
-  if (have_shard_index && shard_count == 0) {
-    std::fprintf(stderr, "--shard requires --shards=K\n");
-    return 1;
-  }
-  if (dispatch_mode) {
-    if (shard_count == 0) {
-      std::fprintf(stderr, "--dispatch requires --shards=K\n");
-      return 1;
-    }
-    if (have_shard_index || !emit_chunks_path.empty() || !chunks_spec.empty() ||
-        !trace_path.empty()) {
-      std::fprintf(stderr,
-                   "--dispatch runs (and recovers) all K shards itself; "
-                   "it cannot be combined with --shard, --emit-chunks, "
-                   "--chunks or --trace\n");
-      return 1;
-    }
-    if (executor_name != "thread" && executor_name != "process") {
-      std::fprintf(stderr, "--executor must be 'thread' or 'process'\n");
-      return 1;
-    }
-    if (executor_name == "process" && workdir.empty()) {
-      std::fprintf(stderr,
-                   "--executor=process needs --workdir=DIR (an existing "
-                   "directory for the child shard streams)\n");
-      return 1;
-    }
-  } else if (shard_count > 0 &&
-             (!have_shard_index || emit_chunks_path.empty())) {
-    std::fprintf(stderr,
-                 "--shards needs both --shard=I and --emit-chunks=PATH "
-                 "(a shard run only makes sense if its chunk stream is "
-                 "kept for the merge)\n");
-    return 1;
-  }
-  if (!chunks_spec.empty() && shard_count == 0) {
-    std::fprintf(stderr,
-                 "--chunks re-runs an explicit chunk set as a repair "
-                 "stream; it needs --shards/--shard/--emit-chunks\n");
-    return 1;
-  }
-  if (!fault_plan_spec.empty() && shard_count == 0) {
-    std::fprintf(stderr,
-                 "--fault-plan injects faults into a shard run or a "
-                 "--dispatch campaign; it needs --shards\n");
-    return 1;
-  }
-  if (shard_count > 0 && shard_index >= shard_count) {
-    std::fprintf(stderr, "--shard=%zu out of range for --shards=%zu\n",
-                 shard_index, shard_count);
-    return 1;
-  }
-  if (!emit_chunks_path.empty() && shard_count == 0) {
-    std::fprintf(stderr, "--emit-chunks requires --shards and --shard\n");
-    return 1;
-  }
-  if (!emit_chunks_path.empty() && (!csv_path.empty() || !json_path.empty())) {
-    std::fprintf(stderr,
-                 "--emit-chunks writes one shard's chunk stream; partial "
-                 "aggregates would be misleading — use --merge on all "
-                 "shard streams to produce CSV/JSON reports\n");
-    return 1;
-  }
-
-  const campaign::Scenario* scenario = campaign::find_scenario(scenario_name);
+  const campaign::Scenario* scenario =
+      campaign::find_scenario(cli.scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario '%s'; valid presets:\n\n",
-                 scenario_name.c_str());
+                 cli.scenario_name.c_str());
     list_presets(stderr);
     return 1;
   }
-  if (options.threads == 0) {
-    options.threads = std::max(1u, std::thread::hardware_concurrency());
+  if (cli.options.threads == 0) {
+    cli.options.threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
   // Observability wiring: timers are collected exactly when a metrics
   // report was requested; the trace recorder lives here (CLI scope) and
   // the runner only buffers into it. In shard mode the recorder's pid is
   // the shard index, so merged timelines from K processes stay distinct.
-  options.metrics_timers = !metrics_json_path.empty();
-  obs::TraceRecorder trace_recorder(static_cast<std::uint32_t>(shard_index));
-  if (!trace_path.empty()) options.trace = &trace_recorder;
+  cli.options.metrics_timers = !cli.metrics_json_path.empty();
+  obs::TraceRecorder trace_recorder(
+      static_cast<std::uint32_t>(cli.shard_index));
+  if (!cli.trace_path.empty()) cli.options.trace = &trace_recorder;
 
-  // ---- dispatch mode: all K shards through the recovering dispatcher ----
-  if (dispatch_mode) {
-    try {
-      campaign::FaultPlan faults;
-      if (!fault_plan_spec.empty()) {
-        faults = campaign::FaultPlan::parse(fault_plan_spec);
-      }
-      campaign::DispatchOptions dopt;
-      dopt.shard_count = shard_count;
-      dopt.max_rounds = max_rounds;
-      dopt.faults = faults;
-      campaign::DispatchReport drep;
-      campaign::CampaignResult result;
-      if (executor_name == "thread") {
-        campaign::ThreadExecutor ex(*scenario, options, faults);
-        result =
-            campaign::dispatch_campaign(*scenario, options, dopt, ex, &drep);
-      } else {
-        campaign::SubprocessExecutor ex(argv[0], workdir, scenario->name,
-                                        options, faults);
-        result =
-            campaign::dispatch_campaign(*scenario, options, dopt, ex, &drep);
-      }
-      campaign::print_summary(stdout, result);
-      std::printf("\n  dispatched %zu shard(s) (%s executor): %zu recovery "
-                  "round(s), %zu chunk(s) re-dealt, %zu duplicate(s) "
-                  "suppressed, %zu dead, %zu straggler(s), %zu repair "
-                  "task(s)\n",
-                  shard_count, executor_name.c_str(), drep.rounds,
-                  drep.chunks_redealt, drep.chunks_duplicate,
-                  drep.shards_dead, drep.shards_straggler,
-                  drep.tasks_retried);
-      if (!csv_path.empty() &&
-          !campaign::write_file(csv_path, campaign::to_csv(result))) {
-        return 1;
-      }
-      if (!json_path.empty() &&
-          !campaign::write_file(json_path, campaign::to_json(result))) {
-        return 1;
-      }
-      if (!metrics_json_path.empty()) {
-        const std::string doc = campaign::metrics_report_json(
-            result.scenario.name, result.options.seed, drep.metrics.shards,
-            drep.metrics.threads,
-            static_cast<double>(drep.metrics.wall_ns) / 1e9,
-            drep.metrics.report);
-        if (!campaign::write_file(metrics_json_path, doc)) return 1;
-      }
-    } catch (const campaign::DispatchError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  // ---- shard mode: run this shard's chunks, write the stream ----
-  if (shard_count > 0) {
-    options.progress = true;  // run_sharded.py multiplexes these lines
-    campaign::ShardPlan plan;
-    try {
-      if (chunks_spec.empty()) {
-        plan = campaign::plan_shard(*scenario, options, shard_count,
-                                    shard_index);
-      } else {
-        // Repair run: the explicit chunk ids a dispatcher re-dealt here.
-        std::vector<std::size_t> ids;
-        std::size_t start = 0;
-        while (start <= chunks_spec.size()) {
-          std::size_t end = chunks_spec.find(',', start);
-          if (end == std::string::npos) end = chunks_spec.size();
-          const std::string token = chunks_spec.substr(start, end - start);
-          if (!token.empty()) {
-            ids.push_back(parse_u64(token.c_str(), "--chunks"));
-          }
-          start = end + 1;
-        }
-        plan = campaign::make_repair_plan(*scenario, options, shard_count,
-                                          shard_index, ids);
-      }
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    watchdog.set_total_chunks(plan.chunks.size());
-    const auto exec = campaign::run_campaign_chunks(*scenario, options,
-                                                    std::move(plan));
-    std::string stream_text =
-        campaign::serialize_chunk_stream(*scenario, options, exec);
-    bool fault_killed = false;
-    if (!fault_plan_spec.empty()) {
-      try {
-        const auto faults = campaign::FaultPlan::parse(fault_plan_spec);
-        stream_text = campaign::apply_stream_faults(
-            faults, shard_index, std::move(stream_text), &fault_killed);
-      } catch (const campaign::DispatchError& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-      }
-    }
-    if (!campaign::write_file(emit_chunks_path, stream_text)) {
-      return 1;
-    }
-    if (fault_killed) {
-      // The injected crash: the truncated stream is on disk, the process
-      // dies with a distinctive status (EX_SOFTWARE) for the dispatcher
-      // and run_sharded.py to observe.
-      std::fprintf(stderr,
-                   "fault-plan: shard %zu killed (stream truncated)\n",
-                   shard_index);
-      return 70;
-    }
-    if (!metrics_json_path.empty() &&
-        !campaign::write_file(
-            metrics_json_path,
-            campaign::metrics_report_json(scenario->name, options.seed, 1,
-                                          exec.threads, exec.wall_seconds,
-                                          exec.metrics))) {
-      return 1;
-    }
-    if (!trace_path.empty() &&
-        !campaign::write_file(trace_path, trace_recorder.to_json())) {
-      return 1;
-    }
-    std::size_t shard_trials = 0;
-    for (const auto& c : exec.plan.chunks) {
-      shard_trials += c.trial_end - c.trial_begin;
-    }
-    std::printf("shard %zu/%zu of %s: %zu/%zu chunks (%zu trials), "
-                "%u thread(s), %.2fs (%.1f trials/s) -> %s\n",
-                shard_index, shard_count, scenario->name.c_str(),
-                exec.plan.chunks.size(), exec.plan.total_chunks,
-                shard_trials, exec.threads, exec.wall_seconds,
-                exec.wall_seconds > 0.0
-                    ? static_cast<double>(shard_trials) / exec.wall_seconds
-                    : 0.0,
-                emit_chunks_path.c_str());
-    return 0;
-  }
-
-  watchdog.set_total_chunks(
-      campaign::plan_shard(*scenario, options, 1, 0).chunks.size());
-  const auto result = campaign::run_campaign(*scenario, options);
-  campaign::print_summary(stdout, result);
-
-  {
-    auto report = result;
-    if (canonical) campaign::canonicalize(report);
-    if (!csv_path.empty() &&
-        !campaign::write_file(csv_path, campaign::to_csv(report))) {
-      return 1;
-    }
-    if (!json_path.empty() &&
-        !campaign::write_file(json_path, campaign::to_json(report))) {
-      return 1;
-    }
-  }
-
-  if (!metrics_json_path.empty() &&
-      !campaign::write_file(
-          metrics_json_path,
-          campaign::metrics_report_json(scenario->name, options.seed, 1,
-                                        result.options.threads,
-                                        result.wall_seconds,
-                                        result.metrics))) {
-    return 1;
-  }
-  if (!trace_path.empty() &&
-      !campaign::write_file(trace_path, trace_recorder.to_json())) {
-    return 1;
-  }
-
-  return 0;
+  if (cli.dispatch_mode) return run_dispatch(cli, *scenario);
+  if (cli.shard_count > 0) return run_shard(cli, *scenario, watchdog);
+  return run_serial(cli, *scenario, watchdog);
 }

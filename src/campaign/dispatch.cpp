@@ -3,10 +3,8 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "campaign/report.hpp"
@@ -39,17 +37,18 @@ bool fault_kind_from_name(std::string_view name, FaultKind* out) {
   return false;
 }
 
+/// Digits only: from_chars takes no sign and no leading blank, so
+/// "-1" cannot wrap to a shard id that never fires, and it reports
+/// overflow instead of saturating.
 std::size_t parse_fault_u64(std::string_view text, std::string_view token) {
-  const std::string digits(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
-  if (digits.empty() || end != digits.c_str() + digits.size() ||
-      errno == ERANGE) {
-    throw DispatchError("fault-plan: bad number '" + digits + "' in '" +
-                        std::string(token) + "'");
+  std::size_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw DispatchError("fault-plan: bad number '" + std::string(text) +
+                        "' in '" + std::string(token) + "'");
   }
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 /// Byte offsets of the starts of complete (newline-terminated) lines,
@@ -204,9 +203,8 @@ ThreadExecutor::ThreadExecutor(const Scenario& scenario,
                                const CampaignOptions& options,
                                FaultPlan faults)
     : scenario_(scenario), options_(options), faults_(std::move(faults)) {
-  // Task results are consumed as serialized text; progress lines and
-  // trace buffers belong to real shard processes, not dispatch tasks.
-  options_.progress = false;
+  // Task results are consumed as serialized text; trace buffers belong
+  // to real shard processes, not dispatch tasks.
   options_.trace = nullptr;
 }
 
@@ -302,8 +300,9 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const ShardTask& task = tasks[i];
     Child& child = children[i];
-    child.path = workdir_ + "/shard-" + std::to_string(task.slot) + "-gen" +
-                 std::to_string(task.generation) + ".jsonl";
+    const std::string stem = workdir_ + "/shard-" + std::to_string(task.slot) +
+                             "-gen" + std::to_string(task.generation);
+    child.path = stem + ".jsonl";
 
     std::string cmd = shell_quote(runner_path_);
     cmd += " --scenario=" + shell_quote(scenario_name_);
@@ -320,6 +319,11 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     cmd += " --shards=" + std::to_string(task.plan.shard_count);
     cmd += " --shard=" + std::to_string(task.slot);
     cmd += " --emit-chunks=" + shell_quote(child.path);
+    if (options_.metrics_timers) {
+      // A child times its phases only when it writes a metrics document;
+      // the timings reach the parent through the stream's trailer.
+      cmd += " --metrics-json=" + shell_quote(stem + ".metrics.json");
+    }
     if (task.generation > 0) {
       // Repair wave: the explicit chunk set, never refaulted.
       std::string ids;
@@ -334,7 +338,7 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
         cmd += " --fault-plan=" + shell_quote(shard_faults.to_string());
       }
     }
-    cmd += " >/dev/null 2>&1";
+    cmd += " >/dev/null";  // stderr passes through: failures stay visible
     child.pipe = ::popen(cmd.c_str(), "r");
     if (child.pipe == nullptr) {
       throw DispatchError("dispatch: popen failed for slot " +
@@ -493,6 +497,13 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
     throw DispatchError("dispatch: shard_count must be >= 1");
   }
   const std::size_t K = dispatch.shard_count;
+  for (const Fault& f : dispatch.faults.faults) {
+    if (f.shard >= K) {
+      throw DispatchError("dispatch: fault '" + FaultPlan{{f}}.to_string() +
+                          "' targets shard " + std::to_string(f.shard) +
+                          " of a " + std::to_string(K) + "-shard campaign");
+    }
+  }
   // The global chunk enumeration is the single source of truth: every
   // accepted record must match it exactly, every id must end up covered.
   const ShardPlan global = plan_shard(scenario, options, 1, 0);

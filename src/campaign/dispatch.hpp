@@ -77,8 +77,8 @@ struct Fault {
   bool operator==(const Fault&) const = default;
 };
 
-/// A deterministic fault schedule. Text form (CLI `--fault-plan`,
-/// run_sharded.py `--inject`) is comma-separated `kind:shard@arg`:
+/// A deterministic fault schedule. Text form (CLI `--fault-plan`) is
+/// comma-separated `kind:shard@arg`, with unsigned decimal numbers:
 ///
 ///   kill:1@3      shard 1 dies after its 3rd chunk record
 ///   trunc:0@140   shard 0's stream keeps only its first 140 bytes
@@ -198,8 +198,11 @@ class ThreadExecutor : public Executor {
 /// shard's faults with `--fault-plan` so the child itself writes the
 /// faulted stream and dies for kill faults — the real crash path, not a
 /// simulation of it. Streams land in `workdir` as
-/// `shard-<slot>-gen<generation>.jsonl`. Delay faults are delivery
-/// faults and stay parent-side.
+/// `shard-<slot>-gen<generation>.jsonl`; with `metrics_timers` set, each
+/// child also writes `shard-<slot>-gen<generation>.metrics.json`, which
+/// is what turns its phase timers on. Child stdout is discarded, child
+/// stderr passes through. Delay faults are delivery faults and stay
+/// parent-side.
 class SubprocessExecutor : public Executor {
  public:
   SubprocessExecutor(std::string runner_path, std::string workdir,
@@ -250,7 +253,8 @@ struct DispatchReport {
 /// Runs the campaign through `executor` with recovery. The result is
 /// canonical (runtime fields zeroed) and byte-identical — through
 /// to_csv/to_json — to the serial run of the same (scenario, options),
-/// regardless of which faults fired. Throws DispatchError when chunks
+/// regardless of which faults fired. Throws DispatchError when a fault
+/// targets a shard >= shard_count (it could never fire) and when chunks
 /// are still missing after max_rounds.
 CampaignResult dispatch_campaign(const Scenario& scenario,
                                  const CampaignOptions& options,
@@ -260,11 +264,11 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
 
 /// Offline recovery: fold already-written (possibly truncated, corrupted
 /// or missing) shard streams, then run the missing chunks in-process and
-/// fold those too. The `--recover` / run_sharded.py `--inject` path —
-/// same invariants as dispatch_campaign, but the streams already exist
-/// and the "executor" for repairs is this process. `options` supplies
-/// the worker thread count for the repair run; campaign identity (seed,
-/// trials, chunk size, shard count) comes from the salvaged headers.
+/// fold those too. The `--recover` path — same invariants as
+/// dispatch_campaign, but the streams already exist and the "executor"
+/// for repairs is this process. `options` supplies the worker thread
+/// count for the repair run; campaign identity (seed, trials, chunk
+/// size, shard count) comes from the salvaged headers.
 /// Throws DispatchError when no stream yields a valid header or the
 /// headers disagree with `scenario`.
 CampaignResult recover_campaign(const Scenario& scenario,

@@ -504,8 +504,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                                    ShardPlan plan) {
   ShardExecution exec;
   exec.plan = std::move(plan);
-  const std::size_t shard_count = exec.plan.shard_count;
-  const std::size_t shard_index = exec.plan.shard_index;
   const std::vector<ChunkRef>& chunks = exec.plan.chunks;
   // Chunk-local accumulators: workers never share one, and the
   // deterministic chunk ids (not the thread schedule) define the final
@@ -544,9 +542,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   // The chunk cursor: each worker claims the next unclaimed index into
   // `chunks` until the list runs out.
   std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> chunks_done{0};
-  const std::size_t progress_every =
-      std::max<std::size_t>(std::size_t{1}, chunks.size() / 10);
   const auto worker = [&](unsigned self) {
     obs::WorkerScope oscope(&registry, options.trace,
                             "worker-" + std::to_string(self));
@@ -580,24 +575,8 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
       }
       obs::count(obs::Counter::kChunks);
       oscope.flush();  // chunk boundary: fold the thread block + spans
-      const std::size_t done = chunks_done.fetch_add(1) + 1;
       if (options.chunks_completed != nullptr) {
         options.chunks_completed->fetch_add(1, std::memory_order_relaxed);
-      }
-      if (options.progress) {
-        if (done % progress_every == 0 || done == chunks.size()) {
-          // One fwrite + flush per line: run_sharded.py multiplexes the
-          // stderr of K shard processes, and a buffered or split write
-          // could interleave partial lines across shards.
-          char line[96];
-          const int len =
-              std::snprintf(line, sizeof line, "shard %zu/%zu: chunks %zu/%zu\n",
-                            shard_index, shard_count, done, chunks.size());
-          if (len > 0) {
-            std::fwrite(line, 1, static_cast<std::size_t>(len), stderr);
-            std::fflush(stderr);
-          }
-        }
       }
     }
   };

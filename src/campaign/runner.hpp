@@ -66,10 +66,6 @@ struct CampaignOptions {
   /// Empty keeps the cache in-memory; set it to share one warm-up across
   /// the K processes of a sharded campaign.
   std::string snapshot_dir;
-  /// Print periodic `shard i/K: chunks c/C` progress lines to stderr
-  /// (enabled by the CLI's shard mode; tools/run_sharded.py multiplexes
-  /// the streams of all shard processes).
-  bool progress = false;
   /// Collect nanosecond phase timers (obs::Phase) alongside the
   /// always-on counters. Enabled by the CLI's `--metrics-json`; timers
   /// read clocks only, never RNG state, so aggregates are bit-identical

@@ -5,18 +5,18 @@
 // recover the same way; (3) a delayed straggler finishing after its
 // chunks were re-dealt is suppressed without double-merging and the
 // executed-trial accounting stays exact; (4) FaultPlan text form
-// round-trips and rejects malformed specs; (5) recover_campaign folds
-// damaged on-disk streams back to the serial bytes; (6) unrecoverable
-// loss (max_rounds exhausted) raises DispatchError instead of emitting
-// a short report.
-//
-// SubprocessExecutor is deliberately not unit-tested here: it shells
-// out to campaign_runner, which unit tests cannot assume is built. CI's
-// fault-injection job (run_sharded.py --inject) covers that transport
-// end to end.
+// round-trips and rejects malformed specs, and a fault aimed past the
+// last shard is refused; (5) recover_campaign folds damaged on-disk
+// streams back to the serial bytes; (6) unrecoverable loss (max_rounds
+// exhausted) raises DispatchError instead of emitting a short report;
+// (7) SubprocessExecutor recovers a really killed campaign_runner child
+// (HS_CAMPAIGN_RUNNER, built alongside this test) to the serial bytes,
+// with the children's phase timers reaching the parent's report.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -200,6 +200,60 @@ TEST(Dispatch, UnrecoverableLossRaisesAfterMaxRounds) {
   EXPECT_THROW(dispatch_campaign(s, opt, d, exec), DispatchError);
 }
 
+TEST(Dispatch, FaultPastTheLastShardIsRefused) {
+  const Scenario s = shrunk("fig8-tradeoff", {10, 20}, 1);
+  const CampaignOptions opt = small_options();
+  DispatchOptions d;
+  d.shard_count = 3;
+  d.faults = FaultPlan::parse("kill:5@3");
+  ThreadExecutor exec(s, opt, d.faults);
+  EXPECT_THROW(dispatch_campaign(s, opt, d, exec), DispatchError);
+}
+
+/// A fresh directory under the system temp dir, removed with its
+/// contents on scope exit.
+struct TempDir {
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "hs-dispatch-XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) != nullptr) path = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  std::string path;
+};
+
+TEST(Dispatch, ProcessExecutorRecoversAKilledChild) {
+  const Scenario* s = find_scenario("fig8-tradeoff");
+  ASSERT_NE(s, nullptr);
+  CampaignOptions opt;
+  opt.seed = 7;
+  opt.threads = 1;
+  opt.trials_per_point = 2;
+  opt.metrics_timers = true;
+  const Baseline want = serial_baseline(*s, opt);
+
+  const TempDir workdir;
+  ASSERT_FALSE(workdir.path.empty());
+  DispatchOptions d;
+  d.shard_count = 3;
+  d.faults = FaultPlan::parse("kill:1@3");
+  SubprocessExecutor exec(HS_CAMPAIGN_RUNNER, workdir.path, s->name, opt,
+                          d.faults);
+  DispatchReport rep;
+  expect_matches(dispatch_campaign(*s, opt, d, exec, &rep), want,
+                 "process kill:1@3");
+  EXPECT_EQ(rep.shards_dead, 1u);
+  EXPECT_GT(rep.chunks_redealt, 0u);
+  // The children's trailers carry their phase timers.
+  EXPECT_GT(rep.metrics.report.phase(obs::Phase::kTrial).calls, 0u);
+}
+
 TEST(FaultPlanSpec, ParsesAndRoundTrips) {
   const FaultPlan plan =
       FaultPlan::parse("kill:1@3, trunc:0@140; truncl:2@4,delay:1@2,corrupt:0@5");
@@ -226,6 +280,14 @@ TEST(FaultPlanSpec, RejectsMalformedTokens) {
   EXPECT_THROW(FaultPlan::parse("kill:x@3"), DispatchError);
   EXPECT_THROW(FaultPlan::parse("kill:1@"), DispatchError);
   EXPECT_THROW(FaultPlan::parse("kill:1@3x"), DispatchError);
+  // Digits only: a sign or a blank inside a number is not a shard id.
+  EXPECT_THROW(FaultPlan::parse("kill:-1@3"), DispatchError);
+  EXPECT_THROW(FaultPlan::parse("kill:+1@3"), DispatchError);
+  EXPECT_THROW(FaultPlan::parse("kill: 1@3"), DispatchError);
+  EXPECT_THROW(FaultPlan::parse("kill:1@-2"), DispatchError);
+  EXPECT_THROW(FaultPlan::parse("kill:1@ 2"), DispatchError);
+  EXPECT_THROW(FaultPlan::parse("kill:1@18446744073709551616"),
+               DispatchError);
 }
 
 TEST(FaultPlanSpec, StreamFaultsAreDeterministic) {
