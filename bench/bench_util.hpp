@@ -7,9 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "wire/cli.hpp"
 
 namespace hs::bench {
 
@@ -21,23 +24,28 @@ struct Args {
   std::size_t trials = 0;
   unsigned threads = 0;    ///< campaign workers; 0 => hardware concurrency
 
+  /// Malformed numbers and unknown flags exit 1, like campaign_runner;
+  /// --help prints the usage and exits 0.
   static Args parse(int argc, char** argv) {
     Args args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-        args.trials = std::strtoull(argv[i] + 9, nullptr, 10);
-      } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        args.threads = static_cast<unsigned>(
-            std::strtoul(argv[i] + 10, nullptr, 10));
-      } else if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf(
+      const char* arg = argv[i];
+      const char* value = nullptr;
+      if ((value = wire::flag_value(arg, "--seed", argc, argv, &i))) {
+        args.seed = wire::flag_u64(value, "--seed");
+      } else if ((value = wire::flag_value(arg, "--trials", argc, argv, &i))) {
+        args.trials = wire::flag_u64(value, "--trials");
+      } else if ((value = wire::flag_value(arg, "--threads", argc, argv, &i))) {
+        args.threads = wire::flag_u32(value, "--threads");
+      } else {
+        const bool help = std::strcmp(arg, "--help") == 0;
+        std::fprintf(
+            help ? stdout : stderr,
             "usage: %s [--seed=N] [--trials=N] [--threads=N]\n"
             "  campaign benches: --trials is campaign trials per sweep "
             "point\n",
             argv[0]);
-        std::exit(0);
+        std::exit(help ? 0 : 1);
       }
     }
     return args;

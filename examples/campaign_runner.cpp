@@ -16,14 +16,12 @@
 // src/obs/metrics.hpp).
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -38,8 +36,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "snapshot/state_io.hpp"
+#include "wire/cli.hpp"
 
 using namespace hs;
+using wire::flag_u32;
+using wire::flag_u64;
+using wire::flag_value;
 
 namespace {
 
@@ -151,49 +153,6 @@ int usage(const char* argv0, bool is_error) {
       "  holds the child streams).\n",
       argv0, argv0, argv0, argv0, argv0);
   return is_error ? 1 : 0;
-}
-
-/// Matches "--name=value" or "--name value"; advances *i past a consumed
-/// extra argument. Returns nullptr when `arg` is not this flag. The
-/// space-separated form refuses a value starting with '-' so a forgotten
-/// value ("--seed --trials=5") fails as an unknown flag instead of
-/// silently swallowing the next option.
-const char* flag_value(const char* arg, const char* name, int argc,
-                       char** argv, int* i) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return nullptr;
-  if (arg[len] == '=') return arg + len + 1;
-  if (arg[len] == '\0' && *i + 1 < argc && argv[*i + 1][0] != '-') {
-    return argv[++*i];
-  }
-  return nullptr;
-}
-
-/// strtoull with a full-consumption check: garbage or overflow is a hard
-/// error, never a silent zero. Signs are rejected up front — strtoull
-/// happily parses "-5" and wraps it to 2^64-5, which would turn a typo'd
-/// seed into a silently different campaign.
-std::uint64_t parse_u64(const char* value, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (value[0] == '\0' || value[0] == '-' || value[0] == '+' ||
-      *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "invalid numeric value '%s' for %s\n", value, flag);
-    std::exit(1);
-  }
-  return v;
-}
-
-/// parse_u64 bounded to values that survive a cast to `unsigned`
-/// (--threads): out-of-range is a hard error, not a silent truncation.
-unsigned parse_u32(const char* value, const char* flag) {
-  const std::uint64_t v = parse_u64(value, flag);
-  if (v > std::numeric_limits<unsigned>::max()) {
-    std::fprintf(stderr, "value '%s' out of range for %s\n", value, flag);
-    std::exit(1);
-  }
-  return static_cast<unsigned>(v);
 }
 
 /// `--timeout-seconds`: a detached-from-the-campaign watchdog thread.
@@ -309,9 +268,9 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
     } else if ((value = flag_value(arg, "--workdir", argc, argv, &i))) {
       cli.workdir = value;
     } else if ((value = flag_value(arg, "--max-rounds", argc, argv, &i))) {
-      cli.max_rounds = parse_u64(value, "--max-rounds");
+      cli.max_rounds = flag_u64(value, "--max-rounds");
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
-      cli.timeout_seconds = parse_u64(value, "--timeout-seconds");
+      cli.timeout_seconds = flag_u64(value, "--timeout-seconds");
     } else if (std::strcmp(arg, "--no-snapshot") == 0) {
       cli.options.snapshots = false;
       cli.run_flag = "--no-snapshot";
@@ -324,21 +283,21 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
       cli.scenario_name = value;
       cli.run_flag = cli.identity_flag = "--scenario";
     } else if ((value = flag_value(arg, "--seed", argc, argv, &i))) {
-      cli.options.seed = parse_u64(value, "--seed");
+      cli.options.seed = flag_u64(value, "--seed");
       cli.run_flag = cli.identity_flag = "--seed";
     } else if ((value = flag_value(arg, "--trials", argc, argv, &i))) {
-      cli.options.trials_per_point = parse_u64(value, "--trials");
+      cli.options.trials_per_point = flag_u64(value, "--trials");
       cli.run_flag = cli.identity_flag = "--trials";
     } else if ((value = flag_value(arg, "--threads", argc, argv, &i))) {
-      cli.options.threads = parse_u32(value, "--threads");
+      cli.options.threads = flag_u32(value, "--threads");
       cli.run_flag = "--threads";
     } else if ((value = flag_value(arg, "--chunk", argc, argv, &i))) {
-      cli.options.chunk_size = parse_u64(value, "--chunk");
+      cli.options.chunk_size = flag_u64(value, "--chunk");
       cli.run_flag = cli.identity_flag = "--chunk";
     } else if ((value = flag_value(arg, "--shards", argc, argv, &i))) {
-      cli.shard_count = parse_u64(value, "--shards");
+      cli.shard_count = flag_u64(value, "--shards");
     } else if ((value = flag_value(arg, "--shard", argc, argv, &i))) {
-      cli.shard_index = parse_u64(value, "--shard");
+      cli.shard_index = flag_u64(value, "--shard");
       cli.have_shard_index = true;
     } else if ((value = flag_value(arg, "--emit-chunks", argc, argv, &i))) {
       cli.emit_chunks_path = value;
@@ -659,7 +618,7 @@ int run_shard(const Cli& cli, const campaign::Scenario& scenario,
         std::size_t end = spec.find(',', start);
         if (end == std::string::npos) end = spec.size();
         const std::string token = spec.substr(start, end - start);
-        if (!token.empty()) ids.push_back(parse_u64(token.c_str(), "--chunks"));
+        if (!token.empty()) ids.push_back(flag_u64(token.c_str(), "--chunks"));
         start = end + 1;
       }
       plan = campaign::make_repair_plan(scenario, cli.options,

@@ -13,14 +13,18 @@
 // exits 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
 
+#include "campaign/report.hpp"
 #include "serve/server.hpp"
+#include "wire/cli.hpp"
 
 using namespace hs;
+using wire::flag_u32;
+using wire::flag_u64;
+using wire::flag_value;
 
 namespace {
 
@@ -51,29 +55,6 @@ int usage(const char* argv0, bool is_error) {
   return is_error ? 1 : 0;
 }
 
-const char* flag_value(const char* arg, const char* name, int argc,
-                       char** argv, int* i) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return nullptr;
-  if (arg[len] == '=') return arg + len + 1;
-  if (arg[len] == '\0' && *i + 1 < argc && argv[*i + 1][0] != '-') {
-    return argv[++*i];
-  }
-  return nullptr;
-}
-
-std::uint64_t parse_u64(const char* value, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (value[0] == '\0' || value[0] == '-' || value[0] == '+' ||
-      *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "invalid numeric value '%s' for %s\n", value, flag);
-    std::exit(1);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,7 +66,7 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const char* value = nullptr;
     if ((value = flag_value(arg, "--port", argc, argv, &i))) {
-      const std::uint64_t port = parse_u64(value, "--port");
+      const std::uint64_t port = flag_u64(value, "--port");
       if (port > std::numeric_limits<std::uint16_t>::max()) {
         std::fprintf(stderr, "--port=%s out of range\n", value);
         return 1;
@@ -94,16 +75,15 @@ int main(int argc, char** argv) {
     } else if ((value = flag_value(arg, "--unix", argc, argv, &i))) {
       options.unix_path = value;
     } else if ((value = flag_value(arg, "--workers", argc, argv, &i))) {
-      options.scheduler.workers =
-          static_cast<unsigned>(parse_u64(value, "--workers"));
+      options.scheduler.workers = flag_u32(value, "--workers");
     } else if ((value = flag_value(arg, "--max-active", argc, argv, &i))) {
-      options.scheduler.max_active = parse_u64(value, "--max-active");
+      options.scheduler.max_active = flag_u64(value, "--max-active");
       if (options.scheduler.max_active == 0) {
         std::fprintf(stderr, "--max-active must be >= 1\n");
         return 1;
       }
     } else if ((value = flag_value(arg, "--max-queue", argc, argv, &i))) {
-      options.scheduler.max_queue = parse_u64(value, "--max-queue");
+      options.scheduler.max_queue = flag_u64(value, "--max-queue");
     } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
       options.scheduler.snapshot_dir = value;
     } else if ((value = flag_value(arg, "--port-file", argc, argv, &i))) {
@@ -133,15 +113,10 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "campaign_serverd: listening on 127.0.0.1:%u\n",
                  static_cast<unsigned>(server.bound_port()));
-    if (!port_file.empty()) {
-      std::FILE* f = std::fopen(port_file.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "campaign_serverd: cannot write %s\n",
-                     port_file.c_str());
-        return 1;
-      }
-      std::fprintf(f, "%u\n", static_cast<unsigned>(server.bound_port()));
-      std::fclose(f);
+    if (!port_file.empty() &&
+        !campaign::write_file(port_file,
+                              std::to_string(server.bound_port()) + "\n")) {
+      return 1;
     }
   }
 

@@ -1,29 +1,17 @@
 #include "campaign/chunk_stream.hpp"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
+#include <utility>
 
-#include "campaign/report.hpp"
 #include "phy/crc.hpp"
-#include "snapshot/state_io.hpp"
+#include "wire/file.hpp"
+#include "wire/lexer.hpp"
 
 namespace hs::campaign {
 
 namespace {
-
-/// Hex-float text ("%a"): the exact bits of the double, so parse(print(x))
-/// reproduces x with no decimal rounding anywhere. The determinism
-/// linter's float-format rule forces every round-tripping double in
-/// this file through here; std::to_string stays allowlisted in
-/// LINT.toml for integer ids and diagnostics only.
-void append_hex_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "\"%a\"", v);
-  out += buf;
-}
 
 /// CRC-16/CCITT over the line as it reads without the crc field: the
 /// payload bytes up to the ',"crc"' suffix plus a closing '}'. The writer
@@ -49,262 +37,174 @@ void seal_line(std::string& line) {
   line += buf;
 }
 
-/// Strict scanner over one serialized line. Any deviation from the
-/// writer's byte layout fails with the source/line context — a truncated
-/// or hand-edited line cannot parse into a half-read record.
-class Scanner {
- public:
-  Scanner(std::string_view line, std::string_view source, std::size_t lineno)
-      : s_(line), source_(source), lineno_(lineno) {}
+/// A lexer failure on one line as the ChunkStreamError that names the
+/// source and line. The line parsers below run a strict wire::Lexer, so
+/// any deviation from the writer's byte layout fails with that context —
+/// a truncated or hand-edited line cannot parse into a half-read record.
+ChunkStreamError line_error(std::string_view source, std::size_t lineno,
+                            const wire::Error& e) {
+  return ChunkStreamError("chunk-stream: " + std::string(source) + " line " +
+                          std::to_string(lineno) + ": " + e.what());
+}
 
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ChunkStreamError("chunk-stream: " + std::string(source_) +
-                           " line " + std::to_string(lineno_) + ": " + what);
+/// `"name":` for the keys spelled by enum order (counters, phases).
+void expect_key(wire::Lexer& lx, std::string_view name) {
+  lx.expect("\"");
+  lx.expect(name);
+  lx.expect("\":");
+}
+
+/// A double field: `key` (ending in the opening quote), the hex-float,
+/// the closing quote — doubles travel as hex-float strings.
+double hex_double_field(wire::Lexer& lx, std::string_view key) {
+  lx.expect(key);
+  const double v = lx.hex_double();
+  lx.expect("\"");
+  return v;
+}
+
+/// The v3 line tail: `,"crc":"xxxx"}` then end of line. Verifies the
+/// checksum over every payload byte scanned so far plus the closing
+/// brace the v2 layout would have had — so a mutation anywhere in the
+/// line, even one that still parses field-by-field, is rejected here.
+void expect_crc_and_end(wire::Lexer& lx, std::string_view line) {
+  const std::size_t payload_end = lx.pos();
+  lx.expect(",\"crc\":");
+  const std::string hex = lx.string();
+  const auto got = hex.size() == 4 ? wire::parse_hex(hex) : std::nullopt;
+  if (!got) lx.fail("crc must be four lowercase hex digits");
+  lx.expect("}");
+  if (!lx.at_end()) lx.fail("trailing bytes after record");
+  const std::uint16_t want = line_crc(line.substr(0, payload_end));
+  if (*got != want) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf,
+                  "crc mismatch (line says %04x, payload is %04x)",
+                  static_cast<unsigned>(*got), want);
+    lx.fail(buf);
   }
-
-  void expect(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) {
-      fail("expected '" + std::string(lit) + "'" +
-           (pos_ + lit.size() > s_.size() ? " (truncated line?)" : ""));
-    }
-    pos_ += lit.size();
-  }
-
-  bool consume(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  void expect_key(std::string_view name) {
-    expect("\"");
-    expect(name);
-    expect("\":");
-  }
-
-  std::string string_value() {
-    expect("\"");
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("unterminated escape in string");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          default: fail("unsupported string escape");
-        }
-      }
-      out += c;
-    }
-    expect("\"");
-    return out;
-  }
-
-  std::uint64_t u64_value() {
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) fail("expected unsigned integer");
-    const std::string digits(s_.substr(begin, pos_ - begin));
-    errno = 0;
-    const std::uint64_t v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-      fail("integer '" + digits + "' does not fit in 64 bits");
-    }
-    return v;
-  }
-
-  double hex_double_value() {
-    const std::string text = string_value();
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || text.empty()) {
-      fail("malformed hex-float '" + text + "'");
-    }
-    return v;
-  }
-
-  /// The v3 line tail: `,"crc":"xxxx"}` then end of line. Verifies the
-  /// checksum over every payload byte scanned so far plus the closing
-  /// brace the v2 layout would have had — so a mutation anywhere in the
-  /// line, even one that still parses field-by-field, is rejected here.
-  void expect_crc_and_end() {
-    const std::size_t payload_end = pos_;
-    expect(",");
-    expect_key("crc");
-    const std::string hex = string_value();
-    expect("}");
-    if (pos_ != s_.size()) fail("trailing bytes after record");
-    if (hex.size() != 4) fail("crc must be four hex digits");
-    char* end = nullptr;
-    const unsigned long got = std::strtoul(hex.c_str(), &end, 16);
-    if (end != hex.c_str() + hex.size()) {
-      fail("malformed crc '" + hex + "'");
-    }
-    const std::uint16_t want = line_crc(s_.substr(0, payload_end));
-    if (static_cast<std::uint16_t>(got) != want) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf,
-                    "crc mismatch (line says %04lx, payload is %04x)", got,
-                    want);
-      fail(buf);
-    }
-  }
-
- private:
-  std::string_view s_;
-  std::size_t pos_ = 0;
-  std::string_view source_;
-  std::size_t lineno_;
-};
+}
 
 ChunkStreamHeader parse_header(std::string_view line,
-                               std::string_view source) {
-  Scanner sc(line, source, 1);
+                               std::string_view source) try {
+  wire::Lexer lx(line);
   ChunkStreamHeader h;
-  sc.expect("{");
-  sc.expect_key("format");
-  if (sc.string_value() != "hs-chunk-stream") {
-    sc.fail("not an hs-chunk-stream file");
+  lx.expect("{\"format\":");
+  if (lx.string() != "hs-chunk-stream") {
+    lx.fail("not an hs-chunk-stream file");
   }
-  sc.expect(",");
-  sc.expect_key("version");
-  const std::uint64_t version = sc.u64_value();
+  lx.expect(",\"version\":");
+  const std::uint64_t version = lx.u64();
   if (version != static_cast<std::uint64_t>(kChunkStreamVersion)) {
-    sc.fail("unsupported chunk-stream version " + std::to_string(version) +
+    lx.fail("unsupported chunk-stream version " + std::to_string(version) +
             " (this build reads version " +
             std::to_string(kChunkStreamVersion) + ")");
   }
   h.version = static_cast<int>(version);
-  sc.expect(",");
-  sc.expect_key("scenario");
-  h.scenario = sc.string_value();
-  sc.expect(",");
-  sc.expect_key("seed");
-  h.seed = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("trials_per_point");
-  h.trials_per_point = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("chunk_size");
-  h.chunk_size = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("shard_count");
-  h.shard_count = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("shard_index");
-  h.shard_index = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("point_count");
-  h.point_count = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("total_chunks");
-  h.total_chunks = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("chunk_count");
-  h.chunk_count = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("mode");
-  const std::string mode = sc.string_value();
+  lx.expect(",\"scenario\":");
+  h.scenario = lx.string();
+  lx.expect(",\"seed\":");
+  h.seed = lx.u64();
+  lx.expect(",\"trials_per_point\":");
+  h.trials_per_point = lx.u64();
+  lx.expect(",\"chunk_size\":");
+  h.chunk_size = lx.u64();
+  lx.expect(",\"shard_count\":");
+  h.shard_count = lx.u64();
+  lx.expect(",\"shard_index\":");
+  h.shard_index = lx.u64();
+  lx.expect(",\"point_count\":");
+  h.point_count = lx.u64();
+  lx.expect(",\"total_chunks\":");
+  h.total_chunks = lx.u64();
+  lx.expect(",\"chunk_count\":");
+  h.chunk_count = lx.u64();
+  lx.expect(",\"mode\":");
+  const std::string mode = lx.string();
   if (mode == "deal") {
     h.repair = false;
   } else if (mode == "repair") {
     h.repair = true;
   } else {
-    sc.fail("mode must be 'deal' or 'repair', not '" + mode + "'");
+    lx.fail("mode must be 'deal' or 'repair', not '" + mode + "'");
   }
-  sc.expect_crc_and_end();
+  expect_crc_and_end(lx, line);
 
-  if (h.shard_count == 0) sc.fail("shard_count must be >= 1");
+  if (h.shard_count == 0) lx.fail("shard_count must be >= 1");
   if (h.shard_index >= h.shard_count) {
-    sc.fail("shard_index " + std::to_string(h.shard_index) +
+    lx.fail("shard_index " + std::to_string(h.shard_index) +
             " out of range for shard_count " + std::to_string(h.shard_count));
   }
-  if (h.chunk_size == 0) sc.fail("chunk_size must be >= 1");
-  if (h.trials_per_point == 0) sc.fail("trials_per_point must be >= 1");
+  if (h.chunk_size == 0) lx.fail("chunk_size must be >= 1");
+  if (h.trials_per_point == 0) lx.fail("trials_per_point must be >= 1");
   return h;
+} catch (const wire::Error& e) {
+  throw line_error(source, 1, e);
 }
 
 ChunkRecord parse_chunk_record(std::string_view line,
                                std::string_view source, std::size_t lineno,
-                               const ChunkStreamHeader& h) {
-  Scanner sc(line, source, lineno);
+                               const ChunkStreamHeader& h) try {
+  wire::Lexer lx(line);
   ChunkRecord rec;
   rec.lineno = lineno;
-  sc.expect("{");
-  sc.expect_key("chunk");
-  rec.ref.chunk_index = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("point");
-  rec.ref.point_index = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("trial_begin");
-  rec.ref.trial_begin = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("trial_end");
-  rec.ref.trial_end = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("metrics");
-  sc.expect("{");
-  std::set<std::size_t> seen;
-  if (!sc.consume("}")) {
+  lx.expect("{\"chunk\":");
+  rec.ref.chunk_index = lx.u64();
+  lx.expect(",\"point\":");
+  rec.ref.point_index = lx.u64();
+  lx.expect(",\"trial_begin\":");
+  rec.ref.trial_begin = lx.u64();
+  lx.expect(",\"trial_end\":");
+  rec.ref.trial_end = lx.u64();
+  lx.expect(",\"metrics\":{");
+  std::array<bool, kMetricCount> seen{};
+  if (!lx.consume("}")) {
     for (;;) {
-      const std::string name = sc.string_value();
+      const std::string name = lx.string();
       Metric metric;
       if (!metric_from_name(name, &metric)) {
-        sc.fail("unknown metric '" + name + "'");
+        lx.fail("unknown metric '" + name + "'");
       }
-      if (!seen.insert(static_cast<std::size_t>(metric)).second) {
-        sc.fail("duplicate metric '" + name + "'");
+      if (std::exchange(seen[static_cast<std::size_t>(metric)], true)) {
+        lx.fail("duplicate metric '" + name + "'");
       }
-      sc.expect(":{");
       StreamingStats::Moments m;
-      sc.expect_key("count");
-      m.count = sc.u64_value();
-      sc.expect(",");
-      sc.expect_key("mean");
-      m.mean = sc.hex_double_value();
-      sc.expect(",");
-      sc.expect_key("m2");
-      m.m2 = sc.hex_double_value();
-      sc.expect(",");
-      sc.expect_key("min");
-      m.min = sc.hex_double_value();
-      sc.expect(",");
-      sc.expect_key("max");
-      m.max = sc.hex_double_value();
-      sc.expect("}");
-      if (m.count == 0) sc.fail("metric '" + name + "' with zero count");
+      lx.expect(":{\"count\":");
+      m.count = lx.u64();
+      m.mean = hex_double_field(lx, ",\"mean\":\"");
+      m.m2 = hex_double_field(lx, ",\"m2\":\"");
+      m.min = hex_double_field(lx, ",\"min\":\"");
+      m.max = hex_double_field(lx, ",\"max\":\"");
+      lx.expect("}");
+      if (m.count == 0) lx.fail("metric '" + name + "' with zero count");
       rec.metrics[static_cast<std::size_t>(metric)] =
           StreamingStats::from_moments(m);
-      if (sc.consume(",")) continue;
-      sc.expect("}");
+      if (lx.consume(",")) continue;
+      lx.expect("}");
       break;
     }
   }
-  sc.expect_crc_and_end();
+  expect_crc_and_end(lx, line);
 
   if (rec.ref.chunk_index >= h.total_chunks) {
-    sc.fail("chunk id " + std::to_string(rec.ref.chunk_index) +
+    lx.fail("chunk id " + std::to_string(rec.ref.chunk_index) +
             " out of range (total_chunks " + std::to_string(h.total_chunks) +
             ")");
   }
   if (!h.repair && rec.ref.chunk_index % h.shard_count != h.shard_index) {
-    sc.fail("chunk id " + std::to_string(rec.ref.chunk_index) +
+    lx.fail("chunk id " + std::to_string(rec.ref.chunk_index) +
             " does not belong to shard " + std::to_string(h.shard_index) +
             "/" + std::to_string(h.shard_count));
   }
   if (rec.ref.point_index >= h.point_count ||
       rec.ref.trial_begin >= rec.ref.trial_end ||
       rec.ref.trial_end > h.trials_per_point) {
-    sc.fail("chunk " + std::to_string(rec.ref.chunk_index) +
+    lx.fail("chunk " + std::to_string(rec.ref.chunk_index) +
             " has an out-of-range point or trial window");
   }
   return rec;
+} catch (const wire::Error& e) {
+  throw line_error(source, lineno, e);
 }
 
 /// The metrics trailer is as strict as the records: fixed key order,
@@ -312,56 +212,47 @@ ChunkRecord parse_chunk_record(std::string_view line,
 /// nothing after the closing brace.
 ShardMetricsTrailer parse_metrics_trailer(std::string_view line,
                                           std::string_view source,
-                                          std::size_t lineno) {
-  Scanner sc(line, source, lineno);
+                                          std::size_t lineno) try {
+  wire::Lexer lx(line);
   ShardMetricsTrailer t;
-  sc.expect("{");
-  sc.expect_key("trailer");
-  if (sc.string_value() != "hs-metrics") {
-    sc.fail("expected the hs-metrics trailer record");
+  lx.expect("{\"trailer\":");
+  if (lx.string() != "hs-metrics") {
+    lx.fail("expected the hs-metrics trailer record");
   }
-  sc.expect(",");
-  sc.expect_key("version");
-  const std::uint64_t version = sc.u64_value();
+  lx.expect(",\"version\":");
+  const std::uint64_t version = lx.u64();
   if (version != static_cast<std::uint64_t>(obs::kMetricsVersion)) {
-    sc.fail("unsupported metrics trailer version " + std::to_string(version) +
+    lx.fail("unsupported metrics trailer version " + std::to_string(version) +
             " (this build reads version " +
             std::to_string(obs::kMetricsVersion) + ")");
   }
   t.version = static_cast<int>(version);
-  sc.expect(",");
-  sc.expect_key("threads");
-  t.threads = static_cast<unsigned>(sc.u64_value());
-  if (t.threads == 0) sc.fail("trailer threads must be >= 1");
-  sc.expect(",");
-  sc.expect_key("wall_ns");
-  t.wall_ns = sc.u64_value();
-  sc.expect(",");
-  sc.expect_key("counters");
-  sc.expect("{");
+  lx.expect(",\"threads\":");
+  t.threads = static_cast<unsigned>(lx.u64());
+  if (t.threads == 0) lx.fail("trailer threads must be >= 1");
+  lx.expect(",\"wall_ns\":");
+  t.wall_ns = lx.u64();
+  lx.expect(",\"counters\":{");
   for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
-    if (i > 0) sc.expect(",");
-    sc.expect_key(obs::counter_name(static_cast<obs::Counter>(i)));
-    t.report.counters[i] = sc.u64_value();
+    if (i > 0) lx.expect(",");
+    expect_key(lx, obs::counter_name(static_cast<obs::Counter>(i)));
+    t.report.counters[i] = lx.u64();
   }
-  sc.expect("}");
-  sc.expect(",");
-  sc.expect_key("phases");
-  sc.expect("{");
+  lx.expect("},\"phases\":{");
   for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-    if (i > 0) sc.expect(",");
-    sc.expect_key(obs::phase_name(static_cast<obs::Phase>(i)));
-    sc.expect("{");
-    sc.expect_key("calls");
-    t.report.phases[i].calls = sc.u64_value();
-    sc.expect(",");
-    sc.expect_key("ns");
-    t.report.phases[i].ns = sc.u64_value();
-    sc.expect("}");
+    if (i > 0) lx.expect(",");
+    expect_key(lx, obs::phase_name(static_cast<obs::Phase>(i)));
+    lx.expect("{\"calls\":");
+    t.report.phases[i].calls = lx.u64();
+    lx.expect(",\"ns\":");
+    t.report.phases[i].ns = lx.u64();
+    lx.expect("}");
   }
-  sc.expect("}");
-  sc.expect_crc_and_end();
+  lx.expect("}");
+  expect_crc_and_end(lx, line);
   return t;
+} catch (const wire::Error& e) {
+  throw line_error(source, lineno, e);
 }
 
 std::vector<std::string_view> split_lines(std::string_view text) {
@@ -389,7 +280,7 @@ std::string serialize_stream_header(const Scenario& scenario,
                 "\"shard_count\":%zu,\"shard_index\":%zu,"
                 "\"point_count\":%zu,\"total_chunks\":%zu,"
                 "\"chunk_count\":%zu,\"mode\":\"%s\"}",
-                kChunkStreamVersion, json_escape(scenario.name).c_str(),
+                kChunkStreamVersion, wire::json_escape(scenario.name).c_str(),
                 options.seed, plan.trials_per_point, plan.chunk_size,
                 plan.shard_count, plan.shard_index, plan.point_count,
                 plan.total_chunks, plan.chunks.size(),
@@ -409,6 +300,12 @@ std::string serialize_chunk_record(
                 ref.chunk_index, ref.point_index, ref.trial_begin,
                 ref.trial_end);
   std::string line = buf;
+  // The exact bits of each double, as a hex-float string.
+  const auto hex_double_field = [&line](const char* key, double v) {
+    line += key;
+    wire::append_hex_double(line, v);
+    line += '"';
+  };
   bool first = true;
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     const auto moments = metrics[m].moments();
@@ -419,14 +316,10 @@ std::string serialize_chunk_record(
     line += metric_name(static_cast<Metric>(m));
     line += "\":{\"count\":";
     line += std::to_string(moments.count);
-    line += ",\"mean\":";
-    append_hex_double(line, moments.mean);
-    line += ",\"m2\":";
-    append_hex_double(line, moments.m2);
-    line += ",\"min\":";
-    append_hex_double(line, moments.min);
-    line += ",\"max\":";
-    append_hex_double(line, moments.max);
+    hex_double_field(",\"mean\":\"", moments.mean);
+    hex_double_field(",\"m2\":\"", moments.m2);
+    hex_double_field(",\"min\":\"", moments.min);
+    hex_double_field(",\"max\":\"", moments.max);
     line += '}';
   }
   line += "}}";
@@ -532,12 +425,12 @@ ChunkStream parse_chunk_stream(std::string_view text,
 
 ChunkStream load_chunk_stream(const std::string& path) {
   std::string text;
-  switch (snapshot::read_whole_file(path, text)) {
-    case snapshot::FileReadStatus::kOpenFailed:
+  switch (wire::read_whole_file(path, text)) {
+    case wire::FileReadStatus::kOpenFailed:
       throw ChunkStreamError("chunk-stream: cannot open " + path);
-    case snapshot::FileReadStatus::kReadError:
+    case wire::FileReadStatus::kReadError:
       throw ChunkStreamError("chunk-stream: error reading " + path);
-    case snapshot::FileReadStatus::kOk: break;
+    case wire::FileReadStatus::kOk: break;
   }
   return parse_chunk_stream(text, path);
 }
@@ -621,22 +514,16 @@ SalvagedStream salvage_chunk_stream(std::string_view text,
 
 SalvagedStream salvage_chunk_stream_file(const std::string& path) {
   std::string text;
-  switch (snapshot::read_whole_file(path, text)) {
-    case snapshot::FileReadStatus::kOpenFailed: {
-      SalvagedStream out;
-      out.source = path;
-      out.truncation_reason = "cannot open stream file";
-      return out;
-    }
-    case snapshot::FileReadStatus::kReadError: {
-      SalvagedStream out;
-      out.source = path;
-      out.truncation_reason = "error reading stream file";
-      return out;
-    }
-    case snapshot::FileReadStatus::kOk: break;
+  const wire::FileReadStatus status = wire::read_whole_file(path, text);
+  if (status == wire::FileReadStatus::kOk) {
+    return salvage_chunk_stream(text, path);
   }
-  return salvage_chunk_stream(text, path);
+  SalvagedStream out;
+  out.source = path;
+  out.truncation_reason = status == wire::FileReadStatus::kOpenFailed
+                              ? "cannot open stream file"
+                              : "error reading stream file";
+  return out;
 }
 
 CampaignResult merge_chunk_streams(const Scenario& scenario,

@@ -3,12 +3,11 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <thread>
 
-#include "campaign/report.hpp"
-#include "snapshot/state_io.hpp"
+#include "wire/file.hpp"
+#include "wire/lexer.hpp"
 
 namespace hs::campaign {
 
@@ -37,18 +36,15 @@ bool fault_kind_from_name(std::string_view name, FaultKind* out) {
   return false;
 }
 
-/// Digits only: from_chars takes no sign and no leading blank, so
-/// "-1" cannot wrap to a shard id that never fires, and it reports
-/// overflow instead of saturating.
-std::size_t parse_fault_u64(std::string_view text, std::string_view token) {
-  std::size_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc() || ptr != end) {
+/// Digits only, so "-1" cannot wrap to a shard id that never fires and
+/// an overflow is an error instead of a saturated value.
+std::size_t fault_number(std::string_view text, std::string_view token) {
+  const auto v = wire::parse_u64(text);
+  if (!v) {
     throw DispatchError("fault-plan: bad number '" + std::string(text) +
                         "' in '" + std::string(token) + "'");
   }
-  return v;
+  return *v;
 }
 
 /// Byte offsets of the starts of complete (newline-terminated) lines,
@@ -89,8 +85,8 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
                           std::string(token.substr(0, colon)) +
                           "' (kill, trunc, truncl, delay, corrupt)");
     }
-    f.shard = parse_fault_u64(token.substr(colon + 1, at - colon - 1), token);
-    f.arg = parse_fault_u64(token.substr(at + 1), token);
+    f.shard = fault_number(token.substr(colon + 1, at - colon - 1), token);
+    f.arg = fault_number(token.substr(at + 1), token);
     plan.faults.push_back(f);
   }
   return plan;
@@ -357,8 +353,8 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     // A dead child's stream is whatever it wrote before dying — possibly
     // nothing; an unreadable file is data loss, not an error.
     std::string text;
-    if (snapshot::read_whole_file(children[i].path, text) ==
-        snapshot::FileReadStatus::kOk) {
+    if (wire::read_whole_file(children[i].path, text) ==
+        wire::FileReadStatus::kOk) {
       o.stream_text = std::move(text);
     }
     const std::size_t waves = tasks[i].generation == 0

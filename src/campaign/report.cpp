@@ -1,8 +1,12 @@
 #include "campaign/report.hpp"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <string_view>
+
+#include "wire/file.hpp"
 
 namespace hs::campaign {
 
@@ -52,29 +56,6 @@ void append_row_metrics(std::string& out, const PointResult& point,
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string to_csv(const CampaignResult& result) {
   std::string out =
@@ -197,19 +178,10 @@ void print_summary(std::FILE* out, const CampaignResult& result) {
 }
 
 bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "campaign: cannot open %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    std::fprintf(stderr, "campaign: short write to %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  if (wire::write_file(path, content)) return true;
+  std::fprintf(stderr, "campaign: cannot write %s: %s\n", path.c_str(),
+               std::strerror(errno));
+  return false;
 }
 
 void canonicalize(CampaignResult& result) {

@@ -9,12 +9,12 @@
 #include <string_view>
 
 #include "campaign/runner.hpp"
+#include "wire/lexer.hpp"
 
 namespace hs::campaign {
 
-/// Minimal JSON string escaping (quote, backslash, control characters) —
-/// shared by the report emitters and the chunk-stream writer.
-std::string json_escape(std::string_view s);
+// The report emitters' JSON string escaping is the wire codec's.
+using wire::json_escape;
 
 /// One row per (point, metric): axis value, sample count, mean, stddev,
 /// min, max and the Wilson 95% interval for indicator metrics.
@@ -26,8 +26,7 @@ std::string to_json(const CampaignResult& result);
 /// Compact human-readable table (used by the rebased benches).
 void print_summary(std::FILE* out, const CampaignResult& result);
 
-/// Writes `content` to `path`; returns false (and prints to stderr) on
-/// failure.
+/// wire::write_file that also names the path and the error on stderr.
 bool write_file(const std::string& path, const std::string& content);
 
 /// Zeroes the runtime-dependent fields (wall time, thread count) so

@@ -2,36 +2,11 @@
 
 #include <cstdio>
 
+#include "wire/lexer.hpp"
+
 namespace hs::obs {
 
-namespace {
-
-/// Minimal JSON string escaping for event/thread names (obs is a leaf
-/// library; it cannot reuse campaign::json_escape without a cycle).
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using wire::json_escape;
 
 TraceRecorder::TraceRecorder(std::uint32_t pid)
     : pid_(pid), epoch_(std::chrono::steady_clock::now()) {}
@@ -45,7 +20,7 @@ std::uint32_t TraceRecorder::register_thread(const std::string& name) {
   meta.phase = 'M';
   meta.ts_ns = 0;
   meta.tid = tid;
-  meta.args_json = "{\"name\":\"" + escape(name) + "\"}";
+  meta.args_json = "{\"name\":\"" + json_escape(name) + "\"}";
   events_.push_back(std::move(meta));
   return tid;
 }
@@ -86,9 +61,9 @@ std::string TraceRecorder::to_json() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& e = events_[i];
     out += "{\"name\":\"";
-    out += escape(e.name);
+    out += json_escape(e.name);
     out += "\",\"cat\":\"";
-    out += escape(e.category);
+    out += json_escape(e.category);
     out += "\",\"ph\":\"";
     out += e.phase;
     // Microseconds with nanosecond resolution, the trace-event ts unit.

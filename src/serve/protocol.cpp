@@ -3,207 +3,117 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "campaign/report.hpp"
+#include "wire/lexer.hpp"
 
 namespace hs::serve {
 
 namespace {
 
-using campaign::json_escape;
+using wire::json_escape;
 
-/// Minimal JSON scanner for request lines: objects, strings, unsigned
-/// integers and booleans — the whole request grammar. Tolerant of key
-/// order and whitespace (clients serialize with stock JSON libraries),
-/// strict about everything else: duplicate keys, unknown keys, wrong
-/// value types, trailing bytes and unsupported JSON (floats, arrays,
-/// null, nested objects outside "overrides") all throw ProtocolError.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string_view s) : s_(s) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ProtocolError("request: " + what + " (byte " +
-                        std::to_string(pos_) + ")");
+/// The request grammar's number: an unsigned integer, with a clearer
+/// message for the float a client might send.
+std::uint64_t integer(wire::Lexer& lx) {
+  const std::uint64_t v = lx.u64();
+  if (lx.consume(".") || lx.consume("e") || lx.consume("E")) {
+    lx.fail("expected an integer, not a float");
   }
+  return v;
+}
 
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) {
-      fail(std::string("expected '") + c + "'");
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of request");
-    return s_[pos_];
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("unterminated escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          default: fail("unsupported string escape");
-        }
-      }
-      out += c;
-    }
-  }
-
-  std::uint64_t parse_u64() {
-    skip_ws();
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) fail("expected a non-negative integer");
-    if (pos_ < s_.size() &&
-        (s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      fail("expected an integer, not a float");
-    }
-    if (pos_ - begin > 20) fail("integer does not fit in 64 bits");
-    std::uint64_t v = 0;
-    for (std::size_t i = begin; i < pos_; ++i) {
-      const std::uint64_t digit = static_cast<std::uint64_t>(s_[i] - '0');
-      if (v > (UINT64_MAX - digit) / 10) {
-        fail("integer does not fit in 64 bits");
-      }
-      v = v * 10 + digit;
-    }
-    return v;
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (s_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-
- private:
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+bool boolean(wire::Lexer& lx) {
+  if (lx.consume("true")) return true;
+  if (lx.consume("false")) return false;
+  lx.fail("expected true or false");
+}
 
 }  // namespace
 
-Request parse_request(std::string_view line) {
+// Objects, strings, unsigned integers and booleans — the whole request
+// grammar. Tolerant of key order and whitespace (clients serialize with
+// stock JSON libraries), strict about everything else: duplicate keys,
+// unknown keys, wrong value types, trailing bytes and unsupported JSON
+// (floats, arrays, null, nested objects outside "overrides") all fail.
+Request parse_request(std::string_view line) try {
   if (line.size() > kMaxRequestBytes) {
     throw ProtocolError("request: line exceeds " +
                         std::to_string(kMaxRequestBytes) + " bytes");
   }
-  JsonScanner sc(line);
+  wire::Lexer lx(line, wire::Lexer::Blanks::kSkip);
   Request req;
   std::string cmd;
   bool have_cmd = false, have_preset = false, have_id = false;
   bool have_seed = false, have_trials = false, have_chunk_size = false;
   bool have_priority = false, have_overrides = false;
 
-  sc.expect('{');
-  if (!sc.consume('}')) {
+  lx.expect("{");
+  if (!lx.consume("}")) {
     for (;;) {
-      const std::string key = sc.parse_string();
-      sc.expect(':');
-      const auto once = [&sc, &key](bool& seen) {
-        if (seen) sc.fail("duplicate key '" + key + "'");
+      const std::string key = lx.string();
+      lx.expect(":");
+      const auto once = [&lx, &key](bool& seen) {
+        if (seen) lx.fail("duplicate key '" + key + "'");
         seen = true;
       };
       if (key == "cmd") {
         once(have_cmd);
-        cmd = sc.parse_string();
+        cmd = lx.string();
       } else if (key == "preset") {
         once(have_preset);
-        req.run.preset = sc.parse_string();
+        req.run.preset = lx.string();
       } else if (key == "seed") {
         once(have_seed);
-        req.run.seed = sc.parse_u64();
+        req.run.seed = integer(lx);
       } else if (key == "trials") {
         once(have_trials);
-        req.run.trials = static_cast<std::size_t>(sc.parse_u64());
+        req.run.trials = static_cast<std::size_t>(integer(lx));
       } else if (key == "chunk_size") {
         once(have_chunk_size);
-        req.run.chunk_size = static_cast<std::size_t>(sc.parse_u64());
+        req.run.chunk_size = static_cast<std::size_t>(integer(lx));
       } else if (key == "priority") {
         once(have_priority);
-        const std::uint64_t p = sc.parse_u64();
+        const std::uint64_t p = integer(lx);
         if (p < kMinPriority || p > kMaxPriority) {
-          sc.fail("priority must be in [" + std::to_string(kMinPriority) +
+          lx.fail("priority must be in [" + std::to_string(kMinPriority) +
                   ", " + std::to_string(kMaxPriority) + "]");
         }
         req.run.priority = static_cast<unsigned>(p);
       } else if (key == "overrides") {
         once(have_overrides);
-        sc.expect('{');
-        if (!sc.consume('}')) {
+        lx.expect("{");
+        if (!lx.consume("}")) {
           bool have_snapshots = false;
           for (;;) {
-            const std::string okey = sc.parse_string();
-            sc.expect(':');
+            const std::string okey = lx.string();
+            lx.expect(":");
             if (okey == "snapshots") {
-              if (have_snapshots) sc.fail("duplicate override 'snapshots'");
+              if (have_snapshots) lx.fail("duplicate override 'snapshots'");
               have_snapshots = true;
-              req.run.snapshots = sc.parse_bool();
+              req.run.snapshots = boolean(lx);
             } else {
               // Only execution-shaping knobs that cannot change report
               // bytes are overridable; reject the rest loudly so a
               // client cannot believe it changed something it did not.
-              sc.fail("unknown override '" + okey +
+              lx.fail("unknown override '" + okey +
                       "' (allowed: snapshots)");
             }
-            if (sc.consume(',')) continue;
-            sc.expect('}');
+            if (lx.consume(",")) continue;
+            lx.expect("}");
             break;
           }
         }
       } else if (key == "id") {
         once(have_id);
-        req.cancel_id = sc.parse_u64();
+        req.cancel_id = integer(lx);
       } else {
-        sc.fail("unknown key '" + key + "'");
+        lx.fail("unknown key '" + key + "'");
       }
-      if (sc.consume(',')) continue;
-      sc.expect('}');
+      if (lx.consume(",")) continue;
+      lx.expect("}");
       break;
     }
   }
-  if (!sc.at_end()) sc.fail("trailing bytes after request object");
+  if (!lx.at_end()) lx.fail("trailing bytes after request object");
   if (!have_cmd) throw ProtocolError("request: missing 'cmd'");
 
   const bool run_keys = have_preset || have_seed || have_trials ||
@@ -236,6 +146,9 @@ Request parse_request(std::string_view line) {
     throw ProtocolError("request: unknown cmd '" + cmd + "'");
   }
   return req;
+} catch (const wire::Error& e) {
+  throw ProtocolError("request: " + std::string(e.what()) + " (byte " +
+                      std::to_string(e.offset) + ")");
 }
 
 std::string admitted_line(std::uint64_t id, std::string_view preset,

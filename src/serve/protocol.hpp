@@ -13,7 +13,9 @@
 /// is deliberately tolerant — any key order, arbitrary whitespace —
 /// because clients are external programs (tools/hs_client.py sends
 /// json.dumps output); unknown keys and malformed values are still hard
-/// errors, never silently ignored. "overrides" accepts only
+/// errors, never silently ignored. Tokens are the strict wire codec's
+/// (wire/lexer.hpp): integers are digits only, and strings take only the
+/// escapes json_escape writes (\" \\ \n \r \t). "overrides" accepts only
 /// "snapshots", an execution-shaping knob that provably cannot change
 /// report bytes — anything that could alter aggregates (seed, trials,
 /// chunk_size) is a first-class field of the request, so the serial CLI

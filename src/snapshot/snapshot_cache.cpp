@@ -4,16 +4,18 @@
 
 #include <cstdio>
 
+#include "wire/file.hpp"
+
 namespace hs::snapshot {
 
 namespace {
 
 /// false => file absent; a mid-read I/O error throws.
 bool read_file(const std::string& path, std::string& out) {
-  switch (read_whole_file(path, out)) {
-    case FileReadStatus::kOk: return true;
-    case FileReadStatus::kOpenFailed: return false;
-    case FileReadStatus::kReadError:
+  switch (wire::read_whole_file(path, out)) {
+    case wire::FileReadStatus::kOk: return true;
+    case wire::FileReadStatus::kOpenFailed: return false;
+    case wire::FileReadStatus::kReadError:
       throw SnapshotError("snapshot: error reading " + path);
   }
   return false;
@@ -98,25 +100,13 @@ std::shared_ptr<const StateDoc> SnapshotCache::store(
                   static_cast<long>(getpid()),
                   static_cast<const void*>(this));
     const std::string tmp = file_path(key) + suffix;
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f != nullptr) {
-      const std::size_t n = std::fwrite(payload.data(), 1, payload.size(), f);
-      // Close unconditionally — a short write (disk full) must not leak
-      // the handle.
-      const bool closed = std::fclose(f) == 0;
-      const bool ok = n == payload.size() && closed;
-      if (!ok || std::rename(tmp.c_str(), file_path(key).c_str()) != 0) {
-        std::remove(tmp.c_str());
-        std::fprintf(stderr,
-                     "snapshot: could not persist %s (in-memory cache "
-                     "still active)\n",
-                     file_path(key).c_str());
-      }
-    } else {
+    if (!wire::write_file(tmp, payload) ||
+        std::rename(tmp.c_str(), file_path(key).c_str()) != 0) {
+      std::remove(tmp.c_str());
       std::fprintf(stderr,
-                   "snapshot: cannot write to snapshot dir '%s' "
-                   "(in-memory cache still active)\n",
-                   dir_.c_str());
+                   "snapshot: could not persist %s (in-memory cache "
+                   "still active)\n",
+                   file_path(key).c_str());
     }
   }
   return stored;

@@ -1,15 +1,14 @@
 #include "snapshot/state_io.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-
 #include "crypto/sha256.hpp"
 #include "dsp/rng.hpp"
+#include "wire/lexer.hpp"
 
 namespace hs::snapshot {
 
 namespace {
+
+using wire::append_hex_double;
 
 constexpr std::string_view kHeader = "hs-snapshot v1\n";
 
@@ -30,10 +29,9 @@ std::string escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\x%02x",
-                        static_cast<unsigned char>(c));
-          out += buf;
+          const auto byte = static_cast<std::uint8_t>(c);
+          out += "\\x";
+          wire::append_hex(out, &byte, 1);
         } else {
           out += c;
         }
@@ -60,13 +58,9 @@ std::string unescape(std::string_view s, std::string_view source,
       case 't': out += '\t'; break;
       case 'x': {
         if (i + 2 >= s.size()) fail(source, lineno, "truncated \\x escape");
-        const std::string hex(s.substr(i + 1, 2));
-        char* endp = nullptr;
-        const long v = std::strtol(hex.c_str(), &endp, 16);
-        if (endp != hex.c_str() + 2) {
-          fail(source, lineno, "malformed \\x escape");
-        }
-        out += static_cast<char>(v);
+        const auto v = wire::parse_hex(s.substr(i + 1, 2));
+        if (!v) fail(source, lineno, "malformed \\x escape");
+        out += static_cast<char>(*v);
         i += 2;
         break;
       }
@@ -74,23 +68,6 @@ std::string unescape(std::string_view s, std::string_view source,
     }
   }
   return out;
-}
-
-void append_hex_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  out += buf;
-}
-
-double parse_hex_double(std::string_view text, std::string_view source,
-                        std::size_t lineno) {
-  const std::string s(text);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size()) {
-    fail(source, lineno, "malformed hex-float '" + s + "'");
-  }
-  return v;
 }
 
 /// Splits off the next space-separated token of `line`, advancing `pos`.
@@ -104,54 +81,32 @@ std::string_view token(std::string_view line, std::size_t& pos,
   return t;
 }
 
-std::uint64_t parse_u64(std::string_view text, std::string_view source,
+std::uint64_t u64_token(std::string_view text, std::string_view source,
                         std::size_t lineno) {
-  if (text.empty()) fail(source, lineno, "expected unsigned integer");
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      fail(source, lineno,
-           "malformed unsigned integer '" + std::string(text) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      fail(source, lineno, "integer overflows 64 bits");
-    }
-    v = v * 10 + digit;
+  const auto v = wire::parse_u64(text);
+  if (!v) {
+    fail(source, lineno,
+         "malformed unsigned integer '" + std::string(text) + "'");
   }
-  return v;
+  return *v;
 }
 
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+double hex_double_token(std::string_view text, std::string_view source,
+                        std::size_t lineno) {
+  const auto v = wire::parse_hex_double(text);
+  if (!v) {
+    fail(source, lineno, "malformed hex-float '" + std::string(text) + "'");
+  }
+  return *v;
 }
 
 }  // namespace
 
-FileReadStatus read_whole_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return FileReadStatus::kOpenFailed;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  return read_error ? FileReadStatus::kReadError : FileReadStatus::kOk;
-}
-
 std::string sha256_hex(std::string_view data) {
   const auto digest = crypto::Sha256::hash(crypto::ByteView(
       reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
-  static const char* hex = "0123456789abcdef";
   std::string out;
-  out.reserve(2 * digest.size());
-  for (std::uint8_t b : digest) {
-    out += hex[b >> 4];
-    out += hex[b & 0xf];
-  }
+  wire::append_hex(out, digest.data(), digest.size());
   return out;
 }
 
@@ -251,13 +206,9 @@ void StateWriter::soa(std::string_view key, dsp::SoaView v) {
 
 void StateWriter::bytes(std::string_view key, const std::uint8_t* data,
                         std::size_t n) {
-  static const char* hex = "0123456789abcdef";
   std::string payload = std::to_string(n);
   payload += ' ';
-  for (std::size_t i = 0; i < n; ++i) {
-    payload += hex[data[i] >> 4];
-    payload += hex[data[i] & 0xf];
-  }
+  wire::append_hex(payload, data, n);
   if (n == 0) payload.pop_back();  // no trailing space for empty runs
   line('y', key, payload);
 }
@@ -338,92 +289,69 @@ StateDoc StateDoc::parse(std::string_view text, std::string_view source) {
     StateEntry e;
     e.tag = line[0];
     std::size_t pos = 2;
+    const auto next = [&] { return token(line, pos, source, lineno); };
+    e.key = std::string(next());
     switch (e.tag) {
       case '(':
-      case ')': {
-        e.key = std::string(token(line, pos, source, lineno));
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
-        if (e.tag == '(') {
-          open_sections.push_back(e.key);
-        } else {
-          if (open_sections.empty() || open_sections.back() != e.key) {
-            fail(source, lineno, "unbalanced section ')" + e.key + "'");
-          }
-          open_sections.pop_back();
+        open_sections.push_back(e.key);
+        break;
+      case ')':
+        if (open_sections.empty() || open_sections.back() != e.key) {
+          fail(source, lineno, "unbalanced section ')" + e.key + "'");
         }
+        open_sections.pop_back();
         break;
-      }
-      case 'u': {
-        e.key = std::string(token(line, pos, source, lineno));
-        e.u = parse_u64(token(line, pos, source, lineno), source, lineno);
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
+      case 'u':
+        e.u = u64_token(next(), source, lineno);
         break;
-      }
       case 'b': {
-        e.key = std::string(token(line, pos, source, lineno));
-        const std::string_view v = token(line, pos, source, lineno);
+        const std::string_view v = next();
         if (v != "0" && v != "1") fail(source, lineno, "bool must be 0|1");
         e.u = v == "1" ? 1 : 0;
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
         break;
       }
-      case 'f': {
-        e.key = std::string(token(line, pos, source, lineno));
-        e.f = parse_hex_double(token(line, pos, source, lineno), source,
-                               lineno);
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
+      case 'f':
+        e.f = hex_double_token(next(), source, lineno);
         break;
-      }
-      case 's': {
-        e.key = std::string(token(line, pos, source, lineno));
+      case 's':
         // The remainder (possibly empty) is the escaped payload.
-        e.s = unescape(pos <= line.size() ? line.substr(pos)
-                                          : std::string_view{},
-                       source, lineno);
+        e.s = unescape(line.substr(pos), source, lineno);
+        pos = line.size();
         break;
-      }
       case 'v': {
-        e.key = std::string(token(line, pos, source, lineno));
-        const std::uint64_t n =
-            parse_u64(token(line, pos, source, lineno), source, lineno);
+        const std::uint64_t n = u64_token(next(), source, lineno);
         // Bound the count by the bytes actually present (each element is
         // at least two characters) BEFORE reserving, so a corrupted count
         // fails as a SnapshotError, never as std::length_error/bad_alloc
         // escaping the cold-fallback handlers.
-        if (n > line.size() - std::min(pos, line.size())) {
+        if (n > line.size() - pos) {
           fail(source, lineno, "vector count exceeds line length");
         }
         e.fv.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
-          e.fv.push_back(parse_hex_double(token(line, pos, source, lineno),
-                                          source, lineno));
+          e.fv.push_back(hex_double_token(next(), source, lineno));
         }
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
         break;
       }
       case 'y': {
-        e.key = std::string(token(line, pos, source, lineno));
-        const std::uint64_t n =
-            parse_u64(token(line, pos, source, lineno), source, lineno);
-        std::string_view hexrun =
-            n > 0 ? token(line, pos, source, lineno) : std::string_view{};
+        const std::uint64_t n = u64_token(next(), source, lineno);
+        const std::string_view hexrun = n > 0 ? next() : std::string_view{};
         if (hexrun.size() != 2 * n) {
           fail(source, lineno, "byte run length mismatch");
         }
         e.yv.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
-          const int hi = hex_nibble(hexrun[2 * i]);
-          const int lo = hex_nibble(hexrun[2 * i + 1]);
-          if (hi < 0 || lo < 0) fail(source, lineno, "malformed byte run");
-          e.yv.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+          const auto byte = wire::parse_hex(hexrun.substr(2 * i, 2));
+          if (!byte) fail(source, lineno, "malformed byte run");
+          e.yv.push_back(static_cast<std::uint8_t>(*byte));
         }
-        if (pos != line.size()) fail(source, lineno, "trailing bytes");
         break;
       }
       default:
         fail(source, lineno,
              std::string("unknown entry tag '") + e.tag + "'");
     }
+    if (pos != line.size()) fail(source, lineno, "trailing bytes");
     doc.entries_.push_back(std::move(e));
   }
   if (!open_sections.empty()) {

@@ -141,11 +141,6 @@ class StateReader {
 /// snapshot trailer and the SnapshotCache keys.
 std::string sha256_hex(std::string_view data);
 
-/// Whole-file read shared by the snapshot cache and the campaign chunk
-/// streams (each maps the status onto its own error taxonomy).
-enum class FileReadStatus { kOk, kOpenFailed, kReadError };
-FileReadStatus read_whole_file(const std::string& path, std::string& out);
-
 }  // namespace hs::snapshot
 
 namespace hs::dsp {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <vector>
 
 #include "campaign/report.hpp"
@@ -386,6 +387,15 @@ TEST(Report, CsvAndJsonWellFormed) {
   // Balanced braces is a cheap well-formedness proxy.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(Report, WriteFileFailsOnAFullDisk) {
+  // /dev/full takes the open and the buffered fwrite; the error only
+  // shows when fclose flushes.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(probe);
+  EXPECT_FALSE(write_file("/dev/full", "x"));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // counts and many repetitions.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstddef>
 #include <cstdio>
 #include <random>
@@ -299,6 +300,29 @@ TEST_F(ChunkStreamCorruption, RejectsVersionAndFormatMismatch) {
   std::string not_ours = text_;
   not_ours.replace(not_ours.find("hs-chunk-stream"), 15, "something-else-");
   EXPECT_THROW(parse_chunk_stream(not_ours, "alien"), ChunkStreamError);
+}
+
+TEST_F(ChunkStreamCorruption, RejectsUppercaseCrcDigits) {
+  // The crc field is exactly four lowercase hex digits. Uppercasing a
+  // record's crc keeps its value and changes only its spelling, so the
+  // digit rule alone must catch it.
+  auto ls = lines();
+  std::size_t record = 0;
+  for (std::size_t i = 1; i + 1 < ls.size() && record == 0; ++i) {
+    const std::string crc = ls[i].substr(ls[i].size() - 6, 4);
+    if (crc.find_first_of("abcdef") != std::string::npos) record = i;
+  }
+  ASSERT_NE(record, 0u) << "no record crc contains a hex letter";
+  std::string& line = ls[record];
+  for (std::size_t k = line.size() - 6; k < line.size() - 2; ++k) {
+    line[k] =
+        static_cast<char>(std::toupper(static_cast<unsigned char>(line[k])));
+  }
+  const std::string upper = join(ls);
+  EXPECT_THROW(parse_chunk_stream(upper, "upper"), ChunkStreamError);
+  const SalvagedStream s = salvage_chunk_stream(upper, "upper");
+  EXPECT_FALSE(s.complete);
+  EXPECT_EQ(s.chunks.size(), record - 1);
 }
 
 TEST_F(ChunkStreamCorruption, MergeRejectsMismatchedStreams) {

@@ -228,8 +228,8 @@ RULES: tuple[Rule, ...] = (
         scope="serializer",
         patterns=(
             _p(r"%[-+ #0-9.*]*[efgEFG]",
-               "decimal float text is lossy; use the hex-float helpers "
-               "(chunk_stream.cpp hexfloat / state_io '%a')",
+               "decimal float text is lossy; use the hex-float codec "
+               "(wire::append_hex_double / wire::parse_hex_double)",
                domain="strings"),
             _p(r"std::(fixed|scientific|setprecision)",
                "iostream float formatting in a serializer", domain="code"),
