@@ -31,7 +31,7 @@ void ActiveAdversaryNode::reset(const ActiveAdversaryConfig& config,
   config_ = config;
   log_ = log;
   modulator_ = phy::FskModulator(config.fsk);
-  receiver_ = phy::FskReceiver(config.fsk);
+  receiver_.reset(config.fsk);
   tx_ = sim::TransmitScheduler();
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
   recordings_.clear();

@@ -21,7 +21,7 @@ void MonitorNode::register_with_medium(channel::Medium& medium) {
 void MonitorNode::reset(const MonitorConfig& config,
                         channel::Medium& medium) {
   config_ = config;
-  receiver_ = phy::FskReceiver(config.fsk);
+  receiver_.reset(config.fsk);
   frames_.clear();
   capture_.clear();
   capture_start_ = 0;

@@ -61,7 +61,7 @@ void ImdDevice::reset(const ImdProfile& profile, channel::Medium& medium,
   name_ = "imd/" + profile.model_name;
   log_ = log;
   rng_ = dsp::Rng(seed, "imd-device");
-  receiver_ = phy::FskReceiver(profile.fsk, imd_receiver_options(profile));
+  receiver_.reset(profile.fsk, imd_receiver_options(profile));
   modulator_ = phy::FskModulator(profile.fsk);
   tx_ = sim::TransmitScheduler();
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(profile.tx_power_dbm));

@@ -27,11 +27,16 @@ void ProgrammerNode::register_with_medium(channel::Medium& medium) {
 
 void ProgrammerNode::reset(const ProgrammerConfig& config,
                            channel::Medium& medium, sim::EventLog* log) {
+  // The CCA's windows depend only on fs; keep its meter when fs holds.
+  if (config.fsk.fs == config_.fsk.fs) {
+    cca_.reset();
+  } else {
+    cca_ = mics::ClearChannelAssessment(config.fsk.fs);
+  }
   config_ = config;
   log_ = log;
   modulator_ = phy::FskModulator(config.fsk);
-  receiver_ = phy::FskReceiver(config.fsk);
-  cca_ = mics::ClearChannelAssessment(config.fsk.fs);
+  receiver_.reset(config.fsk);
   tx_ = sim::TransmitScheduler();
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
   pending_.clear();
@@ -76,7 +81,9 @@ void ProgrammerNode::produce(const sim::StepContext& ctx,
 void ProgrammerNode::consume(const sim::StepContext& ctx,
                              channel::Medium& medium) {
   const auto rx = medium.rx_soa(antenna_);
-  cca_.push(rx);
+  // Only LBT reads the CCA verdict; without it the meter would be dead
+  // per-sample work.
+  if (config_.lbt_enabled) cca_.push(rx);
   receiver_.push(rx);
   while (auto frame = receiver_.pop()) {
     if (frame->decode.status == phy::DecodeStatus::kOk) {

@@ -3,7 +3,7 @@
 namespace hs::obs {
 
 namespace detail {
-thread_local ThreadState* t_state = nullptr;
+constinit thread_local ThreadState* t_state = nullptr;
 }  // namespace detail
 
 namespace {

@@ -158,7 +158,10 @@ struct ThreadState {
 };
 
 namespace detail {
-extern thread_local ThreadState* t_state;
+// constinit: no dynamic initializer, so tls() compiles to a plain TLS
+// load instead of a call through the thread_local init wrapper (which
+// UBSan's null check trips over).
+extern constinit thread_local ThreadState* t_state;
 }  // namespace detail
 
 inline ThreadState* tls() { return detail::t_state; }

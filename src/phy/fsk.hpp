@@ -30,6 +30,8 @@ struct FskParams {
   /// Tones are orthogonal over a symbol iff their separation is an integer
   /// multiple of the symbol rate; the defaults give |f1-f0| = 4 * 25 kHz.
   bool tones_orthogonal() const;
+
+  bool operator==(const FskParams&) const = default;
 };
 
 /// Phase-continuous 2-FSK modulator. Amplitude 1 per sample (unit power).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dsp/correlate.hpp"
 #include "dsp/kernels.hpp"
@@ -29,10 +30,28 @@ BitVec sync_prefix_bits() {
 constexpr std::size_t kHeaderBitsThroughLen =
     (kPreambleBytes + kSyncBytes + kDeviceIdBytes + 3) * 8;
 
+/// Correlation memo entry not computed yet.
+constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
+
 }  // namespace
 
 FskReceiver::FskReceiver(const FskParams& params, ReceiverOptions options)
     : params_(params), options_(options), demod_(params) {
+  build_sync_reference();
+  restart_stream();
+}
+
+void FskReceiver::reset(const FskParams& params, ReceiverOptions options) {
+  options_ = options;
+  if (params != params_) {
+    params_ = params;
+    demod_ = NoncoherentFskDemod(params);
+    build_sync_reference();
+  }
+  restart_stream();
+}
+
+void FskReceiver::build_sync_reference() {
   FskModulator mod(params_);
   sync_waveform_ = mod.modulate(sync_prefix_bits());
   sync_soa_.assign(sync_waveform_);
@@ -40,16 +59,20 @@ FskReceiver::FskReceiver(const FskParams& params, ReceiverOptions options)
   for (const cplx& r : sync_waveform_) ref_energy_ += std::norm(r);
 }
 
-void FskReceiver::reset() {
-  buffer_.clear();
-  corr_cache_.clear();
-  buffer_base_ = total_consumed_;
-  scan_pos_ = 0;
-  locked_ = false;
-  partial_bits_.clear();
-  next_symbol_ = 0;
+void FskReceiver::restart_stream() {
+  // clear() keeps each buffer's capacity for the next stream.
   noise_floor_ = 0.0;
   floor_ready_ = false;
+  buffer_.clear();
+  buffer_base_ = 0;
+  corr_cache_.clear();
+  total_consumed_ = 0;
+  scan_pos_ = 0;
+  locked_ = false;
+  lock_start_ = 0;
+  partial_bits_.clear();
+  next_symbol_ = 0;
+  output_.clear();
 }
 
 void FskReceiver::push(dsp::SampleView samples) {
@@ -105,11 +128,12 @@ std::optional<ReceivedFrame> FskReceiver::pop() {
   return f;
 }
 
-double FskReceiver::correlation_at(std::size_t lag) const {
-  const std::size_t abs_lag = buffer_base_ + lag;
-  if (const auto it = corr_cache_.find(abs_lag); it != corr_cache_.end()) {
-    return it->second;
+double FskReceiver::correlation_at(std::size_t lag) {
+  if (lag >= corr_cache_.size()) {
+    corr_cache_.resize(buffer_.size(), kNotComputed);
   }
+  double& memo = corr_cache_[lag];
+  if (!std::isnan(memo)) return memo;
   // Segmented (noncoherent) correlation: the reference is split into 6
   // segments whose partial correlations are combined by magnitude. A
   // residual carrier-frequency offset rotates the phase across the
@@ -121,11 +145,10 @@ double FskReceiver::correlation_at(std::size_t lag) const {
   // full sweep of these); the segment/lane arithmetic lives in
   // dsp::kernels so it can dispatch to real vector instructions while the
   // scalar reference stays pinned bit-for-bit.
-  const double corr = dsp::kernels::segmented_sync_correlation(
+  memo = dsp::kernels::segmented_sync_correlation(
       buffer_.re() + lag, buffer_.im() + lag, sync_soa_.re(), sync_soa_.im(),
       sync_waveform_.size(), ref_energy_);
-  corr_cache_.emplace(abs_lag, corr);
-  return corr;
+  return memo;
 }
 
 void FskReceiver::try_detect() {
@@ -285,15 +308,12 @@ void FskReceiver::compact_buffer(std::size_t keep_from) {
   if (keep_from == 0) return;
   const std::size_t drop = std::min(keep_from, buffer_.size());
   buffer_.erase_front(drop);
+  corr_cache_.erase(
+      corr_cache_.begin(),
+      corr_cache_.begin() +
+          static_cast<long>(std::min(drop, corr_cache_.size())));
   buffer_base_ += drop;
   scan_pos_ = (scan_pos_ >= drop) ? scan_pos_ - drop : 0;
-  // Unordered iteration is deliberate and safe here (LINT.toml
-  // unordered-iteration allow entry): the predicate depends only on the
-  // key, so the pruned set — and every later lookup — is independent of
-  // bucket visit order. See the audit note on corr_cache_'s declaration.
-  std::erase_if(corr_cache_, [this](const auto& entry) {
-    return entry.first < buffer_base_;
-  });
 }
 
 void save_received_frame(snapshot::StateWriter& w, const ReceivedFrame& f) {

@@ -15,7 +15,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dsp/types.hpp"
@@ -90,8 +89,12 @@ class FskReceiver {
   /// Total samples consumed so far.
   std::size_t sample_position() const { return total_consumed_; }
 
-  /// Drops any partial lock and clears buffered samples.
-  void reset();
+  /// Returns the receiver to the state a fresh `FskReceiver(params,
+  /// options)` would have: nothing buffered, no lock, no queued frames,
+  /// sample position 0. When the FSK geometry is unchanged it keeps the
+  /// sync reference, the demod tone tables and the buffers' capacity;
+  /// otherwise it rebuilds them. Pooled nodes call this per trial.
+  void reset(const FskParams& params, ReceiverOptions options = {});
 
   /// Warm-state snapshot round trip of the full streaming state: scan
   /// buffer planes, lock/partial-frame state, adaptive noise floor and
@@ -110,40 +113,40 @@ class FskReceiver {
   /// buffer near 64 KiB during noise-only stretches).
   static constexpr std::size_t kCompactScanSamples = 4096;
 
+  void build_sync_reference();
+  void restart_stream();
   void try_detect();
   void demodulate_available();
   void finish_frame(const DecodeResult& decode);
   void drop_lock(std::size_t resume_offset);
   void compact_buffer(std::size_t keep_from);
   void scan_after_append();
-  double correlation_at(std::size_t lag) const;
+  double correlation_at(std::size_t lag);
 
+  // Configuration: the modem geometry and what is derived from it.
   FskParams params_;
   ReceiverOptions options_;
   NoncoherentFskDemod demod_;
-  dsp::Samples sync_waveform_;       ///< modulated preamble+sync reference
-  dsp::SoaSamples sync_soa_;         ///< split copy of the reference
+  dsp::Samples sync_waveform_;  ///< modulated preamble+sync reference
+  dsp::SoaSamples sync_soa_;    ///< split copy of the reference
   double ref_energy_ = 0.0;
+
+  // Streaming state. restart_stream() sets every member below; the
+  // constructor and reset() both call it, so neither can miss one.
   double noise_floor_ = 0.0;  ///< adaptive per-sample power floor
   bool floor_ready_ = false;
-
   dsp::SoaSamples buffer_;       ///< samples not yet fully consumed (SoA)
   std::size_t buffer_base_ = 0;  ///< absolute index of buffer_[0]
-  /// Memo of correlation_at results keyed by absolute lag. The
-  /// correlation is a pure function of the (append-only) sample stream,
-  /// and consecutive detection sweeps overlap roughly half their lags
-  /// during noise-floor adaptation runs, so reusing the exact values
-  /// halves the receiver's dominant cost without changing a single
-  /// decision. Pruned on buffer compaction.
-  ///
-  /// Ordering audit (determinism linter: unordered-iteration allow
-  /// entry in LINT.toml): the only iteration is the erase_if prune in
-  /// compact_buffer(), which removes entries by a pure key predicate
-  /// (lag < buffer_base_). The surviving *set* is identical whatever
-  /// order the buckets are visited in, values are never read during the
-  /// sweep, and cached values are bit-identical to recomputation — so
-  /// bucket order cannot reach any decision or output byte.
-  mutable std::unordered_map<std::size_t, double> corr_cache_;
+  /// Memo of correlation_at results, parallel to buffer_: entry i is the
+  /// correlation at buffer lag i, NaN until computed. The correlation is
+  /// a pure function of the append-only sample stream, and consecutive
+  /// detection sweeps overlap roughly half their lags during noise-floor
+  /// adaptation runs, so reusing the exact values halves the receiver's
+  /// dominant cost without changing a single decision. A sweep grows it
+  /// to the buffer's length (lags past its end are not computed yet), and
+  /// compaction drops its front with buffer_'s. A zero-energy window
+  /// correlates to NaN and is simply recomputed, to the same bits.
+  std::vector<double> corr_cache_;
   std::size_t total_consumed_ = 0;
   std::size_t scan_pos_ = 0;  ///< buffer-relative scan cursor when unlocked
 

@@ -84,7 +84,7 @@ void ShieldNode::reset(const ShieldConfig& config, channel::Medium& medium,
   antidote_ = AntidoteController(config.hardware_error_sigma, seed);
   sid_ = SidMatcher(make_shield_sid(config), config.bthresh,
                     /*exact_suffix_bits=*/1);
-  monitor_ = phy::FskReceiver(config.fsk);
+  monitor_.reset(config.fsk);
   modulator_ = phy::FskModulator(config.fsk);
   tx_ = sim::TransmitScheduler();
   probe_waveform_ = make_probe_waveform(

@@ -11,7 +11,8 @@
 /// context produces bit-identical results to fresh objects (the campaign
 /// determinism test asserts this), while skipping the expensive
 /// construction work — chiefly the jamming generator's spectral-profile
-/// estimation.
+/// estimation, and each receiver's sync reference, tone tables and
+/// buffer capacity (FskReceiver::reset keeps them).
 ///
 /// Each campaign worker thread owns one TrialContext (contexts are not
 /// thread-safe). Every campaign path pools; a test that needs the fresh

@@ -13,7 +13,6 @@ void TransmitScheduler::schedule(std::size_t start, dsp::Samples waveform) {
 
 bool TransmitScheduler::fill(std::size_t block_start, std::size_t block_size,
                              dsp::Samples& out) {
-  out.assign(block_size, dsp::cplx{});
   bool any = false;
   const std::size_t block_end = block_start + block_size;
   for (auto it = entries_.begin(); it != entries_.end();) {
@@ -24,12 +23,13 @@ bool TransmitScheduler::fill(std::size_t block_start, std::size_t block_size,
       continue;
     }
     if (w_start < block_end) {
+      if (!any) out.assign(block_size, dsp::cplx{});
+      any = true;
       const std::size_t from = std::max(w_start, block_start);
       const std::size_t to = std::min(w_end, block_end);
       for (std::size_t s = from; s < to; ++s) {
         out[s - block_start] += it->waveform[s - w_start];
       }
-      any = true;
     }
     ++it;
   }

@@ -20,8 +20,10 @@ class TransmitScheduler {
   /// Overlapping waveforms superpose.
   void schedule(std::size_t start, dsp::Samples waveform);
 
-  /// Fills `out` (resized to `block_size`) with this block's samples.
-  /// Returns true if anything non-zero was emitted.
+  /// When a scheduled waveform overlaps the block, sets `out` to the
+  /// block's `block_size` samples and returns true. Otherwise returns
+  /// false and leaves `out` untouched (an idle node allocates nothing),
+  /// so callers read `out` only when this returns true.
   bool fill(std::size_t block_start, std::size_t block_size,
             dsp::Samples& out);
 

@@ -281,6 +281,8 @@ TEST(TrialContext, PoolReusesAndStaysBitIdentical) {
   const std::vector<Case> cases = {
       {"fig8-tradeoff", {10.0, 20.0}, 1, 2},     // kEavesdrop
       {"fig11-trigger", {1.0, 9.0}, 1, 2},       // kActiveAttack
+      {"fig11-trigger-noshield", {1.0, 9.0}, 1, 2},  // no shield
+      {"table1-pthresh", {-16.0, 10.0}, 1, 2},   // kPthresh
       {"fig7-cancellation", {}, 1, 3},           // kCancellation
       {"table2-coexistence", {3.0}, 1, 2},       // kCoexistence
       {"fig3-imd-timing", {}, 1, 2},             // kImdTiming

@@ -6,6 +6,7 @@
 #include "imd/profiles.hpp"
 #include "imd/programmer.hpp"
 #include "imd/protocol.hpp"
+#include "shield/trial_context.hpp"
 #include "sim/timeline.hpp"
 
 namespace hs::imd {
@@ -310,6 +311,41 @@ TEST(Programmer, LbtDefersUntilChannelClear) {
   timeline.run_for(60e-3);
   EXPECT_FALSE(programmer.waiting_for_clear_channel());
   EXPECT_EQ(imd.stats().replies_sent, 1u);
+}
+
+TEST(Programmer, PooledProgrammerDefersLikeAFreshOneOnceLbtIsOn) {
+  // A pooled programmer meters its CCA only while LBT is on. Reset from an
+  // LBT-off trial (and then from an LBT-on one), it must listen its full
+  // 10 ms again, exactly as LbtDefersUntilChannelClear expects of a fresh
+  // programmer.
+  const auto profile = virtuoso_profile();
+  shield::DeploymentOptions opt;
+  opt.seed = 19;
+  opt.shield_present = false;
+  shield::TrialContext pool;
+  const ProgrammerNode* first = nullptr;
+  for (const bool lbt : {false, true, true}) {
+    SCOPED_TRACE(lbt ? "LBT on" : "LBT off");
+    shield::Deployment& d = pool.deployment(opt);
+    ProgrammerConfig pcfg;
+    pcfg.fsk = profile.fsk;
+    pcfg.lbt_enabled = lbt;
+    ProgrammerNode& programmer = pool.programmer(pcfg);
+    if (first == nullptr) first = &programmer;
+    EXPECT_EQ(&programmer, first);  // the pool reset it, not a rebuild
+    d.run_for(2e-3);
+
+    programmer.send(make_interrogate(profile.serial, 1));
+    d.run_for(5e-3);
+    EXPECT_EQ(programmer.waiting_for_clear_channel(), lbt);
+    if (lbt) {
+      EXPECT_EQ(d.imd().stats().frames_detected, 0u);
+    }
+    d.run_for(60e-3);
+    EXPECT_FALSE(programmer.waiting_for_clear_channel());
+    EXPECT_EQ(d.imd().stats().replies_sent, 1u);
+  }
+  EXPECT_EQ(pool.deployments_reused(), 2u);
 }
 
 }  // namespace

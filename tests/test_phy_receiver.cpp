@@ -237,7 +237,7 @@ TEST(Receiver, ResetDropsPartialState) {
   // Push only through the middle of the frame, then reset.
   rx.push(dsp::SampleView(air.data(), 3500));
   EXPECT_TRUE(rx.locked());
-  rx.reset();
+  rx.reset(fsk);
   EXPECT_FALSE(rx.locked());
   EXPECT_TRUE(rx.partial_bits().empty());
   // The remaining half-frame alone must not decode.
@@ -245,6 +245,116 @@ TEST(Receiver, ResetDropsPartialState) {
   auto frame = rx.pop();
   EXPECT_TRUE(!frame.has_value() ||
               frame->decode.status != DecodeStatus::kOk);
+}
+
+void expect_same_frame(const ReceivedFrame& a, const ReceivedFrame& b) {
+  EXPECT_EQ(a.decode.status, b.decode.status);
+  EXPECT_EQ(a.decode.frame.device_id, b.decode.frame.device_id);
+  EXPECT_EQ(a.decode.frame.type, b.decode.frame.type);
+  EXPECT_EQ(a.decode.frame.seq, b.decode.frame.seq);
+  EXPECT_EQ(a.decode.frame.payload, b.decode.frame.payload);
+  EXPECT_EQ(a.decode.consumed_bits, b.decode.consumed_bits);
+  EXPECT_EQ(a.decode.sync_errors, b.decode.sync_errors);
+  EXPECT_EQ(a.start_sample, b.start_sample);
+  EXPECT_EQ(a.rssi, b.rssi);
+  EXPECT_EQ(a.raw_bits, b.raw_bits);
+}
+
+/// Leaves a receiver built for `first` mid-lock with a decoded frame still
+/// queued, resets it to (`second`, `options`), then feeds both it and a
+/// fresh receiver one noisy stream block by block: every observable must
+/// agree at every block. The stream has three frames:
+///  - one that starts with the stream, which a fresh receiver misses (its
+///    first window seeds the noise floor), so a reset that kept the old
+///    floor would lock onto it;
+///  - a weak one at -70 dBm, which `options` may gate out, so a reset that
+///    kept the old options would decode it;
+///  - a strong one that every receiver decodes.
+void expect_reset_matches_fresh(const FskParams& first,
+                                const FskParams& second,
+                                const ReceiverOptions& options,
+                                std::size_t expected_frames) {
+  const std::size_t len1 = encode_frame(test_frame()).size() * first.sps;
+  const auto air1 = make_air(
+      first, 30000, {{2000, test_frame(1)}, {2000 + len1 + 600, test_frame(2)}},
+      dsp::db_to_amplitude(-40), dsp::dbm_to_mw(-112), 3);
+  FskReceiver reused(first);
+  reused.push(dsp::SampleView(air1.data(), 2000 + len1 + 600 + len1 / 2));
+  ASSERT_TRUE(reused.locked());
+  reused.reset(second, options);
+
+  const std::size_t len2 = encode_frame(test_frame()).size() * second.sps;
+  const std::size_t weak_at = 3 + len2 + 1500;
+  auto air2 = make_air(second, 3 * len2 + 6000,
+                       {{3, test_frame(3)}, {weak_at + len2 + 900,
+                                             test_frame(5)}},
+                       dsp::db_to_amplitude(-40), dsp::dbm_to_mw(-112), 4);
+  const auto weak = fsk_modulate(second, encode_frame(test_frame(4)));
+  for (std::size_t i = 0; i < weak.size(); ++i) {
+    air2[weak_at + i] += dsp::db_to_amplitude(-70) * weak[i];
+  }
+  FskReceiver fresh(second, options);
+  std::size_t frames = 0;
+  for (std::size_t i = 0; i < air2.size(); i += 48) {
+    const dsp::SampleView block(air2.data() + i,
+                                std::min<std::size_t>(48, air2.size() - i));
+    reused.push(block);
+    fresh.push(block);
+    ASSERT_EQ(reused.sample_position(), fresh.sample_position());
+    ASSERT_EQ(reused.locked(), fresh.locked());
+    ASSERT_EQ(reused.partial_bits(), fresh.partial_bits());
+    for (;;) {
+      const auto a = reused.pop();
+      const auto b = fresh.pop();
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (!a.has_value()) break;
+      expect_same_frame(*a, *b);
+      EXPECT_EQ(b->decode.status, DecodeStatus::kOk);
+      ++frames;
+    }
+  }
+  EXPECT_EQ(frames, expected_frames);
+}
+
+TEST(Receiver, ResetMatchesFreshConstruction) {
+  const FskParams fsk;
+  {
+    SCOPED_TRACE("same geometry: reset keeps the tables");
+    expect_reset_matches_fresh(fsk, fsk, {}, 2);
+  }
+  {
+    SCOPED_TRACE("new geometry and options: reset rebuilds the tables");
+    FskParams other;
+    other.sps = 10;  // 30 kbaud; +-60 kHz tones stay orthogonal
+    other.f0 = -60e3;
+    other.f1 = +60e3;
+    ReceiverOptions options;
+    options.min_gate_power = dsp::dbm_to_mw(-55);  // gates the weak frame
+    expect_reset_matches_fresh(fsk, other, options, 1);
+  }
+}
+
+// The correlation memo is indexed by buffer lag, so it must shift with
+// every compaction. Once the first frame is compacted away, the second
+// frame starts 5 samples past the lag the first one locked at; a memo
+// left unshifted would hand the second sweep the first frame's peak.
+TEST(Receiver, MemoStaysAlignedAcrossCompaction) {
+  FskParams fsk;
+  const std::size_t len = encode_frame(test_frame()).size() * fsk.sps;
+  const std::size_t second = 2000 + len + 2005;
+  const auto air = make_air(fsk, second + len + 3000,
+                            {{2000, test_frame(1)}, {second, test_frame(2)}},
+                            dsp::db_to_amplitude(-40), dsp::dbm_to_mw(-112));
+  FskReceiver rx(fsk);
+  rx.push(air);
+  const auto f1 = rx.pop();
+  const auto f2 = rx.pop();
+  ASSERT_TRUE(f1.has_value());
+  ASSERT_TRUE(f2.has_value());
+  EXPECT_EQ(f1->start_sample, 2000u);
+  EXPECT_EQ(f2->start_sample, second);
+  EXPECT_EQ(f2->decode.status, DecodeStatus::kOk);
+  EXPECT_EQ(f2->decode.frame.seq, 2);
 }
 
 TEST(Receiver, SamplePositionTracksPushes) {
