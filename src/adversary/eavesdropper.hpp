@@ -8,7 +8,7 @@
 // decode_with_bandpass_attack() models the countermeasure of section 6(a):
 // an adversary that band-pass filters around the two FSK tones to shed
 // jamming energy. It defeats an oblivious constant-profile jammer but not
-// the shield's shaped jammer (reproduced by bench_ablate_shaping).
+// the shield's shaped jammer (the ablate-shaping-* presets).
 #pragma once
 
 #include <cstddef>

@@ -137,8 +137,9 @@ struct TaskOutcome {
 /// Where shard tasks actually run. Implementations must deliver every
 /// task exactly once across run_wave / collect_delayed / drain, and must
 /// inject the FaultPlan they were built with into generation-0 tasks
-/// only. The ssh/slurm transports of the multi-host fabric implement
-/// this same interface later.
+/// only. ThreadExecutor (in-process shards) and SubprocessExecutor
+/// (campaign_runner child processes) implement it, behind
+/// campaign_runner's `--executor=thread|process`.
 class Executor {
  public:
   virtual ~Executor() = default;

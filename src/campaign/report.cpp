@@ -1,7 +1,9 @@
 #include "campaign/report.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
@@ -53,6 +55,64 @@ void append_row_metrics(std::string& out, const PointResult& point,
   out += buf;
   out += suffix;
   out += '\n';
+}
+
+/// "location 1..5", "jam_margin_db 20", "every location" — the points a
+/// claim covers, for its verdict line. Empty for single-point scenarios.
+std::string claim_coverage(SweepAxis axis, const Claim& claim) {
+  if (axis == SweepAxis::kNone) return "";
+  const std::string name(axis_name(axis));
+  const bool open_lo = std::isinf(claim.axis_lo);
+  const bool open_hi = std::isinf(claim.axis_hi);
+  char buf[96];
+  if (open_lo && open_hi) {
+    std::snprintf(buf, sizeof buf, " @ every %s", name.c_str());
+  } else if (open_lo) {
+    std::snprintf(buf, sizeof buf, " @ %s <= %g", name.c_str(),
+                  claim.axis_hi);
+  } else if (open_hi) {
+    std::snprintf(buf, sizeof buf, " @ %s >= %g", name.c_str(),
+                  claim.axis_lo);
+  } else if (claim.axis_lo == claim.axis_hi) {
+    std::snprintf(buf, sizeof buf, " @ %s %g", name.c_str(), claim.axis_lo);
+  } else {
+    std::snprintf(buf, sizeof buf, " @ %s %g..%g", name.c_str(),
+                  claim.axis_lo, claim.axis_hi);
+  }
+  return buf;
+}
+
+void print_claim(std::FILE* out, const CampaignResult& result,
+                 const Claim& claim) {
+  const ClaimVerdict v = check_claim(result, claim);
+  const char* label = v.holds ? (claim.deviation.empty() ? "holds" : "STALE")
+                              : (claim.deviation.empty() ? "MISSES"
+                                                         : "deviates");
+  char means[96];
+  const std::size_t sampled = v.points - v.empty_points;
+  if (sampled == 0) {
+    std::snprintf(means, sizeof means, "no samples");
+  } else if (v.min_mean == v.max_mean) {
+    std::snprintf(means, sizeof means, "mean %.4g", v.min_mean);
+  } else {
+    std::snprintf(means, sizeof means, "means %.4g..%.4g", v.min_mean,
+                  v.max_mean);
+  }
+  char empty[96] = "";
+  if (v.empty_points > 0 && sampled > 0) {
+    std::snprintf(empty, sizeof empty, ", %zu of %zu points without samples",
+                  v.empty_points, v.points);
+  }
+  std::fprintf(out, "    %-8s  %s%s: %s%s, want [%g, %g]; paper: %.*s\n",
+               label, std::string(metric_name(claim.metric)).c_str(),
+               claim_coverage(result.scenario.axis, claim).c_str(), means,
+               empty, claim.lo, claim.hi,
+               static_cast<int>(claim.paper.size()), claim.paper.data());
+  if (!claim.deviation.empty()) {
+    std::fprintf(out, "              known deviation: %.*s\n",
+                 static_cast<int>(claim.deviation.size()),
+                 claim.deviation.data());
+  }
 }
 
 }  // namespace
@@ -175,6 +235,39 @@ void print_summary(std::FILE* out, const CampaignResult& result) {
     }
     std::fprintf(out, "\n");
   }
+  if (result.scenario.claims.empty()) return;
+  std::fprintf(out, "\n  claims (the paper's numbers vs this run's "
+                    "per-point means):\n");
+  for (const Claim& claim : result.scenario.claims) {
+    print_claim(out, result, claim);
+  }
+}
+
+ClaimVerdict check_claim(const CampaignResult& result, const Claim& claim) {
+  ClaimVerdict v;
+  bool in_range = true;
+  for (const auto& point : result.points) {
+    if (!claim.covers(point.axis_value)) continue;
+    ++v.points;
+    const auto& st = point.stats(claim.metric);
+    // StreamingStats::mean() reads 0 on an empty stream; a point with no
+    // samples is a miss, never a mean of 0.
+    if (st.count() == 0) {
+      ++v.empty_points;
+      continue;
+    }
+    const double mean = st.mean();
+    if (v.points - v.empty_points == 1) {
+      v.min_mean = mean;
+      v.max_mean = mean;
+    } else {
+      v.min_mean = std::min(v.min_mean, mean);
+      v.max_mean = std::max(v.max_mean, mean);
+    }
+    in_range = in_range && mean >= claim.lo && mean <= claim.hi;
+  }
+  v.holds = v.points > 0 && v.empty_points == 0 && in_range;
+  return v;
 }
 
 bool write_file(const std::string& path, const std::string& content) {

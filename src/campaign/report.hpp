@@ -23,7 +23,22 @@ std::string to_csv(const CampaignResult& result);
 /// The same aggregates as a single JSON document.
 std::string to_json(const CampaignResult& result);
 
-/// Compact human-readable table (used by the rebased benches).
+/// A claim's outcome on one campaign result (see Claim).
+struct ClaimVerdict {
+  std::size_t points = 0;        ///< covered sweep points
+  std::size_t empty_points = 0;  ///< covered points with no samples
+  double min_mean = 0.0;  ///< lowest mean over covered points with samples
+  double max_mean = 0.0;  ///< highest mean over covered points with samples
+  /// At least one point covered, none empty, every mean in [lo, hi].
+  bool holds = false;
+};
+
+/// Checks `claim` against the per-point means of `result`.
+ClaimVerdict check_claim(const CampaignResult& result, const Claim& claim);
+
+/// Compact human-readable table of the per-point means, followed by one
+/// verdict line per claim of the scenario (campaign_runner prints it in
+/// every mode).
 void print_summary(std::FILE* out, const CampaignResult& result);
 
 /// wire::write_file that also names the path and the error on stderr.

@@ -6,15 +6,18 @@
 /// spectral profiling, or one of the extension studies), its geometry and
 /// ablation toggles, and an optional sweep axis. The campaign runner
 /// expands the sweep into points, fans repeated trials over a worker
-/// pool, and aggregates per-point statistics. Every bench_fig*/
-/// bench_table*/bench_ablate*/bench_ext* workload drives a named preset
-/// from here, plus multi-adversary and multi-IMD variants the paper's
-/// testbed could not set up. docs/REPRODUCING.md maps presets back to
-/// paper figures.
+/// pool, and aggregates per-point statistics. The presets cover every
+/// figure and table of the paper's evaluation, its section-6 ablations
+/// and section-7 extensions, plus multi-adversary and multi-IMD variants
+/// the paper's testbed could not set up. Each preset carries the paper's
+/// numbers as claims that campaign_runner prints a verdict for under its
+/// summary and test_claims checks. docs/REPRODUCING.md maps presets back
+/// to paper figures.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +50,57 @@ enum class SweepAxis {
   kAdversaryPowerDbm,  ///< raw adversary TX power (P_thresh sweep)
   kMultipathTapDb,     ///< 2nd H_jam->rec tap strength rel. to the 1st
   kMicsChannel,        ///< MICS channel index the adversary hops to
+};
+
+/// The metrics a trial can emit. Indicator metrics (0/1 samples) support
+/// Wilson intervals; continuous metrics report mean/stddev/min/max.
+enum class Metric {
+  kAdversaryBer,
+  kShieldPacketLoss,
+  kAttackSuccess,
+  kAlarm,
+  kBatteryMj,
+  kCrossTrafficJammed,
+  kImdCommandJammed,
+  kTurnaroundUs,
+  kPthreshSuccess,
+  kPthreshRssiDbm,
+  kReplyDelayIdleMs,
+  kReplyDelayBusyMs,
+  kCancellationDb,
+  kToneBandFraction,
+  kScalarCancellationDb,    ///< flat antidote under multipath
+  kMultitapCancellationDb,  ///< FIR-equalizer antidote under multipath
+  kWidebandDetect,          ///< hopping command flagged by the monitor
+  kWidebandReactionMs,      ///< S_id decision latency into the packet
+};
+
+inline constexpr std::size_t kMetricCount = 18;
+
+/// One of the paper's numbers, checked against a campaign result: the
+/// mean of `metric` at every covered sweep point must lie in [lo, hi].
+/// A covered point with no samples of the metric misses. The bounds come
+/// from the paper's wording, never from a simulated run; a claim the
+/// simulator misses keeps its bounds and records why in `deviation`.
+/// The text fields are literals, so copying a Scenario stays cheap.
+struct Claim {
+  Metric metric = Metric::kAdversaryBer;
+  /// Inclusive axis-value range of the covered points; the defaults
+  /// cover every point.
+  double axis_lo = -std::numeric_limits<double>::infinity();
+  double axis_hi = std::numeric_limits<double>::infinity();
+  /// Accepted range of each covered point's mean.
+  double lo = 0.0;
+  double hi = 0.0;
+  /// The paper's value, as the paper states it.
+  std::string_view paper;
+  /// Why the simulator misses this claim; empty for a claim that holds.
+  std::string_view deviation;
+
+  /// True when the claim covers the point at `axis_value`.
+  bool covers(double axis_value) const {
+    return axis_value >= axis_lo && axis_value <= axis_hi;
+  }
 };
 
 /// Everything a campaign trial needs, as data. Axis values override the
@@ -95,6 +149,9 @@ struct Scenario {
   SweepAxis axis = SweepAxis::kNone;
   std::vector<double> axis_values;     ///< ignored when axis == kNone
 
+  /// The paper's numbers this preset reproduces (see Claim).
+  std::vector<Claim> claims;
+
   /// Number of sweep points (>= 1).
   std::size_t point_count() const {
     return axis == SweepAxis::kNone ? 1 : axis_values.size();
@@ -106,31 +163,6 @@ struct Scenario {
     return axis == SweepAxis::kNone ? 0.0 : axis_values[point_index];
   }
 };
-
-/// The metrics a trial can emit. Indicator metrics (0/1 samples) support
-/// Wilson intervals; continuous metrics report mean/stddev/min/max.
-enum class Metric {
-  kAdversaryBer,
-  kShieldPacketLoss,
-  kAttackSuccess,
-  kAlarm,
-  kBatteryMj,
-  kCrossTrafficJammed,
-  kImdCommandJammed,
-  kTurnaroundUs,
-  kPthreshSuccess,
-  kPthreshRssiDbm,
-  kReplyDelayIdleMs,
-  kReplyDelayBusyMs,
-  kCancellationDb,
-  kToneBandFraction,
-  kScalarCancellationDb,    ///< flat antidote under multipath
-  kMultitapCancellationDb,  ///< FIR-equalizer antidote under multipath
-  kWidebandDetect,          ///< hopping command flagged by the monitor
-  kWidebandReactionMs,      ///< S_id decision latency into the packet
-};
-
-inline constexpr std::size_t kMetricCount = 18;
 
 /// Stable short name used in CSV/JSON reports.
 std::string_view metric_name(Metric metric);
@@ -158,9 +190,9 @@ bool experiment_uses_deployments(ExperimentKind kind);
 /// Human-readable axis label for reports ("location", "jam margin (dB)"...).
 std::string_view axis_name(SweepAxis axis);
 
-/// All named scenario presets (one per bench_fig*/bench_table* workload,
-/// the section-6 ablations, and the new multi-adversary / multi-IMD
-/// variants).
+/// All named scenario presets: one or more per paper figure and table,
+/// the section-6 ablations, the section-7 extensions, and the
+/// multi-adversary / multi-IMD variants.
 const std::vector<Scenario>& scenario_presets();
 
 /// Looks up a preset by name; nullptr when unknown.

@@ -24,7 +24,7 @@ namespace {
 // accurate to ~1 ulp regardless of n — unlike the previous per-butterfly
 // `w *= wlen` recurrence, whose phase error grows with the number of
 // multiplies (O(n * eps) by the last stage) exactly where the jamming
-// profile and cancellation benches measure -40 dB features.
+// profile and cancellation presets measure -40 dB features.
 //
 // The cache is shared by all threads: campaign workers transform
 // concurrently, so the map is mutex-guarded. Entries are never evicted and

@@ -1,7 +1,7 @@
 // GMSK modem modelling the Vaisala RS92-AGP radiosonde cross-traffic of the
 // coexistence experiment (paper section 11, Table 2). Meteorological aids
 // are the primary users of the 402-405 MHz band; the shield must never jam
-// them, and the coexistence bench verifies it does not.
+// them, and the table2-coexistence preset's claim checks it does not.
 #pragma once
 
 #include <cstddef>

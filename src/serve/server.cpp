@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <set>
 #include <stdexcept>
 
@@ -22,6 +23,17 @@ namespace {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
 }
+
+/// accept() errors that mean the process or the system is short of fds
+/// or memory for now. The pending connection stays in the backlog until
+/// a closing connection frees what the next accept needs.
+bool accept_resource_error(int err) {
+  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
+/// How long the accept loop listens to the wake pipe alone after a
+/// resource error before it tries accept() again.
+constexpr int kAcceptRetryMs = 100;
 
 }  // namespace
 
@@ -148,7 +160,15 @@ void Server::shutdown() {
 }
 
 void Server::run() {
-  accept_loop();
+  // Whatever ends the accept loop, shutdown() or an error, the readers
+  // are joined before run() returns or rethrows: destroying a joinable
+  // std::thread would terminate the process.
+  std::exception_ptr failure;
+  try {
+    accept_loop();
+  } catch (...) {
+    failure = std::current_exception();
+  }
 
   // Graceful drain: no new connections or admissions; every admitted
   // request runs to completion and streams its frames before we close.
@@ -168,6 +188,7 @@ void Server::run() {
     if (t.joinable()) t.join();
   }
   scheduler_.stop();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void Server::accept_loop() {
@@ -183,7 +204,12 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw_errno("accept");
+      if (!accept_resource_error(errno)) throw_errno("accept");
+      // Out of fds or memory is load, not a fault: the listen fd stays
+      // readable, so wait on the wake pipe alone for a while, then retry.
+      pollfd wake{wake_rd_, POLLIN, 0};
+      if (::poll(&wake, 1, kAcceptRetryMs) > 0) return;  // shutdown()
+      continue;
     }
     // Bound writes so a client that stops reading mid-stream latches the
     // connection dead instead of wedging a scheduler worker (and drain).

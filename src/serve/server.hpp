@@ -29,6 +29,11 @@
 /// next wakeup. A long-lived daemon therefore holds fds and threads only
 /// for connected clients.
 ///
+/// Running out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM from
+/// accept) is load, not a fault: the accept loop waits a bounded interval
+/// on the self-pipe alone, then retries, so connections past the limit
+/// wait in the listen backlog until earlier ones close.
+///
 /// Shutdown: shutdown() only write()s one byte to a self-pipe
 /// (async-signal-safe — the SIGTERM handler may call it directly). run()
 /// then stops accepting, drains the scheduler (admitted requests finish
@@ -75,7 +80,9 @@ class Server {
   /// Serves until shutdown(): accepts connections, spawns one reader
   /// thread each. On shutdown it stops accepting, drains the scheduler
   /// (every admitted request completes and streams out), then closes
-  /// all connections and joins the readers.
+  /// all connections and joins the readers. A socket error other than
+  /// running out of fds or memory ends the loop the same way, and is
+  /// rethrown only after every reader has been joined.
   void run();
 
   /// Requests graceful termination of run(). Only write()s to the

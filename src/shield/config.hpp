@@ -36,8 +36,9 @@ struct ShieldConfig {
   std::size_t bthresh = 4;         ///< S_id bit-flip tolerance (10.1(c))
   /// Alarm threshold: 3 dB below the minimum adversarial RSSI that can
   /// elicit an IMD response despite jamming, per Table 1's methodology
-  /// (regenerate with bench_table1_pthresh; our field-referenced dBm scale
-  /// differs from the paper's USRP-referenced readings by a fixed gain).
+  /// (regenerate with the table1-pthresh preset; our field-referenced dBm
+  /// scale differs from the paper's USRP-referenced readings by a fixed
+  /// gain).
   double pthresh_dbm = -19.0;
   bool alarm_enabled = true;
   std::size_t min_active_jam_blocks = 4;  ///< guarantee corruption coverage

@@ -1,7 +1,7 @@
 /// @file
 /// Standard experiment scenario builder: medium + timeline + IMD + shield
 /// (+ optional observer), wired exactly like the paper's Fig. 6 testbed.
-/// All benches, examples and integration tests build on this, either
+/// All presets, examples and integration tests build on this, either
 /// directly or through the campaign engine's trial-context pool, which
 /// reset-and-reseeds one Deployment across trials (see reset()).
 #pragma once

@@ -1,9 +1,9 @@
 /// @file
 /// Reusable experiment drivers for the paper's evaluation section.
 /// Each function stands up a full Fig. 6-style deployment, runs the
-/// scripted scenario, and returns raw measurements; the bench binaries
-/// format them into the paper's tables and figures, and the integration
-/// tests assert on them.
+/// scripted scenario, and returns raw measurements; the campaign runner
+/// aggregates them into the paper's tables and figures, and the
+/// integration tests assert on them.
 ///
 /// Every driver accepts an optional TrialContext. With one, the
 /// deployment and experiment nodes are drawn from the pool (reset and

@@ -92,7 +92,7 @@ class ShieldNode : public sim::RadioNode {
   /// Current jamming transmit power (dBm), after margin & FCC clamping.
   double jam_power_dbm() const;
 
-  // ---- Calibration / test hooks (used by section-10.1 benches) -----------
+  // ---- Calibration / test hooks (used by section-10.1 calibrations) ------
   void set_manual_jam(bool on) { manual_jam_ = on; }
   void set_antidote_enabled(bool on) { antidote_enabled_ = on; }
   void set_active_protection(bool on) { config_.enable_active_protection = on; }

@@ -1,6 +1,6 @@
 /// @file
-/// Command-line flag parsing shared by campaign_runner, campaign_serverd
-/// and the bench binaries. Numeric values go through the strict decimal
+/// Command-line flag parsing shared by campaign_runner and
+/// campaign_serverd. Numeric values go through the strict decimal
 /// reader of wire/lexer.hpp: a sign, a blank, garbage or an out-of-range
 /// value prints one message and exits 1, never a silent zero or wrap.
 #pragma once

@@ -1,5 +1,6 @@
 // Experiment-driver integration tests: small versions of the paper's
-// evaluation runs, asserting on the qualitative results the benches print.
+// evaluation runs, asserting on qualitative results through experiment
+// options no preset covers (test_claims checks the presets themselves).
 #include <gtest/gtest.h>
 
 #include "channel/geometry.hpp"

@@ -8,7 +8,7 @@
 // with retry-after, recovery after drain-down), cancellation semantics,
 // graceful drain, and the socket layer end to end (unknown preset,
 // mid-stream client disconnect, concurrent clients over real TCP, fds
-// released when clients hang up).
+// released when clients hang up, a daemon that runs out of fds).
 //
 // Also part of the TSan suite (see .github/workflows/ci.yml): the
 // scheduler's worker pool, per-request callback serialization and the
@@ -16,11 +16,14 @@
 // ThreadSanitizer is pointed at.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -431,16 +434,24 @@ TEST(ServeScheduler, DrainCompletesEverythingAdmitted) {
 
 // ---- server: the socket layer end to end -----------------------------------
 
+sockaddr_in loopback(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
 /// Minimal blocking line client against 127.0.0.1:<port>.
 class LineClient {
  public:
-  explicit LineClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  explicit LineClient(std::uint16_t port)
+      : LineClient(::socket(AF_INET, SOCK_STREAM, 0), port) {}
+
+  /// Connects the caller's unconnected TCP socket `fd` and owns it.
+  LineClient(int fd, std::uint16_t port) : fd_(fd) {
     EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
+    const sockaddr_in addr = loopback(port);
     EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof(addr)),
               0);
@@ -622,6 +633,95 @@ TEST(ServeServer, FinishedConnectionsReleaseTheirFds) {
     after = open_fds();
   }
   EXPECT_LE(after, before + 4);
+}
+
+/// The fd numbers open in this process, the listing's own handle
+/// included.
+std::vector<int> open_fd_numbers() {
+  std::vector<int> fds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    fds.push_back(std::stoi(entry.path().filename().string()));
+  }
+  return fds;
+}
+
+/// Puts RLIMIT_NOFILE back when the test ends, however it ends.
+struct FdLimitGuard {
+  rlimit saved{};
+  FdLimitGuard() { EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0); }
+  ~FdLimitGuard() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+};
+
+TEST(ServeServer, SurvivesFdExhaustion) {
+  // A daemon out of fds waits for connections to close instead of
+  // dying. Under a lowered RLIMIT_NOFILE, idle clients past the limit
+  // leave accept() failing with EMFILE; once they hang up, a fresh client
+  // gets its pong, and shutdown() still drains.
+  constexpr int kMargin = 8;    // fds the lowered limit leaves free
+  constexpr int kClients = 64;  // idle clients, far past the margin
+  FdLimitGuard guard;
+  auto fx = std::make_unique<ServerFixture>();
+  const std::uint16_t port = fx->server->bound_port();
+
+  // Every client socket sits at or above the lowered limit, so only the
+  // server's accepted fds compete for the slots below it.
+  const std::vector<int> fds = open_fd_numbers();
+  const int limit = *std::max_element(fds.begin(), fds.end()) + 1 + kMargin;
+  std::vector<int> clients;
+  for (int i = 0; i <= kClients; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    clients.push_back(::fcntl(fd, F_DUPFD_CLOEXEC, limit));
+    ::close(fd);
+    ASSERT_GE(clients.back(), limit);
+  }
+  const int fresh = clients.back();
+  clients.pop_back();
+
+  rlimit lowered = guard.saved;
+  lowered.rlim_cur = static_cast<rlim_t>(limit);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // Connect without blocking: past the listen backlog a SYN goes
+  // unanswered, and that client just stays pending.
+  const sockaddr_in addr = loopback(port);
+  for (const int fd : clients) {
+    ::fcntl(fd, F_SETFL, O_NONBLOCK);
+    const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr));
+    ASSERT_TRUE(rc == 0 || errno == EINPROGRESS) << std::strerror(errno);
+  }
+  // Wait until the server has taken every free slot: then a dup() here
+  // fails with EMFILE too. Hold the clients a little longer, so accept()
+  // keeps meeting EMFILE.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    const int probe = ::dup(STDIN_FILENO);
+    if (probe < 0) {
+      ASSERT_EQ(errno, EMFILE);
+      break;
+    }
+    ::close(probe);
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the server never used up the fd margin";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  for (const int fd : clients) ::close(fd);
+
+  // The fresh client waits in the backlog until closed connections give
+  // the server an fd back. Bound its connect and its read.
+  const timeval timeout{20, 0};
+  ::setsockopt(fresh, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fresh, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  {
+    LineClient c(fresh, port);
+    c.send_line(R"({"cmd":"ping"})");
+    EXPECT_EQ(c.read_line(), R"({"type":"pong"})");
+  }
+  fx.reset();  // shutdown() and a joined run(), still under the limit
 }
 
 }  // namespace
