@@ -14,10 +14,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 
-#include "campaign/report.hpp"
 #include "serve/server.hpp"
 #include "wire/cli.hpp"
 
@@ -37,13 +35,11 @@ extern "C" void handle_signal(int) {
 int usage(const char* argv0, bool is_error) {
   std::fprintf(
       is_error ? stderr : stdout,
-      "usage: %s [--port=N | --unix=PATH] [--workers=N]\n"
-      "          [--max-active=N] [--max-queue=N] [--snapshot-dir=DIR]\n"
-      "          [--port-file=PATH]\n"
+      "usage: %s --unix=PATH [--workers=N] [--max-active=N]\n"
+      "          [--max-queue=N] [--snapshot-dir=DIR]\n"
       "  Serves the line-delimited JSON campaign protocol (see\n"
-      "  docs/REPRODUCING.md) on 127.0.0.1:PORT (default: an ephemeral\n"
-      "  port) or a Unix-domain socket. --port-file writes the bound TCP\n"
-      "  port to PATH once listening, for scripts that pass --port=0.\n"
+      "  docs/REPRODUCING.md) on a Unix-domain socket at PATH; a client\n"
+      "  needs write permission on the socket file to connect.\n"
       "  --workers=0 uses all hardware threads. --max-active bounds the\n"
       "  campaigns scheduled concurrently, --max-queue the admitted\n"
       "  backlog beyond that; a request past both is rejected with\n"
@@ -60,19 +56,11 @@ int usage(const char* argv0, bool is_error) {
 int main(int argc, char** argv) {
   serve::ServerOptions options;
   options.scheduler.workers = 0;  // hardware concurrency
-  std::string port_file;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
-    if ((value = flag_value(arg, "--port", argc, argv, &i))) {
-      const std::uint64_t port = flag_u64(value, "--port");
-      if (port > std::numeric_limits<std::uint16_t>::max()) {
-        std::fprintf(stderr, "--port=%s out of range\n", value);
-        return 1;
-      }
-      options.tcp_port = static_cast<std::uint16_t>(port);
-    } else if ((value = flag_value(arg, "--unix", argc, argv, &i))) {
+    if ((value = flag_value(arg, "--unix", argc, argv, &i))) {
       options.unix_path = value;
     } else if ((value = flag_value(arg, "--workers", argc, argv, &i))) {
       options.scheduler.workers = flag_u32(value, "--workers");
@@ -86,12 +74,11 @@ int main(int argc, char** argv) {
       options.scheduler.max_queue = flag_u64(value, "--max-queue");
     } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
       options.scheduler.snapshot_dir = value;
-    } else if ((value = flag_value(arg, "--port-file", argc, argv, &i))) {
-      port_file = value;
     } else {
       return usage(argv[0], std::strcmp(arg, "--help") != 0);
     }
   }
+  if (options.unix_path.empty()) return usage(argv[0], true);
 
   obs::ServiceStats stats;
   serve::Server server(options, &stats);
@@ -107,18 +94,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGPIPE, SIG_IGN);  // writers handle EPIPE per connection
 
-  if (!options.unix_path.empty()) {
-    std::fprintf(stderr, "campaign_serverd: listening on %s\n",
-                 options.unix_path.c_str());
-  } else {
-    std::fprintf(stderr, "campaign_serverd: listening on 127.0.0.1:%u\n",
-                 static_cast<unsigned>(server.bound_port()));
-    if (!port_file.empty() &&
-        !campaign::write_file(port_file,
-                              std::to_string(server.bound_port()) + "\n")) {
-      return 1;
-    }
-  }
+  std::fprintf(stderr, "campaign_serverd: listening on %s\n",
+               options.unix_path.c_str());
 
   try {
     server.run();

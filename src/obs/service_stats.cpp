@@ -61,6 +61,8 @@ ServiceStatsSnapshot ServiceStats::snapshot() const {
   s.chunks_executed = chunks_executed_.load(relaxed);
   s.queue_depth = queue_depth_.load(relaxed);
   s.active_requests = active_requests_.load(relaxed);
+  s.accept_backoffs = accept_backoffs_.load(relaxed);
+  s.clients_dropped = clients_dropped_.load(relaxed);
   s.wall_ms = wall_ms_.percentiles();
   s.queue_wait_ms = queue_wait_ms_.percentiles();
   return s;

@@ -1,8 +1,9 @@
 /// @file
 /// Request-level observability for the campaign service daemon
 /// (src/serve/): admission counters, queue-depth / active-request
-/// gauges, and per-request wall + queue-wait latency windows surfaced
-/// through the protocol's `{"cmd":"stats"}` endpoint.
+/// gauges, per-request wall + queue-wait latency windows, and counts of
+/// the load the socket layer shed, surfaced through the protocol's
+/// `{"cmd":"stats"}` endpoint.
 ///
 /// Deliberately separate from the campaign engine's obs::Counter /
 /// obs::Phase enums: those are serialized in the versioned chunk-stream
@@ -59,18 +60,23 @@ struct ServiceStatsSnapshot {
   std::uint64_t chunks_executed = 0;
   std::size_t queue_depth = 0;      ///< admitted but not yet scheduled
   std::size_t active_requests = 0;  ///< in the weighted-fair set
+  std::uint64_t accept_backoffs = 0;  ///< accept() out of fds or memory
+  std::uint64_t clients_dropped = 0;  ///< closed past the unsent-output cap
   LatencyWindow::Percentiles wall_ms;        ///< admission -> final report
   LatencyWindow::Percentiles queue_wait_ms;  ///< admission -> first schedule
 };
 
-/// Shared by the server (admission/rejection sites) and the scheduler
-/// (gauges, completion timers). All methods are thread-safe.
+/// Shared by the server (accept back-offs, dropped clients) and the
+/// scheduler (admission, gauges, completion timers). All methods are
+/// thread-safe.
 class ServiceStats {
  public:
   void on_admitted() { requests_admitted_.fetch_add(1, relaxed); }
   void on_rejected() { requests_rejected_.fetch_add(1, relaxed); }
   void on_cancelled() { requests_cancelled_.fetch_add(1, relaxed); }
   void on_chunk() { chunks_executed_.fetch_add(1, relaxed); }
+  void on_accept_backoff() { accept_backoffs_.fetch_add(1, relaxed); }
+  void on_client_dropped() { clients_dropped_.fetch_add(1, relaxed); }
   void on_completed(double wall_ms, double queue_wait_ms);
 
   void set_queue_depth(std::size_t depth) {
@@ -92,6 +98,8 @@ class ServiceStats {
   std::atomic<std::uint64_t> chunks_executed_{0};
   std::atomic<std::size_t> queue_depth_{0};
   std::atomic<std::size_t> active_requests_{0};
+  std::atomic<std::uint64_t> accept_backoffs_{0};
+  std::atomic<std::uint64_t> clients_dropped_{0};
   LatencyWindow wall_ms_;
   LatencyWindow queue_wait_ms_;
 };

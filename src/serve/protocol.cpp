@@ -232,17 +232,20 @@ std::string stats_line(const obs::ServiceStatsSnapshot& s) {
                   p.count, p.p50, p.p90, p.p99, p.max);
     return std::string(buf);
   };
-  char buf[256];
+  char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\"type\":\"stats\",\"requests_admitted\":%" PRIu64
                 ",\"requests_rejected\":%" PRIu64
                 ",\"requests_cancelled\":%" PRIu64
                 ",\"requests_completed\":%" PRIu64
                 ",\"chunks_executed\":%" PRIu64
-                ",\"queue_depth\":%zu,\"active_requests\":%zu",
+                ",\"queue_depth\":%zu,\"active_requests\":%zu"
+                ",\"accept_backoffs\":%" PRIu64
+                ",\"clients_dropped\":%" PRIu64,
                 s.requests_admitted, s.requests_rejected,
                 s.requests_cancelled, s.requests_completed,
-                s.chunks_executed, s.queue_depth, s.active_requests);
+                s.chunks_executed, s.queue_depth, s.active_requests,
+                s.accept_backoffs, s.clients_dropped);
   std::string out = buf;
   out += ",\"wall\":";
   out += lat(s.wall_ms);

@@ -75,6 +75,20 @@ Admission Scheduler::submit(const campaign::Scenario& scenario,
   state->options.chunk_size = std::max<std::size_t>(request.chunk_size, 1);
   state->options.threads = 1;
   state->options.snapshots = request.snapshots;
+  // Count the chunks before planning them: the plan and its accumulators
+  // grow with the count.
+  const std::size_t trials =
+      campaign::resolved_trials(scenario, state->options);
+  const std::size_t chunk_size = state->options.chunk_size;
+  const std::size_t chunks = scenario.point_count() *
+                             (trials / chunk_size + (trials % chunk_size != 0));
+  if (chunks > kMaxRequestChunks) {
+    throw ProtocolError("run: " + std::to_string(chunks) +
+                        " chunks exceed the cap of " +
+                        std::to_string(kMaxRequestChunks) +
+                        " per request; raise chunk_size (now " +
+                        std::to_string(chunk_size) + ")");
+  }
   state->plan = campaign::plan_shard(scenario, state->options, 1, 0);
   state->warm_seed =
       campaign::campaign_warmup_seed(request.seed, scenario.name);
@@ -185,16 +199,6 @@ void Scheduler::stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-std::size_t Scheduler::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
-}
-
-std::size_t Scheduler::active_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return active_count_;
 }
 
 bool Scheduler::claim_locked(std::shared_ptr<RequestState>* out_req,

@@ -56,6 +56,11 @@ struct SchedulerOptions {
   std::string snapshot_dir;
 };
 
+/// Most chunks one request may plan. Each chunk holds ~750 B of
+/// accumulator state until the report is assembled, so this is ~47 MiB,
+/// ~70x the largest default preset (fig13, 900 chunks).
+inline constexpr std::size_t kMaxRequestChunks = std::size_t{1} << 16;
+
 /// submit()'s admission decision. For admitted requests `header_line`
 /// carries the sealed v3 stream header so the caller can frame and send
 /// it before releasing the request for scheduling with start().
@@ -97,7 +102,9 @@ class Scheduler {
   /// Admission decision. An admitted request holds a slot (active or
   /// queued) but is NOT schedulable until start(id) — the caller writes
   /// its admitted + header frames first, so the wire order is always
-  /// admitted, header, records. Never invokes callbacks.
+  /// admitted, header, records. Never invokes callbacks. Throws
+  /// ProtocolError, before planning a chunk, for a request that would
+  /// plan more than kMaxRequestChunks chunks: no retry can admit it.
   Admission submit(const campaign::Scenario& scenario,
                    const RunRequest& request, Callbacks callbacks);
 
@@ -118,9 +125,6 @@ class Scheduler {
   /// Hard stop: workers exit after their in-flight chunk; undelivered
   /// callbacks are dropped. Idempotent; the destructor calls it.
   void stop();
-
-  std::size_t queue_depth() const;
-  std::size_t active_count() const;
 
  private:
   struct RequestState;

@@ -1,6 +1,6 @@
 #include "serve/server.hpp"
 
-#include <netinet/in.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -19,52 +20,63 @@ namespace hs::serve {
 
 namespace {
 
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "shutdown() stores the flag from a signal handler");
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
 }
 
-/// accept() errors that mean the process or the system is short of fds
-/// or memory for now. The pending connection stays in the backlog until
-/// a closing connection frees what the next accept needs.
-bool accept_resource_error(int err) {
-  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
-}
-
-/// How long the accept loop listens to the wake pipe alone after a
-/// resource error before it tries accept() again.
+/// The longest poll() after accept() ran out of fds or memory.
 constexpr int kAcceptRetryMs = 100;
+
+/// Once drained, how long run() waits for any connection to take a byte
+/// of what is left before it closes every remaining one.
+constexpr int kFlushTimeoutMs = 30'000;
+
+/// Wakes the poll loop. Async-signal-safe; a full pipe already holds a
+/// pending wake-up.
+void wake(int fd) {
+  const char byte = 0;
+  [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+}
 
 }  // namespace
 
-/// Per-client state. The write side is shared between the reader thread
-/// and scheduler workers: `mutex` serializes whole lines, `dead` latches
-/// on the first short/failed write so every later frame is dropped
-/// instead of blocking a worker on a gone client.
+/// One client. `in` belongs to the poll loop; the output side is shared
+/// between the loop and scheduler workers and guarded by `mutex`.
 struct Server::Connection {
-  explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
+  Connection(int fd_in, int wake_fd_in) : fd(fd_in), wake_fd(wake_fd_in) {}
+  ~Connection() { ::close(fd); }
+
+  /// Sends `line` and a newline without blocking, queueing what the
+  /// socket cannot take at once behind earlier output. A queue past
+  /// kMaxUnsentBytes closes the connection.
+  void write_line(std::string line) {
+    line += '\n';
+    std::lock_guard<std::mutex> lock(mutex);
+    if (closed) return;
+    const bool idle = out.empty();
+    const std::size_t sent = idle ? send_some(line.data(), line.size()) : 0;
+    if (!closed && sent < line.size()) {
+      out.append(line, sent);
+      if (out.size() > kMaxUnsentBytes) over_cap = closed = true;
+    }
+    // The loop polls for POLLOUT only on a non-empty queue and reaps a
+    // closed connection, so it must look again.
+    if (closed || (idle && !out.empty())) wake(wake_fd);
   }
 
-  /// Writes `line` + '\n'. Returns false (and latches dead) on failure.
-  bool write_line(const std::string& line) {
+  /// Sends queued output until the socket is full (the loop, on POLLOUT).
+  void flush() {
     std::lock_guard<std::mutex> lock(mutex);
-    if (dead) return false;
-    std::string framed = line;
-    framed += '\n';
-    std::size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        dead = true;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
+    if (!closed) out.erase(0, send_some(out.data(), out.size()));
+  }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(mutex);
+    closed = true;
   }
 
   void add_owned(std::uint64_t id) {
@@ -77,17 +89,33 @@ struct Server::Connection {
     owned.erase(id);
   }
 
-  std::vector<std::uint64_t> take_owned() {
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<std::uint64_t> ids(owned.begin(), owned.end());
-    owned.clear();
-    return ids;
-  }
-
   const int fd;
+  const int wake_fd;
+  std::string in;  ///< unterminated request bytes; the loop's alone
+
   std::mutex mutex;
-  bool dead = false;              ///< guarded by mutex
+  std::string out;                ///< unsent output; guarded by mutex
+  bool closed = false;            ///< output stopped; guarded by mutex
+  bool over_cap = false;          ///< closed by the cap; guarded by mutex
   std::set<std::uint64_t> owned;  ///< live request ids; guarded by mutex
+
+ private:
+  /// Sends what the socket takes now; a hard error closes the connection.
+  std::size_t send_some(const char* data, std::size_t size) {
+    std::size_t off = 0;
+    while (off < size) {
+      const ssize_t n = ::send(fd, data + off, size - off,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      if (n <= 0) {
+        closed = true;
+        break;
+      }
+      off += static_cast<std::size_t>(n);
+    }
+    return off;
+  }
 };
 
 Server::Server(ServerOptions options, obs::ServiceStats* stats)
@@ -105,206 +133,191 @@ Server::~Server() {
 
 void Server::start() {
   int pipefd[2];
-  if (::pipe(pipefd) != 0) throw_errno("pipe");
+  if (::pipe2(pipefd, O_NONBLOCK) != 0) throw_errno("pipe");
   wake_rd_ = pipefd[0];
   wake_wr_ = pipefd[1];
 
-  if (!options_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("unix socket path too long: " +
-                               options_.unix_path);
-    }
-    std::strncpy(addr.sun_path, options_.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw_errno("socket(AF_UNIX)");
-    ::unlink(options_.unix_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      throw_errno("bind(unix)");
-    }
-    bound_unix_path_ = options_.unix_path;
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw_errno("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(options_.tcp_port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      throw_errno("bind(tcp)");
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &len) != 0) {
-      throw_errno("getsockname");
-    }
-    bound_port_ = ntohs(bound.sin_port);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (options_.unix_path.empty() ||
+      options_.unix_path.size() >= sizeof(addr.sun_path)) {
+    throw std::runtime_error("unix socket path empty or too long: '" +
+                             options_.unix_path + "'");
   }
+  std::strncpy(addr.sun_path, options_.unix_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  // Non-blocking, so an accept() that poll() woke for cannot stall the
+  // loop when the connection has already gone.
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (listen_fd_ < 0) throw_errno("socket");
+  ::unlink(options_.unix_path.c_str());
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0) {
+    throw_errno("bind");
+  }
+  bound_unix_path_ = options_.unix_path;
   if (::listen(listen_fd_, 16) != 0) throw_errno("listen");
 }
 
 void Server::shutdown() {
-  if (wake_wr_ >= 0) {
-    const char byte = 'q';
-    // Best-effort, async-signal-safe: a full pipe already means a wake
-    // byte is pending.
-    [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &byte, 1);
-  }
+  stop_requested_.store(true);
+  wake(wake_wr_);
 }
 
 void Server::run() {
-  // Whatever ends the accept loop, shutdown() or an error, the readers
-  // are joined before run() returns or rethrows: destroying a joinable
-  // std::thread would terminate the process.
   std::exception_ptr failure;
   try {
-    accept_loop();
+    serve();
   } catch (...) {
     failure = std::current_exception();
   }
-
-  // Graceful drain: no new connections or admissions; every admitted
-  // request runs to completion and streams its frames before we close.
-  scheduler_.drain();
-
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    stopping_ = true;
-    readers.swap(finished_readers_);
-    for (auto& [id, reader] : readers_) {
-      ::shutdown(reader.conn->fd, SHUT_RDWR);  // wakes it out of poll/read
-      readers.push_back(std::move(reader.thread));
-    }
+  // However the loop ended, the drain has finished and its thread is
+  // joined before run() returns or rethrows.
+  if (drainer_.joinable()) {
+    drainer_.join();
+  } else {
+    scheduler_.drain();
   }
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
-  }
+  for (const auto& conn : conns_) drop(*conn);
+  conns_.clear();
   scheduler_.stop();
   if (failure) std::rethrow_exception(failure);
 }
 
-void Server::accept_loop() {
+void Server::serve() {
+  std::vector<pollfd> fds;
+  bool backoff = false;
   for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
+    const bool stopping = stop_requested_.load();
+    if (stopping && !drainer_.joinable()) {
+      drainer_ = std::thread([this] {
+        scheduler_.drain();
+        drained_.store(true);
+        wake(wake_wr_);
+      });
+    }
+    // Drained: no request is left to answer, so only send what is left.
+    const bool flushing = drained_.load();
+
+    fds.clear();
+    fds.push_back({wake_rd_, POLLIN, 0});
+    fds.push_back({stopping || backoff ? -1 : listen_fd_, POLLIN, 0});
+    std::size_t kept = 0;
+    for (auto& conn : conns_) {
+      std::unique_lock<std::mutex> lock(conn->mutex);
+      const bool queued = !conn->out.empty();
+      const bool done = conn->closed || (flushing && !queued);
+      lock.unlock();
+      if (done) {
+        drop(*conn);
+        continue;
+      }
+      const short events = static_cast<short>(
+          (flushing ? 0 : POLLIN) | (queued ? POLLOUT : 0));
+      fds.push_back({conn->fd, events, 0});
+      conns_[kept++] = std::move(conn);
+    }
+    conns_.resize(kept);
+    if (flushing && conns_.empty()) return;
+
+    const int timeout =
+        flushing ? kFlushTimeoutMs : backoff ? kAcceptRetryMs : -1;
+    const int rc = ::poll(fds.data(), fds.size(), timeout);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      throw_errno("poll(accept)");
+      throw_errno("poll");
     }
-    if (fds[1].revents != 0) return;  // shutdown() woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (!accept_resource_error(errno)) throw_errno("accept");
-      // Out of fds or memory is load, not a fault: the listen fd stays
-      // readable, so wait on the wake pipe alone for a while, then retry.
-      pollfd wake{wake_rd_, POLLIN, 0};
-      if (::poll(&wake, 1, kAcceptRetryMs) > 0) return;  // shutdown()
-      continue;
+    if (rc == 0 && flushing) return;  // nobody took a byte for 30 s
+    backoff = false;
+
+    char sink[64];
+    while (fds[0].revents != 0 && ::read(wake_rd_, sink, sizeof sink) > 0) {
     }
-    // Bound writes so a client that stops reading mid-stream latches the
-    // connection dead instead of wedging a scheduler worker (and drain).
-    timeval send_timeout{30, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                 sizeof(send_timeout));
-    auto conn = std::make_shared<Connection>(fd);
-    std::vector<std::thread> finished;
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      if (stopping_) continue;  // fd closes via conn's destructor
-      const std::uint64_t id = next_reader_id_++;
-      Reader& reader = readers_[id];
-      reader.conn = conn;
-      reader.thread = std::thread(
-          [this, id, conn]() mutable { reader_loop(id, std::move(conn)); });
-      finished.swap(finished_readers_);
+    for (std::size_t i = 2; i < fds.size(); ++i) {
+      const auto& conn = conns_[i - 2];
+      if ((fds[i].revents & POLLOUT) != 0) conn->flush();
+      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      if (flushing) {
+        conn->close();  // a flushing client that hangs up is done
+      } else {
+        read_from(conn);
+      }
     }
-    for (auto& t : finished) t.join();
+    if ((fds[1].revents & POLLIN) != 0) backoff = accept_pending();
   }
 }
 
-void Server::reader_loop(std::uint64_t id, std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  char chunk[4096];
-  bool protocol_abort = false;
+/// Accepts every pending connection. Returns true when accept() ran out
+/// of fds or memory, so the listening socket sits out the next poll().
+bool Server::accept_pending() {
   for (;;) {
-    // The 200 ms tick bounds how long a reader lingers after run()
-    // calls ::shutdown() on the fd (poll then reports POLLHUP).
-    pollfd pfd{conn->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 200);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd >= 0) {
+      conns_.push_back(std::make_shared<Connection>(fd, wake_wr_));
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      if (stopping_) break;
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+    // Short of fds or memory for now: the connection stays in the backlog
+    // until a closing one frees what the next accept() needs.
+    if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+        errno != ENOMEM) {
+      throw_errno("accept");
     }
-    if (rc == 0) continue;
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
-    if (n <= 0) break;  // EOF or error: client is gone
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string_view line(buffer.data() + start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) handle_line(conn, line);
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > kMaxRequestBytes) {
-      // An unterminated line past the request cap is a protocol
-      // violation; answer once and drop the connection before the
-      // buffer grows unbounded.
-      conn->write_line(error_line("request line exceeds " +
-                                  std::to_string(kMaxRequestBytes) +
-                                  " bytes"));
-      protocol_abort = true;
-      break;
-    }
+    stats_->on_accept_backoff();
+    return true;
   }
+}
 
-  // Whatever this client still had running is abandoned work.
-  for (const std::uint64_t id : conn->take_owned()) {
-    scheduler_.cancel(id);
+void Server::read_from(const std::shared_ptr<Connection>& conn) {
+  char chunk[4096];
+  const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, MSG_DONTWAIT);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;
   }
+  if (n <= 0) {  // EOF or error: the client is gone
+    conn->close();
+    return;
+  }
+  std::string& buffer = conn->in;
+  buffer.append(chunk, static_cast<std::size_t>(n));
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = buffer.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    std::string_view line(buffer.data() + start, nl - start);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) handle_line(conn, line);
+  }
+  buffer.erase(0, start);
+  if (buffer.size() > kMaxRequestBytes) {
+    // An unterminated line past the request cap is a protocol
+    // violation; answer once and drop the connection before the buffer
+    // grows unbounded.
+    conn->write_line(error_line("request line exceeds " +
+                                std::to_string(kMaxRequestBytes) +
+                                " bytes"));
+    conn->close();
+  }
+}
+
+/// Ends a connection for good: its output stops, its client sees the
+/// socket close, and whatever it still had running is cancelled. The fd
+/// itself closes once no scheduler callback holds the connection.
+void Server::drop(Connection& conn) {
+  std::set<std::uint64_t> owned;
   {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->dead = true;
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    conn.closed = true;
+    if (conn.over_cap) stats_->on_client_dropped();
+    conn.owned.swap(owned);
+    ::shutdown(conn.fd, SHUT_RDWR);
   }
-  if (protocol_abort) ::shutdown(conn->fd, SHUT_RDWR);
-
-  // Leave the live set: the fd closes once this frame and any in-flight
-  // callback release `conn`, and the next accept joins this thread.
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  const auto it = readers_.find(id);
-  if (it != readers_.end()) {
-    finished_readers_.push_back(std::move(it->second.thread));
-    readers_.erase(it);
-  }
+  for (const std::uint64_t id : owned) scheduler_.cancel(id);
 }
 
 void Server::handle_line(const std::shared_ptr<Connection>& conn,
-                         std::string_view line) {
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const ProtocolError& e) {
-    conn->write_line(error_line(e.what()));
-    return;
-  }
+                         std::string_view line) try {
+  const Request req = parse_request(line);
   switch (req.kind) {
     case RequestKind::kPing:
       conn->write_line(pong_line());
@@ -323,14 +336,15 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       handle_run(conn, req.run);
       return;
   }
+} catch (const ProtocolError& e) {
+  conn->write_line(error_line(e.what()));
 }
 
 void Server::handle_run(const std::shared_ptr<Connection>& conn,
                         const RunRequest& request) {
   const campaign::Scenario* scenario = campaign::find_scenario(request.preset);
   if (scenario == nullptr) {
-    conn->write_line(error_line("unknown preset '" + request.preset + "'"));
-    return;
+    throw ProtocolError("unknown preset '" + request.preset + "'");
   }
 
   Scheduler::Callbacks callbacks;
@@ -359,9 +373,8 @@ void Server::handle_run(const std::shared_ptr<Connection>& conn,
     conn->write_line(rejected_line(adm.retry_after_ms, adm.reason));
     return;
   }
-  // Wire-order guarantee: admitted and header frames go out before
-  // start() releases the request — no worker can emit a chunk frame
-  // first.
+  // Wire-order guarantee: admitted and header frames are sent or queued
+  // before start() releases the request, so no chunk frame precedes them.
   conn->add_owned(adm.id);
   conn->write_line(
       admitted_line(adm.id, request.preset, adm.total_chunks, adm.queue_depth));

@@ -1,11 +1,11 @@
 /// @file
 /// campaign_serverd's connection layer: a line-delimited JSON protocol
-/// (serve/protocol.hpp) over a local stream socket — TCP on 127.0.0.1 or
-/// a Unix-domain socket — in front of the session-scoped Scheduler.
+/// (serve/protocol.hpp) over a Unix-domain socket in front of the
+/// session-scoped Scheduler.
 ///
 /// Request lifecycle (the data flow docs/ARCHITECTURE.md narrates):
 ///
-///   reader thread          scheduler worker            client socket
+///   poll loop              scheduler worker            client socket
 ///   ------------------     ------------------------    -------------
 ///   parse_request
 ///   find_scenario
@@ -17,33 +17,31 @@
 ///                          assemble_result       ---->  report_line
 ///                                                       done_line
 ///
-/// One reader thread per connection; a shared per-connection writer
-/// (mutex-serialized, MSG_NOSIGNAL, dead-latch on EPIPE) is the only
-/// thing scheduler callbacks touch, so a client that disconnects
-/// mid-stream never takes a worker down — its remaining frames are
-/// dropped and its in-flight requests cancelled.
-///
-/// A reader that sees its client go away removes its connection from the
-/// live set, so the fd closes as soon as the last in-flight callback
-/// releases the connection; the accept loop joins exited readers on its
-/// next wakeup. A long-lived daemon therefore holds fds and threads only
-/// for connected clients.
+/// run() is the only thread that accepts or reads: one poll() loop
+/// accepts connections, reads request lines and sends output a socket
+/// could not take at once. Every writer, the loop's replies and the
+/// scheduler callbacks alike, sends without blocking while nothing is
+/// queued and queues the rest on the connection, so a client that stops
+/// reading never holds a worker; one whose unsent output passes
+/// kMaxUnsentBytes is dropped and its requests cancelled, as is one that
+/// hangs up. An idle client costs one fd and no thread.
 ///
 /// Running out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM from
-/// accept) is load, not a fault: the accept loop waits a bounded interval
-/// on the self-pipe alone, then retries, so connections past the limit
-/// wait in the listen backlog until earlier ones close.
+/// accept) is load, not a fault: the listening socket sits out the next
+/// poll(), which waits at most 100 ms, and new connections wait in the
+/// backlog until earlier ones close. obs::ServiceStats counts both kinds
+/// of shed load.
 ///
-/// Shutdown: shutdown() only write()s one byte to a self-pipe
-/// (async-signal-safe — the SIGTERM handler may call it directly). run()
-/// then stops accepting, drains the scheduler (admitted requests finish
-/// streaming), and closes every connection.
+/// Shutdown: shutdown() sets an atomic flag and writes one byte to a
+/// non-blocking self-pipe, so a SIGTERM handler may call it. run() then
+/// stops accepting, keeps reading and sending while the scheduler drains
+/// (new requests are answered "server is draining"), sends what is left
+/// until no connection has taken a byte for 30 s, and closes them all.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <atomic>
+#include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,13 +51,17 @@
 
 namespace hs::serve {
 
+/// Unsent output a connection may hold before it is dropped. The largest
+/// frame is a report of ~15 KB (fig13-high-power-noshield), so 1 MiB
+/// holds over 60 of them behind a reader that falls behind for a moment. At
+/// the default limit of 1,024 fds, all backlogs together stay under
+/// 1 GiB.
+inline constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
+
 struct ServerOptions {
-  /// Non-empty binds a Unix-domain socket at this path (an existing
-  /// socket file is replaced). Takes precedence over TCP.
+  /// Path of the Unix-domain socket to bind; an existing socket file is
+  /// replaced.
   std::string unix_path;
-  /// TCP port on 127.0.0.1 (0 = ephemeral; read bound_port() after
-  /// start()). Used only when unix_path is empty.
-  std::uint16_t tcp_port = 0;
   SchedulerOptions scheduler;
 };
 
@@ -74,26 +76,22 @@ class Server {
   /// Binds and listens. Throws std::runtime_error on socket failures.
   void start();
 
-  /// The TCP port actually bound (resolves tcp_port == 0). 0 for Unix.
-  std::uint16_t bound_port() const { return bound_port_; }
-
-  /// Serves until shutdown(): accepts connections, spawns one reader
-  /// thread each. On shutdown it stops accepting, drains the scheduler
-  /// (every admitted request completes and streams out), then closes
-  /// all connections and joins the readers. A socket error other than
-  /// running out of fds or memory ends the loop the same way, and is
-  /// rethrown only after every reader has been joined.
+  /// Serves until shutdown(), then drains: every admitted request
+  /// completes and streams out before every connection closes. A socket
+  /// error other than running out of fds or memory ends the loop and is
+  /// rethrown once the scheduler has drained.
   void run();
 
-  /// Requests graceful termination of run(). Only write()s to the
-  /// self-pipe — safe to call from a signal handler or any thread.
+  /// Requests graceful termination of run(). Async-signal-safe.
   void shutdown();
 
  private:
   struct Connection;
 
-  void accept_loop();
-  void reader_loop(std::uint64_t id, std::shared_ptr<Connection> conn);
+  void serve();
+  bool accept_pending();
+  void read_from(const std::shared_ptr<Connection>& conn);
+  void drop(Connection& conn);
   void handle_line(const std::shared_ptr<Connection>& conn,
                    std::string_view line);
   void handle_run(const std::shared_ptr<Connection>& conn,
@@ -104,24 +102,15 @@ class Server {
   Scheduler scheduler_;
 
   int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< self-pipe read end (poll'd beside listen_fd_)
-  int wake_wr_ = -1;  ///< self-pipe write end (shutdown() writes here)
-  std::uint16_t bound_port_ = 0;
+  int wake_rd_ = -1;  ///< self-pipe read end, always in the poll set
+  int wake_wr_ = -1;  ///< self-pipe write end (shutdown() and writers)
   std::string bound_unix_path_;  ///< unlinked on close
 
-  struct Reader {
-    std::shared_ptr<Connection> conn;
-    std::thread thread;
-  };
-
-  std::mutex conns_mutex_;
-  /// Connected clients by accept order; guarded by conns_mutex_.
-  std::map<std::uint64_t, Reader> readers_;
-  /// Threads of readers that have exited, awaiting a join; guarded by
-  /// conns_mutex_.
-  std::vector<std::thread> finished_readers_;
-  std::uint64_t next_reader_id_ = 0;  ///< guarded by conns_mutex_
-  bool stopping_ = false;             ///< guarded by conns_mutex_
+  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> drained_{false};
+  std::thread drainer_;  ///< runs Scheduler::drain() once stopping
+  /// Open connections in accept order; touched only by run().
+  std::vector<std::shared_ptr<Connection>> conns_;
 };
 
 }  // namespace hs::serve

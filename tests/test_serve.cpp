@@ -6,9 +6,11 @@
 // records reassemble into a stream the v3 parser accepts and folds to
 // the same bytes), admission control (bounded queue, 429-style reject
 // with retry-after, recovery after drain-down), cancellation semantics,
-// graceful drain, and the socket layer end to end (unknown preset,
-// mid-stream client disconnect, concurrent clients over real TCP, fds
-// released when clients hang up, a daemon that runs out of fds).
+// graceful drain, and the socket layer end to end over a Unix socket
+// (unknown preset, a run too large to plan, mid-stream client
+// disconnect, concurrent clients, a client that never reads, one whose
+// unsent output passes the cap, fds and threads released when clients
+// hang up, a daemon that runs out of fds).
 //
 // Also part of the TSan suite (see .github/workflows/ci.yml): the
 // scheduler's worker pool, per-request callback serialization and the
@@ -17,9 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -434,29 +437,45 @@ TEST(ServeScheduler, DrainCompletesEverythingAdmitted) {
 
 // ---- server: the socket layer end to end -----------------------------------
 
-sockaddr_in loopback(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  return addr;
+/// A fresh socket path for each server this process starts.
+std::string socket_path() {
+  static int next = 0;
+  return (std::filesystem::temp_directory_path() /
+          ("hs-test-serve-" + std::to_string(::getpid()) + "-" +
+           std::to_string(next++) + ".sock"))
+      .string();
 }
 
-/// Minimal blocking line client against 127.0.0.1:<port>.
+/// connect() of `fd` to the server at `path`: 0, or -1 with errno set.
+int connect_to(int fd, const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr));
+}
+
+/// Bounds a socket's blocking connect, sends and reads.
+void set_timeouts(int fd, long seconds) {
+  const timeval timeout{seconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+}
+
+/// Minimal blocking line client.
 class LineClient {
  public:
-  explicit LineClient(std::uint16_t port)
-      : LineClient(::socket(AF_INET, SOCK_STREAM, 0), port) {}
+  explicit LineClient(const std::string& path)
+      : LineClient(::socket(AF_UNIX, SOCK_STREAM, 0), path) {}
 
-  /// Connects the caller's unconnected TCP socket `fd` and owns it.
-  LineClient(int fd, std::uint16_t port) : fd_(fd) {
+  /// Connects the caller's unconnected Unix socket `fd` and owns it.
+  LineClient(int fd, const std::string& path) : fd_(fd) {
     EXPECT_GE(fd_, 0);
-    const sockaddr_in addr = loopback(port);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
+    EXPECT_EQ(connect_to(fd_, path), 0) << std::strerror(errno);
   }
   ~LineClient() { close(); }
+
+  int fd() const { return fd_; }
 
   void close() {
     if (fd_ >= 0) ::close(fd_);
@@ -465,7 +484,7 @@ class LineClient {
 
   void send_line(const std::string& line) {
     const std::string framed = line + "\n";
-    ASSERT_EQ(::send(fd_, framed.data(), framed.size(), 0),
+    ASSERT_EQ(::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(framed.size()));
   }
 
@@ -485,16 +504,27 @@ class LineClient {
     }
   }
 
+  /// Reads up to and including the done frame; returns it (empty if the
+  /// stream ended first).
+  std::string read_until_done() {
+    std::string line;
+    do {
+      line = read_line();
+    } while (!line.empty() &&
+             line.find("\"type\":\"done\"") == std::string::npos);
+    return line;
+  }
+
  private:
   int fd_ = -1;
   std::string buffer_;
 };
 
 struct ServerFixture {
-  ServerFixture() {
+  explicit ServerFixture(unsigned workers = 2) {
     serve::ServerOptions options;
-    options.tcp_port = 0;
-    options.scheduler.workers = 2;
+    options.unix_path = path;
+    options.scheduler.workers = workers;
     options.scheduler.max_active = 4;
     options.scheduler.max_queue = 4;
     server = std::make_unique<serve::Server>(options, &stats);
@@ -506,6 +536,7 @@ struct ServerFixture {
     thread.join();
   }
 
+  const std::string path = socket_path();
   obs::ServiceStats stats;
   std::unique_ptr<serve::Server> server;
   std::thread thread;
@@ -513,10 +544,9 @@ struct ServerFixture {
 
 TEST(ServeServer, ErrorsUnknownPresetAndSurvivesMidStreamDisconnect) {
   ServerFixture fx;
-  const std::uint16_t port = fx.server->bound_port();
 
   {
-    LineClient c(port);
+    LineClient c(fx.path);
     c.send_line(R"({"cmd":"run","preset":"no-such-preset"})");
     const std::string reply = c.read_line();
     EXPECT_NE(reply.find("\"type\":\"error\""), std::string::npos) << reply;
@@ -524,6 +554,16 @@ TEST(ServeServer, ErrorsUnknownPresetAndSurvivesMidStreamDisconnect) {
     // Malformed JSON answers with error but keeps the connection.
     c.send_line("{\"cmd\":");
     EXPECT_NE(c.read_line().find("\"type\":\"error\""), std::string::npos);
+    // A run of 36 M chunks is refused before anything is planned, with
+    // an error rather than a 429: no retry could admit it.
+    c.send_line(
+        R"({"cmd":"run","preset":"fig9-eaves-ber","trials":2000000})");
+    const std::string huge = c.read_line();
+    EXPECT_NE(huge.find("\"type\":\"error\""), std::string::npos) << huge;
+    EXPECT_NE(huge.find(std::to_string(serve::kMaxRequestChunks)),
+              std::string::npos)
+        << huge;
+    EXPECT_NE(huge.find("chunk_size"), std::string::npos) << huge;
     c.send_line(R"({"cmd":"ping"})");
     EXPECT_EQ(c.read_line(), R"({"type":"pong"})");
   }
@@ -532,7 +572,7 @@ TEST(ServeServer, ErrorsUnknownPresetAndSurvivesMidStreamDisconnect) {
   // of frames, then slam the socket. The server must cancel the orphaned
   // request and keep serving others.
   {
-    LineClient rude(port);
+    LineClient rude(fx.path);
     rude.send_line(
         R"({"cmd":"run","preset":"fig9-eaves-ber","seed":5,"trials":2})");
     EXPECT_NE(rude.read_line().find("\"type\":\"admitted\""),
@@ -542,23 +582,18 @@ TEST(ServeServer, ErrorsUnknownPresetAndSurvivesMidStreamDisconnect) {
     rude.close();
   }
   {
-    LineClient polite(port);
+    LineClient polite(fx.path);
     polite.send_line(
         R"({"cmd":"run","preset":"fig9-eaves-ber","seed":6,"trials":1})");
-    std::string line = polite.read_line();
+    const std::string line = polite.read_line();
     EXPECT_NE(line.find("\"type\":\"admitted\""), std::string::npos) << line;
-    while (!line.empty() &&
-           line.find("\"type\":\"done\"") == std::string::npos) {
-      line = polite.read_line();
-    }
-    EXPECT_NE(line.find("\"type\":\"done\""), std::string::npos)
+    EXPECT_FALSE(polite.read_until_done().empty())
         << "stream ended before done";
   }
 }
 
 TEST(ServeServer, ConcurrentWireClientsGetSerialIdenticalReports) {
   ServerFixture fx;
-  const std::uint16_t port = fx.server->bound_port();
   const Scenario* preset = campaign::find_scenario("fig9-eaves-ber");
   ASSERT_NE(preset, nullptr);
 
@@ -567,8 +602,8 @@ TEST(ServeServer, ConcurrentWireClientsGetSerialIdenticalReports) {
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
-    clients.emplace_back([port, i, &reports] {
-      LineClient c(port);
+    clients.emplace_back([&fx, i, &reports] {
+      LineClient c(fx.path);
       c.send_line(R"({"cmd":"run","preset":"fig9-eaves-ber","seed":)" +
                   std::to_string(50 + i) + R"(,"trials":1})");
       for (;;) {
@@ -602,10 +637,80 @@ TEST(ServeServer, ConcurrentWireClientsGetSerialIdenticalReports) {
   EXPECT_EQ(fx.stats.snapshot().requests_completed, kClients);
 }
 
-/// Entries in /proc/self/fd, the listing's own handle included.
-std::size_t open_fds() {
+TEST(ServeServer, ClientThatNeverReadsStallsNoOne) {
+  // One worker. Client A's 2,000-chunk run streams to a socket nobody
+  // reads, so its frames back up on the connection; the worker must run
+  // on, and client B's small run must finish meanwhile.
+  ServerFixture fx(1);
+  LineClient a(fx.path);
+  a.send_line(
+      R"({"cmd":"run","preset":"fig3-imd-timing","seed":1,"trials":2000})");
+  // A's frames fill the socket buffers well before 300 chunks, so a
+  // worker that waited on A would stop short of them.
+  std::uint64_t chunks = 0;
+  auto progressed = std::chrono::steady_clock::now();
+  while (chunks < 300) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t executed = fx.stats.snapshot().chunks_executed;
+    if (executed > chunks) {
+      chunks = executed;
+      progressed = now;
+    }
+    ASSERT_LT(now - progressed, std::chrono::seconds(5))
+        << "the worker stalled after " << chunks << " chunks";
+  }
+
+  LineClient b(fx.path);
+  set_timeouts(b.fd(), 20);
+  const auto t0 = std::chrono::steady_clock::now();
+  b.send_line(
+      R"({"cmd":"run","preset":"fig3-imd-timing","seed":2,"trials":2})");
+  EXPECT_FALSE(b.read_until_done().empty()) << "B never got done";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+TEST(ServeServer, ClientPastTheOutputCapIsDroppedOnce) {
+  // A client that pipelines requests and never reads has its replies
+  // queue up on the connection. Past kMaxUnsentBytes the server closes
+  // it, counts it once, and goes on serving everyone else.
+  ServerFixture fx;
+  LineClient hog(fx.path);
+  const std::size_t reply =
+      serve::stats_line(obs::ServiceStatsSnapshot{}).size();
+  const std::size_t requests = 4 * serve::kMaxUnsentBytes / reply;
+  std::string batch;
+  for (std::size_t i = 0; i < requests; ++i) batch += "{\"cmd\":\"stats\"}\n";
+  // The server may close the hog before it has read every request.
+  for (std::size_t off = 0; off < batch.size();) {
+    const ssize_t n = ::send(hog.fd(), batch.data() + off,
+                             batch.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (fx.stats.snapshot().clients_dropped == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the hog was never cut off";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The hog reads what the socket held when it was closed, then EOF.
+  set_timeouts(hog.fd(), 20);
+  std::size_t replies = 0;
+  while (!hog.read_line().empty()) ++replies;
+  EXPECT_LT(replies, requests);
+
+  LineClient other(fx.path);
+  other.send_line(R"({"cmd":"ping"})");
+  EXPECT_EQ(other.read_line(), R"({"type":"pong"})");
+  EXPECT_EQ(fx.stats.snapshot().clients_dropped, 1u);
+}
+
+/// Entries in a /proc directory, the listing's own handle included.
+std::size_t entries(const char* dir) {
   std::size_t n = 0;
-  for (auto it = std::filesystem::directory_iterator("/proc/self/fd");
+  for (auto it = std::filesystem::directory_iterator(dir);
        it != std::filesystem::directory_iterator(); ++it) {
     ++n;
   }
@@ -613,26 +718,37 @@ std::size_t open_fds() {
 }
 
 TEST(ServeServer, FinishedConnectionsReleaseTheirFds) {
-  // A daemon holds fds only for connected clients: 300 clients that ping
-  // and hang up leave its fd count where it started.
+  // A daemon holds an fd, and no thread, per connected client: 200 idle
+  // clients leave the thread count flat, and they and 300 clients that
+  // ping and hang up leave the fd count where it started.
   ServerFixture fx;
-  const std::uint16_t port = fx.server->bound_port();
-  const std::size_t before = open_fds();
+  const std::size_t fds_before = entries("/proc/self/fd");
+  const std::size_t threads_before = entries("/proc/self/task");
+  {
+    std::deque<LineClient> idle;
+    for (int i = 0; i < 200; ++i) {
+      LineClient& c = idle.emplace_back(fx.path);
+      c.send_line(R"({"cmd":"ping"})");
+      ASSERT_EQ(c.read_line(), R"({"type":"pong"})");
+    }
+    EXPECT_LE(entries("/proc/self/task"), threads_before + 2);
+  }
   for (int i = 0; i < 300; ++i) {
-    LineClient c(port);
+    LineClient c(fx.path);
     c.send_line(R"({"cmd":"ping"})");
     ASSERT_EQ(c.read_line(), R"({"type":"pong"})");
   }
-  // Each reader notices its hang-up on its own thread; poll until the
-  // last one has let go of its connection.
+  // The server notices each hang-up on its own thread; poll until the
+  // last connection is gone.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  std::size_t after = open_fds();
-  while (after > before + 4 && std::chrono::steady_clock::now() < deadline) {
+  std::size_t after = entries("/proc/self/fd");
+  while (after > fds_before + 4 &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
-    after = open_fds();
+    after = entries("/proc/self/fd");
   }
-  EXPECT_LE(after, before + 4);
+  EXPECT_LE(after, fds_before + 4);
 }
 
 /// The fd numbers open in this process, the listing's own handle
@@ -656,13 +772,13 @@ struct FdLimitGuard {
 TEST(ServeServer, SurvivesFdExhaustion) {
   // A daemon out of fds waits for connections to close instead of
   // dying. Under a lowered RLIMIT_NOFILE, idle clients past the limit
-  // leave accept() failing with EMFILE; once they hang up, a fresh client
-  // gets its pong, and shutdown() still drains.
+  // leave accept() failing with EMFILE, which the server counts; once
+  // they hang up, a fresh client gets its pong, and shutdown() still
+  // drains.
   constexpr int kMargin = 8;    // fds the lowered limit leaves free
   constexpr int kClients = 64;  // idle clients, far past the margin
   FdLimitGuard guard;
   auto fx = std::make_unique<ServerFixture>();
-  const std::uint16_t port = fx->server->bound_port();
 
   // Every client socket sits at or above the lowered limit, so only the
   // server's accepted fds compete for the slots below it.
@@ -670,7 +786,7 @@ TEST(ServeServer, SurvivesFdExhaustion) {
   const int limit = *std::max_element(fds.begin(), fds.end()) + 1 + kMargin;
   std::vector<int> clients;
   for (int i = 0; i <= kClients; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     clients.push_back(::fcntl(fd, F_DUPFD_CLOEXEC, limit));
     ::close(fd);
@@ -683,41 +799,35 @@ TEST(ServeServer, SurvivesFdExhaustion) {
   lowered.rlim_cur = static_cast<rlim_t>(limit);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
 
-  // Connect without blocking: past the listen backlog a SYN goes
-  // unanswered, and that client just stays pending.
-  const sockaddr_in addr = loopback(port);
-  for (const int fd : clients) {
-    ::fcntl(fd, F_SETFL, O_NONBLOCK);
-    const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                             sizeof(addr));
-    ASSERT_TRUE(rc == 0 || errno == EINPROGRESS) << std::strerror(errno);
-  }
-  // Wait until the server has taken every free slot: then a dup() here
-  // fails with EMFILE too. Hold the clients a little longer, so accept()
-  // keeps meeting EMFILE.
+  // Connect without blocking until accept() has met EMFILE. A connect
+  // that finds the listen backlog full fails with EAGAIN; it is retried
+  // once the server has taken what it can.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  for (;;) {
-    const int probe = ::dup(STDIN_FILENO);
-    if (probe < 0) {
-      ASSERT_EQ(errno, EMFILE);
-      break;
-    }
-    ::close(probe);
+  std::size_t connected = 0;
+  while (fx->stats.snapshot().accept_backoffs == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "the server never used up the fd margin";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        << "accept() never ran out of fds; " << connected << " connected";
+    if (connected < clients.size()) {
+      const int fd = clients[connected];
+      ::fcntl(fd, F_SETFL, O_NONBLOCK);
+      if (connect_to(fd, fx->path) == 0) {
+        ++connected;
+        continue;
+      }
+      ASSERT_EQ(errno, EAGAIN) << std::strerror(errno);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // Hold the clients a little longer, so accept() keeps meeting EMFILE.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   for (const int fd : clients) ::close(fd);
 
-  // The fresh client waits in the backlog until closed connections give
-  // the server an fd back. Bound its connect and its read.
-  const timeval timeout{20, 0};
-  ::setsockopt(fresh, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-  ::setsockopt(fresh, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  // The fresh client waits for room in the backlog until closed
+  // connections give the server an fd back. Bound its connect and read.
+  set_timeouts(fresh, 20);
   {
-    LineClient c(fresh, port);
+    LineClient c(fresh, fx->path);
     c.send_line(R"({"cmd":"ping"})");
     EXPECT_EQ(c.read_line(), R"({"type":"pong"})");
   }

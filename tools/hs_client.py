@@ -6,8 +6,8 @@ submitting campaigns back to back (closed loop: the next request goes
 out only after the previous one's `done` frame), and reports sustained
 campaigns/sec plus p50/p90/p99 request latency:
 
-    build/campaign_serverd --port=0 --port-file=/tmp/hs.port &
-    python3 tools/hs_client.py --port "$(cat /tmp/hs.port)" \
+    build/campaign_serverd --unix=/tmp/hs.sock &
+    python3 tools/hs_client.py --unix /tmp/hs.sock \
         --clients 4 --campaigns 5 --preset fig9-eaves-ber --trials 4
 
 Every campaign uses a distinct seed (seed-base + a running index), so
@@ -51,12 +51,9 @@ class ClientError(Exception):
 class Connection:
     """One line-delimited JSON connection to the daemon."""
 
-    def __init__(self, host, port, unix_path):
-        if unix_path:
-            self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self.sock.connect(unix_path)
-        else:
-            self.sock = socket.create_connection((host, port))
+    def __init__(self, unix_path):
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.sock.connect(unix_path)
         self.file = self.sock.makefile("rw", encoding="utf-8", newline="\n")
 
     def send(self, obj):
@@ -133,7 +130,7 @@ def run_campaign(conn, request):
 
 def client_loop(index, args, results, errors):
     try:
-        conn = Connection(args.host, args.port, args.unix)
+        conn = Connection(args.unix)
         for j in range(args.campaigns):
             seed = args.seed_base + index * args.campaigns + j
             request = {
@@ -195,10 +192,8 @@ def percentile(sorted_values, p):
 def main():
     ap = argparse.ArgumentParser(
         description="closed-loop load generator for campaign_serverd")
-    ap.add_argument("--host", default="127.0.0.1")
-    ap.add_argument("--port", type=int, default=0)
-    ap.add_argument("--unix", default="",
-                    help="Unix-domain socket path (instead of --port)")
+    ap.add_argument("--unix", required=True, metavar="PATH",
+                    help="the daemon's Unix-domain socket")
     ap.add_argument("--clients", type=int, default=4)
     ap.add_argument("--campaigns", type=int, default=5,
                     help="campaigns per client (closed loop)")
@@ -212,8 +207,6 @@ def main():
     ap.add_argument("--json", default="", metavar="PATH",
                     help="write the load-test result document to PATH")
     args = ap.parse_args()
-    if not args.unix and args.port == 0:
-        sys.exit("hs_client: need --port or --unix")
 
     results = []  # list append is atomic under the GIL
     errors = []
