@@ -404,9 +404,9 @@ int run_recover(const Cli& cli) {
         std::fprintf(stderr, "recover: %s: complete (%zu chunks)\n",
                      path.c_str(), s.chunks.size());
       } else {
-        std::fprintf(stderr, "recover: %s: salvaged %zu chunk(s) — %s\n",
-                     path.c_str(), s.chunks.size(),
-                     s.truncation_reason.c_str());
+        // The reason names the stream and the line at fault.
+        std::fprintf(stderr, "recover: salvaged %zu chunk(s) — %s\n",
+                     s.chunks.size(), s.truncation_reason.c_str());
       }
     }
     const auto first_valid =

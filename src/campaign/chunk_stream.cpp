@@ -1,5 +1,6 @@
 #include "campaign/chunk_stream.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -37,14 +38,16 @@ void seal_line(std::string& line) {
   line += buf;
 }
 
-/// A lexer failure on one line as the ChunkStreamError that names the
-/// source and line. The line parsers below run a strict wire::Lexer, so
-/// any deviation from the writer's byte layout fails with that context —
-/// a truncated or hand-edited line cannot parse into a half-read record.
-ChunkStreamError line_error(std::string_view source, std::size_t lineno,
-                            const wire::Error& e) {
-  return ChunkStreamError("chunk-stream: " + std::string(source) + " line " +
-                          std::to_string(lineno) + ": " + e.what());
+/// The ChunkStreamError for `what` in `source`, naming the 1-based line
+/// at fault (0 when the stream as a whole is). The line parsers below run
+/// a strict wire::Lexer and report its failures through this, so any
+/// deviation from the writer's byte layout fails with that context — a
+/// truncated or hand-edited line cannot parse into a half-read record.
+ChunkStreamError stream_error(std::string_view source, std::size_t lineno,
+                              const std::string& what) {
+  std::string msg = "chunk-stream: " + std::string(source);
+  if (lineno != 0) msg += " line " + std::to_string(lineno);
+  return ChunkStreamError(msg + ": " + what);
 }
 
 /// `"name":` for the keys spelled by enum order (counters, phases).
@@ -139,7 +142,7 @@ ChunkStreamHeader parse_header(std::string_view line,
   if (h.trials_per_point == 0) lx.fail("trials_per_point must be >= 1");
   return h;
 } catch (const wire::Error& e) {
-  throw line_error(source, 1, e);
+  throw stream_error(source, 1, e.what());
 }
 
 ChunkRecord parse_chunk_record(std::string_view line,
@@ -204,7 +207,7 @@ ChunkRecord parse_chunk_record(std::string_view line,
   }
   return rec;
 } catch (const wire::Error& e) {
-  throw line_error(source, lineno, e);
+  throw stream_error(source, lineno, e.what());
 }
 
 /// The metrics trailer is as strict as the records: fixed key order,
@@ -252,7 +255,7 @@ ShardMetricsTrailer parse_metrics_trailer(std::string_view line,
   expect_crc_and_end(lx, line);
   return t;
 } catch (const wire::Error& e) {
-  throw line_error(source, lineno, e);
+  throw stream_error(source, lineno, e.what());
 }
 
 std::vector<std::string_view> split_lines(std::string_view text) {
@@ -265,6 +268,62 @@ std::vector<std::string_view> split_lines(std::string_view text) {
     start = end + 1;
   }
   return lines;
+}
+
+/// The one walk over a stream under the strict rules: the header, then
+/// the records it promises, then the metrics trailer. Each piece lands in
+/// `out` as it is accepted; the first offending line throws, leaving the
+/// valid prefix behind.
+void walk_chunk_stream(std::string_view text, std::string_view source,
+                       SalvagedStream& out) {
+  if (text.empty()) throw stream_error(source, 0, "empty stream");
+  // A missing final newline means the last line was cut mid-write; the
+  // complete lines before it are still candidates.
+  const std::vector<std::string_view> lines = split_lines(text);
+  if (lines.empty()) throw stream_error(source, 0, "no complete line");
+  out.header = parse_header(lines[0], source);
+  out.header_valid = true;
+
+  const std::size_t promised = out.header.chunk_count;
+  out.chunks.reserve(std::min(promised, lines.size() - 1));
+  for (std::size_t i = 1; i <= promised; ++i) {
+    if (i == lines.size()) {
+      throw stream_error(source, 0,
+                         "stream ends after " + std::to_string(i - 1) +
+                             " of " + std::to_string(promised) +
+                             " promised records");
+    }
+    ChunkRecord rec = parse_chunk_record(lines[i], source, i + 1, out.header);
+    if (!out.chunks.empty() &&
+        rec.ref.chunk_index <= out.chunks.back().ref.chunk_index) {
+      throw stream_error(source, i + 1,
+                         "duplicate or out-of-order chunk id " +
+                             std::to_string(rec.ref.chunk_index));
+    }
+    out.chunks.push_back(std::move(rec));
+  }
+
+  // The stream is complete only if the trailer line follows, checks out,
+  // and nothing trails it.
+  const std::size_t trailer_at = promised + 1;
+  if (lines.size() == trailer_at) {
+    throw stream_error(source, 0, "metrics trailer missing or cut short");
+  }
+  out.trailer =
+      parse_metrics_trailer(lines[trailer_at], source, trailer_at + 1);
+  if (lines.size() > trailer_at + 1 || text.back() != '\n') {
+    throw stream_error(source, trailer_at + 2,
+                       "unexpected bytes after the metrics trailer");
+  }
+  out.complete = true;
+}
+
+/// The strict reading of a salvage: the stream when it is complete,
+/// otherwise the ChunkStreamError that stopped the walk.
+ChunkStream require_complete(SalvagedStream s) {
+  if (!s.complete) throw ChunkStreamError(s.truncation_reason);
+  return {std::move(s.header), std::move(s.chunks), s.trailer,
+          std::move(s.source)};
 }
 
 }  // namespace
@@ -380,135 +439,15 @@ std::string serialize_chunk_stream(const Scenario& scenario,
   return out;
 }
 
-ChunkStream parse_chunk_stream(std::string_view text,
-                               std::string_view source) {
-  if (text.empty()) {
-    throw ChunkStreamError("chunk-stream: " + std::string(source) +
-                           ": empty stream");
-  }
-  if (text.back() != '\n') {
-    throw ChunkStreamError("chunk-stream: " + std::string(source) +
-                           ": truncated stream (missing final newline)");
-  }
-
-  const std::vector<std::string_view> lines = split_lines(text);
-
-  ChunkStream stream;
-  stream.source = std::string(source);
-  stream.header = parse_header(lines[0], source);
-  // Layout: header + chunk_count records + metrics trailer.
-  if (lines.size() != 1 + stream.header.chunk_count + 1) {
-    throw ChunkStreamError(
-        "chunk-stream: " + std::string(source) + ": header promises " +
-        std::to_string(stream.header.chunk_count) +
-        " chunk records plus a metrics trailer, found " +
-        std::to_string(lines.size() - 1) +
-        " lines after the header (truncated or padded stream)");
-  }
-  stream.chunks.reserve(stream.header.chunk_count);
-  for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-    ChunkRecord rec =
-        parse_chunk_record(lines[i], source, i + 1, stream.header);
-    if (!stream.chunks.empty() &&
-        rec.ref.chunk_index <= stream.chunks.back().ref.chunk_index) {
-      throw ChunkStreamError(
-          "chunk-stream: " + std::string(source) + " line " +
-          std::to_string(i + 1) + ": duplicate or out-of-order chunk id " +
-          std::to_string(rec.ref.chunk_index));
-    }
-    stream.chunks.push_back(std::move(rec));
-  }
-  stream.trailer =
-      parse_metrics_trailer(lines.back(), source, lines.size());
-  return stream;
-}
-
-ChunkStream load_chunk_stream(const std::string& path) {
-  std::string text;
-  switch (wire::read_whole_file(path, text)) {
-    case wire::FileReadStatus::kOpenFailed:
-      throw ChunkStreamError("chunk-stream: cannot open " + path);
-    case wire::FileReadStatus::kReadError:
-      throw ChunkStreamError("chunk-stream: error reading " + path);
-    case wire::FileReadStatus::kOk: break;
-  }
-  return parse_chunk_stream(text, path);
-}
-
 SalvagedStream salvage_chunk_stream(std::string_view text,
                                     std::string_view source) {
   SalvagedStream out;
   out.source = std::string(source);
-  if (text.empty()) {
-    out.truncation_reason = "empty stream";
-    return out;
-  }
-  // A missing final newline means the last line was cut mid-write; the
-  // complete lines before it are still candidates.
-  const bool clean_tail = text.back() == '\n';
-  const std::vector<std::string_view> lines = split_lines(text);
-  if (lines.empty()) {
-    out.truncation_reason = "no complete line";
-    return out;
-  }
-
   try {
-    out.header = parse_header(lines[0], source);
+    walk_chunk_stream(text, source, out);
   } catch (const ChunkStreamError& e) {
     out.truncation_reason = e.what();
-    return out;
   }
-  out.header_valid = true;
-
-  // Accept records under exactly the strict rules; the first offending
-  // line ends the salvage. A line that parses as the trailer instead of
-  // a record ends record acceptance too (handled below).
-  const std::size_t record_lines =
-      std::min(lines.size() - 1, out.header.chunk_count);
-  std::size_t accepted = 0;
-  for (; accepted < record_lines; ++accepted) {
-    const std::size_t lineno = accepted + 2;
-    try {
-      ChunkRecord rec = parse_chunk_record(lines[accepted + 1], source,
-                                           lineno, out.header);
-      if (!out.chunks.empty() &&
-          rec.ref.chunk_index <= out.chunks.back().ref.chunk_index) {
-        out.truncation_reason =
-            "line " + std::to_string(lineno) +
-            ": duplicate or out-of-order chunk id " +
-            std::to_string(rec.ref.chunk_index);
-        return out;
-      }
-      out.chunks.push_back(std::move(rec));
-    } catch (const ChunkStreamError& e) {
-      out.truncation_reason = e.what();
-      return out;
-    }
-  }
-
-  // All promised records were valid; the stream is complete only if the
-  // trailer line follows, checks out, and nothing trails it.
-  if (accepted < out.header.chunk_count) {
-    out.truncation_reason =
-        "stream ends after " + std::to_string(accepted) + " of " +
-        std::to_string(out.header.chunk_count) + " promised records";
-    return out;
-  }
-  if (lines.size() < out.header.chunk_count + 2 || !clean_tail) {
-    out.truncation_reason = "metrics trailer missing or cut short";
-    return out;
-  }
-  if (lines.size() > out.header.chunk_count + 2) {
-    out.truncation_reason = "unexpected lines after the metrics trailer";
-    return out;
-  }
-  try {
-    out.trailer = parse_metrics_trailer(lines.back(), source, lines.size());
-  } catch (const ChunkStreamError& e) {
-    out.truncation_reason = e.what();
-    return out;
-  }
-  out.complete = true;
   return out;
 }
 
@@ -520,10 +459,22 @@ SalvagedStream salvage_chunk_stream_file(const std::string& path) {
   }
   SalvagedStream out;
   out.source = path;
-  out.truncation_reason = status == wire::FileReadStatus::kOpenFailed
-                              ? "cannot open stream file"
-                              : "error reading stream file";
+  out.truncation_reason =
+      stream_error(path, 0,
+                   status == wire::FileReadStatus::kOpenFailed
+                       ? "cannot open stream file"
+                       : "error reading stream file")
+          .what();
   return out;
+}
+
+ChunkStream parse_chunk_stream(std::string_view text,
+                               std::string_view source) {
+  return require_complete(salvage_chunk_stream(text, source));
+}
+
+ChunkStream load_chunk_stream(const std::string& path) {
+  return require_complete(salvage_chunk_stream_file(path));
 }
 
 CampaignResult merge_chunk_streams(const Scenario& scenario,

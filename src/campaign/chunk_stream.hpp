@@ -139,8 +139,9 @@ struct MergedMetrics {
 ///     prefix is always a prefix of what the intact stream carried;
 ///   - `complete` is true iff the whole stream is strictly valid
 ///     (records fulfil the header's promise and the trailer checks out),
-///     in which case salvage equals parse_chunk_stream and `trailer` is
-///     meaningful.
+///     in which case `trailer` is meaningful. parse_chunk_stream is this
+///     salvage plus a throw when it is not complete, so the two agree by
+///     construction.
 struct SalvagedStream {
   bool header_valid = false;
   ChunkStreamHeader header;
@@ -148,7 +149,8 @@ struct SalvagedStream {
   bool complete = false;
   ShardMetricsTrailer trailer;
   std::string source;
-  /// Why salvage stopped short (empty when complete).
+  /// Why salvage stopped short (empty when complete): the message of the
+  /// ChunkStreamError parse_chunk_stream throws for this stream.
   std::string truncation_reason;
 };
 
@@ -182,8 +184,9 @@ std::string serialize_chunk_record(
 std::string serialize_metrics_trailer(unsigned threads, double wall_seconds,
                                       const obs::Report& report);
 
-/// Parses and validates one stream. `source` names the stream (file
-/// path) in error messages. Throws ChunkStreamError.
+/// Parses and validates one stream: salvage_chunk_stream, throwing
+/// ChunkStreamError with the truncation reason unless the stream is
+/// complete. `source` names the stream (file path) in error messages.
 ChunkStream parse_chunk_stream(std::string_view text,
                                std::string_view source);
 

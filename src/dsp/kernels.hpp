@@ -19,9 +19,9 @@
 //    operation happens in the same order with the same operands and the
 //    results match bit for bit. `test_dsp_kernels` enforces this over
 //    randomized planes for every backend the host can run.
-//  * All kernel translation units are compiled with -ffp-contract=off, so
-//    kernel results are also invariant across build flavors (the HS_NATIVE
-//    flavor changes the surrounding code's rounding, never the kernels').
+//  * The build compiles every translation unit with -ffp-contract=off
+//    (CMakeLists.txt), so no backend can fuse a multiply-add the reference
+//    does not.
 //
 // Raw intrinsics are forbidden outside src/dsp/kernels.* (determinism
 // linter rule `raw-intrinsics`); new vector code goes through this table.

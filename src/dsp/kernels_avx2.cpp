@@ -1,6 +1,6 @@
 // AVX2 kernel backend: 4-wide double vectors.
 //
-// Compiled with -mavx2 -ffp-contract=off (CMakeLists.txt); every function
+// Compiled with -mavx2 (CMakeLists.txt); every function
 // here is reached only through the dispatch table after a runtime
 // __builtin_cpu_supports("avx2") check. Each kernel vectorizes a dimension
 // that is already an independent accumulation chain in the scalar

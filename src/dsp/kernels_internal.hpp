@@ -1,7 +1,7 @@
 // Internal glue between the kernel dispatch (kernels.cpp) and the
 // per-ISA translation units (kernels_sse2.cpp, kernels_avx2.cpp). Each ISA
-// TU is compiled with exactly its target flag plus -ffp-contract=off and
-// returns nullptr when the build could not enable that ISA, so dispatch
+// TU is compiled with exactly its target flag on top of the build's flags
+// and returns nullptr when the build could not enable that ISA, so dispatch
 // degrades gracefully on non-x86 hosts and conservative toolchains.
 #pragma once
 

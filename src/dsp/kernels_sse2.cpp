@@ -1,12 +1,11 @@
 // SSE2 kernel backend: 2-wide double vectors (x86-64 baseline ISA).
 //
-// Compiled with -ffp-contract=off (CMakeLists.txt). Bit-exactness against
-// the scalar reference follows the same rule as the AVX2 backend: only
-// dimensions that are already independent accumulation chains get a vector
-// lane. The segmented correlation and dual-tone kernels therefore still
-// step FOUR lanes per iteration — as two __m128d vectors each — so the
-// main-loop/tail boundary and per-lane operation order match the reference
-// exactly; `test_dsp_kernels` enforces the match.
+// Bit-exactness against the scalar reference follows the same rule as the
+// AVX2 backend: only dimensions that are already independent accumulation
+// chains get a vector lane. The segmented correlation and dual-tone kernels
+// therefore still step FOUR lanes per iteration — as two __m128d vectors
+// each — so the main-loop/tail boundary and per-lane operation order match
+// the reference exactly; `test_dsp_kernels` enforces the match.
 //
 // Raw intrinsics are allowed in this file only (LINT.toml raw-intrinsics
 // allowlist); everything else goes through the dispatch table.

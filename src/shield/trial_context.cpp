@@ -8,11 +8,9 @@
 namespace hs::shield {
 
 void TrialContext::set_warm_policy(std::uint64_t warmup_seed,
-                                   snapshot::SnapshotCache* cache,
-                                   WarmStrategy strategy) {
+                                   snapshot::SnapshotCache* cache) {
   warmup_seed_ = warmup_seed;
   cache_ = warmup_seed != 0 ? cache : nullptr;
-  strategy_ = strategy;
 }
 
 Deployment& TrialContext::cold_deployment(const DeploymentOptions& options) {
@@ -31,12 +29,11 @@ Deployment& TrialContext::cold_deployment(const DeploymentOptions& options) {
 Deployment& TrialContext::deployment(const DeploymentOptions& options) {
   DeploymentOptions opts = options;
   if (warmup_seed_ != 0) opts.warmup_seed = warmup_seed_;
-  if (cache_ == nullptr) return cold_deployment(opts);
-  if (strategy_ == WarmStrategy::kRestoreOnBuild && deployment_ != nullptr &&
-      deployment_->can_reset_to(opts)) {
-    // Replaying the warm-up through reset is cheaper than deserializing
-    // a snapshot (and bit-identical); the cache matters only when the
-    // deployment below must be (re)built.
+  // Replaying the warm-up through reset is cheaper than deserializing a
+  // snapshot (and bit-identical); the cache matters only when the
+  // deployment must be (re)built.
+  if (cache_ == nullptr ||
+      (deployment_ != nullptr && deployment_->can_reset_to(opts))) {
     return cold_deployment(opts);
   }
 
@@ -60,23 +57,16 @@ Deployment& TrialContext::deployment(const DeploymentOptions& options) {
     {
       obs::ScopedTimer timer(obs::Phase::kSnapshotRestore);
       obs::TraceSpan span("snapshot", "snapshot_restore");
-      if (deployment_ != nullptr && deployment_->can_reset_to(opts)) {
-        deployment_->restore_warm(*doc, opts);
-        ++deployments_reused_;
-        obs::count(obs::Counter::kDeploymentsReused);
-      } else {
-        deployment_ = std::make_unique<Deployment>(*doc, opts);
-        ++deployments_built_;
-        obs::count(obs::Counter::kDeploymentsBuilt);
-      }
+      deployment_ = std::make_unique<Deployment>(*doc, opts);
     }
+    ++deployments_built_;
+    obs::count(obs::Counter::kDeploymentsBuilt);
     ++snapshots_restored_;
     obs::count(obs::Counter::kSnapshotsRestored);
     return *deployment_;
   } catch (const snapshot::SnapshotError& e) {
-    // A restore must never half-apply: discard the touched deployment and
-    // fall back to a cold warm-up (bit-identical, just slower).
-    deployment_.reset();
+    // The constructor threw, so nothing was half-restored: fall back to a
+    // cold warm-up (bit-identical, just slower).
     std::fprintf(stderr,
                  "snapshot: restore failed (%s); falling back to cold "
                  "warm-up\n",

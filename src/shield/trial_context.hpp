@@ -35,24 +35,6 @@ class SnapshotCache;
 
 namespace hs::shield {
 
-/// How a warm-policy context uses its snapshot cache. Both strategies
-/// produce bit-identical deployments (the snapshot-identity tests sweep
-/// both); they differ only in which recovery path runs when.
-enum class WarmStrategy {
-  /// Consult the cache only when the deployment must be (re)built; a
-  /// pooled deployment whose node set matches is reset — replaying the
-  /// warm-up — instead of deserializing a snapshot. The default: since
-  /// the SIMD kernels cut warm-up replay below snapshot-restore
-  /// deserialization cost, per-trial restores are a net loss, while
-  /// restores can still help where a context is freshly built —
-  /// sharded startup and serverd workers skip the cold warm-up
-  /// simulation.
-  kRestoreOnBuild,
-  /// Restore from the cache on every trial, matching pooled deployment
-  /// or not — the historical policy, kept for A/B timing.
-  kRestoreAlways,
-};
-
 class TrialContext {
  public:
   TrialContext() = default;
@@ -64,20 +46,22 @@ class TrialContext {
   /// DeploymentOptions::warmup_seed), making the post-warm-up state
   /// trial-independent. With a cache, deployment() then restores that
   /// state from a warm snapshot instead of re-simulating the warm-up —
-  /// publishing a snapshot on the first cold miss. When a restore runs
-  /// is the `strategy` knob (see WarmStrategy). The cache may be
+  /// publishing a snapshot on the first cold miss — whenever the
+  /// deployment must be (re)built. A pooled deployment whose node set
+  /// matches is reset instead: replaying the warm-up costs less than
+  /// deserializing a snapshot, so restores pay only where a context is
+  /// freshly built (sharded startup, daemon workers). The cache may be
   /// shared across worker threads (it is internally locked) and, through
   /// its directory, across shard processes. Both restored and cold
   /// deployments are bit-identical by construction; the campaign's
   /// snapshot-identity tests enforce it.
   void set_warm_policy(std::uint64_t warmup_seed,
-                       snapshot::SnapshotCache* cache,
-                       WarmStrategy strategy = WarmStrategy::kRestoreOnBuild);
+                       snapshot::SnapshotCache* cache);
 
   /// Returns a deployment in exactly the state `Deployment(options)`
   /// would produce. Reuses (reset + reseeds) the pooled instance when its
   /// node set matches; otherwise rebuilds it. Under a warm policy the
-  /// reset is replaced by a snapshot restore on cache hits. Any auxiliary
+  /// rebuild is replaced by a snapshot restore on cache hits. Any auxiliary
   /// nodes from the previous trial are forgotten — re-acquire them
   /// after this call, in the same order a fresh experiment would
   /// construct them.
@@ -124,7 +108,6 @@ class TrialContext {
   std::unique_ptr<JammingSignalGenerator> jamgen_;
   std::uint64_t warmup_seed_ = 0;
   snapshot::SnapshotCache* cache_ = nullptr;
-  WarmStrategy strategy_ = WarmStrategy::kRestoreOnBuild;
   std::size_t deployments_built_ = 0;
   std::size_t deployments_reused_ = 0;
   std::size_t snapshots_restored_ = 0;

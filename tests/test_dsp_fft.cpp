@@ -262,14 +262,10 @@ TEST(Fft, MatchesReferenceDftLargeWhereRecurrenceFails) {
   // ~5x (measured 9.2e-12 vs 5.2e-10 on this fixed seed).
   EXPECT_LE(table_err, 1e-9 * static_cast<double>(n));
   EXPECT_LE(table_err, 1e-10);
-#ifndef __FMA__
-  // The recurrence baseline's drift depends on how `w *= wlen` rounds;
-  // FMA contraction (an opt-in -march build) changes it, so only the
-  // table bound above is the portable contract — these two assertions
-  // pin the improvement claim for the default (contraction-free) build.
+  // The recurrence baseline's drift depends on how `w *= wlen` rounds,
+  // which FMA contraction would change; the build turns contraction off.
   EXPECT_GT(recurrence_err, 1e-10);
   EXPECT_LT(table_err * 10.0, recurrence_err);
-#endif
 }
 
 TEST(Fft, IfftRejectsNonPowerOfTwoBins) {
@@ -300,28 +296,12 @@ TEST(Fft, ZeroPadRoundTripIsExplicit) {
   }
 }
 
-#if defined(HS_NATIVE)
-constexpr bool kNativeFlavor = true;
-#else
-constexpr bool kNativeFlavor = false;
-#endif
-
-// Bit equality in the default build. HS_NATIVE may contract either side
-// into FMAs differently, so there it falls back to a tight tolerance
-// scaled by the transform's output magnitude.
 void expect_same_transform(const Samples& got, const Samples& want,
-                           double scale, const std::string& what) {
+                           const std::string& what) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    if (kNativeFlavor) {
-      ASSERT_NEAR(got[i].real(), want[i].real(), 1e-12 * (1.0 + scale))
-          << what << " bin " << i;
-      ASSERT_NEAR(got[i].imag(), want[i].imag(), 1e-12 * (1.0 + scale))
-          << what << " bin " << i;
-    } else {
-      ASSERT_EQ(got[i].real(), want[i].real()) << what << " bin " << i;
-      ASSERT_EQ(got[i].imag(), want[i].imag()) << what << " bin " << i;
-    }
+    ASSERT_EQ(got[i].real(), want[i].real()) << what << " bin " << i;
+    ASSERT_EQ(got[i].imag(), want[i].imag()) << what << " bin " << i;
   }
 }
 
@@ -348,8 +328,7 @@ TEST(Fft, ButterflyMatchesComplexReferenceBitForBit) {
         } else {
           fft_inplace(got);
         }
-        expect_same_transform(got, want, std::sqrt(static_cast<double>(n)),
-                              what);
+        expect_same_transform(got, want, what);
       }
     }
   }

@@ -2,20 +2,15 @@
 //
 // Every backend in dsp::kernels promises BIT-EXACT equivalence with the
 // scalar reference (kernels.cpp) — the SIMD code only vectorizes along
-// dimensions that are already independent accumulation chains, and every
-// kernels* TU is compiled with -ffp-contract=off. These tests therefore
-// compare backends with EXPECT_EQ over randomized planes, in the default
-// build AND under HS_NATIVE alike.
-//
-// Comparisons against test-local reference loops (which HS_NATIVE may
-// compile with FMA contraction) are bit-exact only in the default build;
-// under HS_NATIVE they fall back to a tight tolerance.
+// dimensions that are already independent accumulation chains, and the
+// build compiles every TU with -ffp-contract=off. These tests therefore
+// compare backends, and test-local reference loops, with EXPECT_EQ over
+// randomized planes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "dsp/kernels.hpp"
@@ -24,20 +19,6 @@
 
 namespace hs::dsp::kernels {
 namespace {
-
-#if defined(HS_NATIVE)
-constexpr bool kNativeFlavor = true;
-#else
-constexpr bool kNativeFlavor = false;
-#endif
-
-void expect_close(double a, double b, const std::string& what) {
-  if (kNativeFlavor) {
-    EXPECT_NEAR(a, b, 1e-12 * (1.0 + std::abs(b))) << what;
-  } else {
-    EXPECT_EQ(a, b) << what;
-  }
-}
 
 std::vector<double> random_plane(std::uint64_t seed, std::size_t n,
                                  double scale = 1.0) {
@@ -180,9 +161,7 @@ TEST(Kernels, FirBlocksMatchScalarBitForBit) {
 }
 
 // The packed-plane demod formulation (xr*a + xi*b with b pre-negated) must
-// equal the original explicit-subtraction loop. Bit-exact in the default
-// build; HS_NATIVE may contract this test-local loop into FMAs, so there
-// the comparison is tolerance-based.
+// equal the original explicit-subtraction loop bit for bit.
 TEST(Kernels, DualToneMacMatchesOriginalLoopFormulation) {
   const std::size_t n = 257;
   const auto xr = random_plane(200, n);
@@ -203,10 +182,10 @@ TEST(Kernels, DualToneMacMatchesOriginalLoopFormulation) {
     c1r += xr[i] * t1r[i] - xi[i] * t1i[i];
     c1i += xr[i] * t1i[i] + xi[i] * t1r[i];
   }
-  expect_close(got.c0_re, c0r, "c0_re");
-  expect_close(got.c0_im, c0i, "c0_im");
-  expect_close(got.c1_re, c1r, "c1_re");
-  expect_close(got.c1_im, c1i, "c1_im");
+  EXPECT_EQ(got.c0_re, c0r);
+  EXPECT_EQ(got.c0_im, c0i);
+  EXPECT_EQ(got.c1_re, c1r);
+  EXPECT_EQ(got.c1_im, c1i);
 }
 
 // Edge geometry pin: with ref_len < 6 the integer segment stride is zero,
@@ -233,7 +212,7 @@ TEST(KernelsEdge, ShortReferenceFewerThanSegments) {
   for (Backend b : available_backends()) {
     const double got = backend_table(b)->segmented_sync_correlation(
         sr.data(), si.data(), rr.data(), ri.data(), n, ref_energy);
-    expect_close(got, want, std::string("backend ") + backend_name(b));
+    EXPECT_EQ(got, want) << "backend " << backend_name(b);
   }
 }
 

@@ -325,6 +325,40 @@ TEST_F(ChunkStreamCorruption, RejectsUppercaseCrcDigits) {
   EXPECT_EQ(s.chunks.size(), record - 1);
 }
 
+TEST_F(ChunkStreamCorruption, ParseErrorIsTheSalvageReason) {
+  // parse_chunk_stream is a salvage that throws its truncation reason:
+  // the message names the source, and the line when one is at fault,
+  // behind a single "chunk-stream:" prefix.
+  auto dup = lines();
+  dup[2] = dup[1];
+  auto flipped = lines();
+  flipped[1][12] ^= 0x01;
+  auto cut = lines();
+  cut.pop_back();
+  const struct {
+    std::string text;
+    const char* prefix;
+  } cases[] = {
+      {join(dup), "chunk-stream: src line 3: duplicate or out-of-order"},
+      {join(flipped), "chunk-stream: src line 2: "},
+      {join(cut), "chunk-stream: src: metrics trailer missing"},
+      {"", "chunk-stream: src: empty stream"},
+  };
+  for (const auto& c : cases) {
+    const std::string reason =
+        salvage_chunk_stream(c.text, "src").truncation_reason;
+    try {
+      parse_chunk_stream(c.text, "src");
+      ADD_FAILURE() << c.prefix << ": parsed";
+    } catch (const ChunkStreamError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what, reason);
+      EXPECT_EQ(what.rfind(c.prefix, 0), 0u) << what;
+      EXPECT_EQ(what.find("chunk-stream:", 1), std::string::npos) << what;
+    }
+  }
+}
+
 TEST_F(ChunkStreamCorruption, MergeRejectsMismatchedStreams) {
   // Seed mismatch across shards.
   CampaignOptions other_seed = opt_;

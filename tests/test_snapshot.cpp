@@ -479,7 +479,7 @@ campaign::Scenario shrink(const campaign::Scenario& preset) {
   return s;
 }
 
-[[maybe_unused]] std::string sha256_hex(const std::string& text) {
+std::string sha256_hex(const std::string& text) {
   const auto digest = crypto::Sha256::hash(crypto::ByteView(
       reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
   static constexpr char kHex[] = "0123456789abcdef";
@@ -491,18 +491,16 @@ campaign::Scenario shrink(const campaign::Scenario& preset) {
   return hex;
 }
 
-// SHA-256 of each shrunk preset's canonical CSV and JSON at seed 13,
-// recorded from the default build. Report bytes are a pure function of
-// the configuration, so a change that moves any digest changed what the
-// simulator computes. HS_NATIVE trades these pinned bytes for host-tuned
-// codegen and is not checked against them.
+// SHA-256 of each shrunk preset's canonical CSV and JSON at seed 13.
+// Report bytes are a pure function of the configuration, so a change that
+// moves any digest changed what the simulator computes.
 struct PresetDigests {
   const char* preset;
   const char* csv;
   const char* json;
 };
 
-[[maybe_unused]] constexpr PresetDigests kGoldenDigests[] = {
+constexpr PresetDigests kGoldenDigests[] = {
     {"fig3-imd-timing",
      "c571ced3bd853b678fbf219da1ced2e494150f1c9e9b4bb90ddcbba1c2188609",
      "c6a97a9910da4b5aec030a390a32eca520e4a867e5b660693e1cf7475bf87093"},
@@ -592,10 +590,8 @@ struct PresetDigests {
      "506c8a9ffd4208575a2acf5b1a2fb8dead67480134f1a42c6d7c16531d531b2a"},
 };
 
-void expect_golden_digests([[maybe_unused]] const std::string& preset,
-                           [[maybe_unused]] const std::string& csv,
-                           [[maybe_unused]] const std::string& json) {
-#if !defined(HS_NATIVE)
+void expect_golden_digests(const std::string& preset, const std::string& csv,
+                           const std::string& json) {
   const PresetDigests* golden = nullptr;
   for (const PresetDigests& d : kGoldenDigests) {
     if (preset == d.preset) golden = &d;
@@ -604,7 +600,6 @@ void expect_golden_digests([[maybe_unused]] const std::string& preset,
                              << " json " << sha256_hex(json);
   EXPECT_EQ(sha256_hex(csv), golden->csv) << "canonical CSV bytes moved";
   EXPECT_EQ(sha256_hex(json), golden->json) << "canonical JSON bytes moved";
-#endif
 }
 
 /// Restores the active kernel backend when the scope ends.
@@ -642,10 +637,11 @@ TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
     warm.snapshots = true;
     auto warm_result = campaign::run_campaign(s, warm);
     if (campaign::experiment_uses_deployments(s.kind)) {
-      // Under WarmStrategy::kRestoreOnBuild a 1-thread run may satisfy
-      // every later trial by resetting its pooled deployment, so the
-      // cache's footprint is "published at least one snapshot" (and
-      // restored on any rebuild), not "restored every trial".
+      // A warm context consults the cache only when it (re)builds its
+      // deployment, so a 1-thread run may satisfy every later trial by
+      // resetting its pooled deployment: the cache's footprint is
+      // "published at least one snapshot" (and restored on any rebuild),
+      // not "restored every trial".
       const std::uint64_t touched =
           warm_result.metrics.counter(obs::Counter::kSnapshotsRestored) +
           warm_result.metrics.counter(obs::Counter::kSnapshotsSaved);
