@@ -99,7 +99,7 @@ int usage(const char* argv0, bool is_error) {
       is_error ? stderr : stdout,
       "usage: %s [--list [--json]] [--scenario=NAME] [--seed=N]\n"
       "          [--trials=N] [--threads=N] [--chunk=N]\n"
-      "          [--no-snapshot] [--snapshot-dir=DIR] [--canonical]\n"
+      "          [--no-snapshot] [--canonical]\n"
       "          [--csv=PATH] [--json=PATH]\n"
       "          [--metrics-json=PATH] [--trace=PATH] [--version]\n"
       "          [--timeout-seconds=N]\n"
@@ -110,18 +110,17 @@ int usage(const char* argv0, bool is_error) {
       "       %s --recover A.jsonl B.jsonl ... [--threads=N] [--csv=PATH]\n"
       "          [--json=PATH] [--metrics-json=PATH]\n"
       "       %s --dispatch --shards=K [--executor=thread|process]\n"
-      "          [--workdir=DIR] [--fault-plan=SPEC] [--max-rounds=N]\n"
+      "          [--workdir=DIR] [--fault-plan=SPEC]\n"
       "          [run options] [--csv=PATH] [--json=PATH]\n"
       "          [--metrics-json=PATH]\n"
       "  Every value flag also accepts the space-separated form\n"
       "  (--shards 3). --threads=0 uses all hardware threads (default).\n"
       "  --list --json emits the preset list as machine-readable JSON.\n"
-      "  Warm-state snapshots are on by default: each trial restores the\n"
-      "  post-warm-up deployment state from an in-memory snapshot instead\n"
-      "  of re-simulating the warm-up. --snapshot-dir=DIR persists the\n"
-      "  snapshots as <key>.hsnap files shared across processes (the\n"
-      "  directory must exist); --no-snapshot disables the cache.\n"
-      "  Aggregates and reports are byte-identical either way.\n"
+      "  Warm-state snapshots are on by default: a worker that builds a\n"
+      "  deployment restores its post-warm-up state from an in-memory\n"
+      "  snapshot instead of re-simulating the warm-up; --no-snapshot\n"
+      "  disables the cache. Aggregates and reports are byte-identical\n"
+      "  either way.\n"
       "  --canonical zeroes the runtime fields (wall time, threads) in\n"
       "  reports so they diff cleanly against a --merge report.\n"
       "  --shards/--shard/--emit-chunks run one deterministic shard of\n"
@@ -221,7 +220,7 @@ struct Cli {
   std::string metrics_json_path, trace_path;
   std::string fault_plan_spec, chunks_spec, executor_name = "thread";
   std::string workdir;
-  std::size_t shard_count = 0, shard_index = 0, max_rounds = 4;
+  std::size_t shard_count = 0, shard_index = 0;
   std::uint64_t timeout_seconds = 0;
   bool have_shard_index = false, merge_mode = false, canonical = false;
   bool list_mode = false, list_json = false;
@@ -267,8 +266,6 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
       cli.executor_name = value;
     } else if ((value = flag_value(arg, "--workdir", argc, argv, &i))) {
       cli.workdir = value;
-    } else if ((value = flag_value(arg, "--max-rounds", argc, argv, &i))) {
-      cli.max_rounds = flag_u64(value, "--max-rounds");
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
       cli.timeout_seconds = flag_u64(value, "--timeout-seconds");
     } else if (std::strcmp(arg, "--no-snapshot") == 0) {
@@ -276,9 +273,6 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
       cli.run_flag = "--no-snapshot";
     } else if (std::strcmp(arg, "--canonical") == 0) {
       cli.canonical = true;
-    } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
-      cli.options.snapshot_dir = value;
-      cli.run_flag = "--snapshot-dir";
     } else if ((value = flag_value(arg, "--scenario", argc, argv, &i))) {
       cli.scenario_name = value;
       cli.run_flag = cli.identity_flag = "--scenario";
@@ -569,7 +563,6 @@ int run_dispatch(const Cli& cli, const campaign::Scenario& scenario) {
   try {
     campaign::DispatchOptions dopt;
     dopt.shard_count = cli.shard_count;
-    dopt.max_rounds = cli.max_rounds;
     dopt.faults = campaign::FaultPlan::parse(cli.fault_plan_spec);
     campaign::DispatchReport drep;
     campaign::CampaignResult result;
@@ -693,11 +686,6 @@ int main(int argc, char** argv) {
   if (cli.list_json) {
     std::fprintf(stderr, "bare --json selects the JSON preset list and "
                          "needs --list (use --json=PATH for a report)\n");
-    return 1;
-  }
-  if (!cli.options.snapshots && !cli.options.snapshot_dir.empty()) {
-    std::fprintf(stderr,
-                 "--no-snapshot and --snapshot-dir contradict each other\n");
     return 1;
   }
   if (cli.merge_mode + cli.recover_mode + cli.dispatch_mode > 1) {

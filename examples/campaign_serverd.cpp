@@ -1,12 +1,13 @@
-// campaign_serverd: resident campaign-as-a-service daemon. Holds the
-// snapshot cache and per-worker trial contexts warm across requests,
-// admits campaigns through a bounded queue (429-style rejection with a
-// retry-after hint when saturated), interleaves the chunks of concurrent
-// campaigns weighted-fair over one work pool, and streams each
-// campaign's v3 chunk records back incrementally. The final report of
-// every request is byte-identical to a serial `campaign_runner` run of
-// the same (preset, seed, trials, chunk) — see serve/scheduler.hpp for
-// the determinism argument and serve/protocol.hpp for the wire format.
+// campaign_serverd: resident campaign-as-a-service daemon. Keeps one
+// pooled trial context per worker across requests (no other state
+// outlives a request), admits campaigns through a bounded queue
+// (429-style rejection with a retry-after hint when saturated),
+// interleaves the chunks of concurrent campaigns weighted-fair over one
+// work pool, and streams each campaign's v3 chunk records back
+// incrementally. The final report of every request is byte-identical to
+// a serial `campaign_runner` run of the same (preset, seed, trials,
+// chunk) — see serve/scheduler.hpp for the determinism argument and
+// serve/protocol.hpp for the wire format.
 //
 // SIGTERM/SIGINT drain gracefully: no new connections or admissions,
 // every already-admitted campaign finishes streaming, then the process
@@ -36,15 +37,15 @@ int usage(const char* argv0, bool is_error) {
   std::fprintf(
       is_error ? stderr : stdout,
       "usage: %s --unix=PATH [--workers=N] [--max-active=N]\n"
-      "          [--max-queue=N] [--snapshot-dir=DIR]\n"
+      "          [--max-queue=N]\n"
       "  Serves the line-delimited JSON campaign protocol (see\n"
       "  docs/REPRODUCING.md) on a Unix-domain socket at PATH; a client\n"
       "  needs write permission on the socket file to connect.\n"
       "  --workers=0 uses all hardware threads. --max-active bounds the\n"
       "  campaigns scheduled concurrently, --max-queue the admitted\n"
       "  backlog beyond that; a request past both is rejected with\n"
-      "  {\"type\":\"rejected\",\"code\":429,...}. --snapshot-dir shares\n"
-      "  warm snapshots with campaign_runner runs (must exist).\n"
+      "  {\"type\":\"rejected\",\"code\":429,...}. A client may cancel\n"
+      "  only the runs it submitted on the same connection.\n"
       "  SIGTERM drains gracefully: admitted campaigns finish streaming\n"
       "  before exit.\n",
       argv0);
@@ -72,8 +73,6 @@ int main(int argc, char** argv) {
       }
     } else if ((value = flag_value(arg, "--max-queue", argc, argv, &i))) {
       options.scheduler.max_queue = flag_u64(value, "--max-queue");
-    } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
-      options.scheduler.snapshot_dir = value;
     } else {
       return usage(argv[0], std::strcmp(arg, "--help") != 0);
     }

@@ -561,34 +561,14 @@ CampaignResult merge_chunk_streams(const Scenario& scenario,
     }
   }
 
-  // Every global chunk id exactly once across the shard set.
-  std::vector<const ChunkRecord*> by_id(h0.total_chunks, nullptr);
-  std::vector<const ChunkStream*> owner(h0.total_chunks, nullptr);
+  // K streams with distinct shard indices, each matching its own
+  // round-robin plan record for record, hold every chunk id exactly once.
+  std::vector<ChunkMetrics> chunk_metrics(h0.total_chunks);
   for (const ChunkStream& s : streams) {
     for (const ChunkRecord& rec : s.chunks) {
-      if (by_id[rec.ref.chunk_index] != nullptr) {
-        const ChunkRecord* first = by_id[rec.ref.chunk_index];
-        throw ChunkStreamError(
-            "chunk-stream merge: " + locate(s, rec.lineno) +
-            ": duplicate chunk id " + std::to_string(rec.ref.chunk_index) +
-            " (first seen at " +
-            locate(*owner[rec.ref.chunk_index], first->lineno) + ")");
-      }
-      by_id[rec.ref.chunk_index] = &rec;
-      owner[rec.ref.chunk_index] = &s;
+      chunk_metrics[rec.ref.chunk_index] = rec.metrics;
     }
   }
-  for (std::size_t id = 0; id < by_id.size(); ++id) {
-    if (by_id[id] == nullptr) {
-      throw ChunkStreamError("chunk-stream merge: chunk id " +
-                             std::to_string(id) +
-                             " is missing from every stream");
-    }
-  }
-
-  std::vector<ChunkMetrics> chunk_metrics;
-  chunk_metrics.reserve(by_id.size());
-  for (const ChunkRecord* rec : by_id) chunk_metrics.push_back(rec->metrics);
   const ShardPlan global = plan_shard(scenario, options, 1, 0);
   CampaignResult result = fold_chunks(scenario, options, global, chunk_metrics);
 

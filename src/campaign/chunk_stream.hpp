@@ -198,13 +198,14 @@ ChunkStream load_chunk_stream(const std::string& path);
 /// aggregates — and therefore CSV/JSON reports — are bit-identical to
 /// the serial single-process run of the same (scenario, seed, trials,
 /// chunk size). Validates that the streams agree on every header field,
-/// cover shard indices 0..K-1 exactly once, match the recomputed shard
-/// plans chunk-for-chunk, and jointly cover every global chunk id
-/// exactly once. Repair streams are rejected — recovered campaigns merge
-/// through the dispatcher (dispatch.hpp), which validates an explicit
-/// chunk cover instead. Every rejection names the offending shard,
-/// stream source and record line. The result's runtime fields (wall
-/// time, threads) are zeroed — reports are canonical.
+/// cover shard indices 0..K-1 exactly once, and match the recomputed
+/// shard plans chunk-for-chunk; those plans partition the global chunk
+/// ids, so the streams jointly hold each exactly once. Repair streams
+/// are rejected — recovered campaigns merge through the dispatcher
+/// (dispatch.hpp), which validates an explicit chunk cover instead.
+/// Every rejection names the offending shard, stream source and record
+/// line. The result's runtime fields (wall time, threads) are zeroed —
+/// reports are canonical.
 /// With `metrics` non-null the shard trailers are aggregated into it
 /// (merge order never matters: Report::merge is integer addition).
 /// Throws ChunkStreamError.

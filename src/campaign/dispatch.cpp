@@ -309,9 +309,6 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     cmd += " --threads=" + std::to_string(options_.threads);
     cmd += " --chunk=" + std::to_string(options_.chunk_size);
     if (!options_.snapshots) cmd += " --no-snapshot";
-    if (!options_.snapshot_dir.empty()) {
-      cmd += " --snapshot-dir=" + shell_quote(options_.snapshot_dir);
-    }
     cmd += " --shards=" + std::to_string(task.plan.shard_count);
     cmd += " --shard=" + std::to_string(task.slot);
     cmd += " --emit-chunks=" + shell_quote(child.path);

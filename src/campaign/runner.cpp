@@ -525,11 +525,11 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   // --no-snapshot runs stay byte-identical to snapshot runs.
   const std::uint64_t warm_seed =
       campaign_warmup_seed(options.seed, scenario.name);
-  // One cache per shard execution, shared by every worker thread (it is
-  // internally locked; parsed snapshot documents are shared read-only).
-  // With a directory it is also shared by concurrent shard processes.
+  // One in-memory cache per shard execution, shared by every worker
+  // thread (it is internally locked; parsed snapshot documents are shared
+  // read-only) and dropped when the execution returns.
   std::optional<snapshot::SnapshotCache> cache;
-  if (options.snapshots) cache.emplace(options.snapshot_dir);
+  if (options.snapshots) cache.emplace();
   snapshot::SnapshotCache* cache_ptr = cache ? &*cache : nullptr;
 
   // Shared observability sink: workers accumulate counters (and, with

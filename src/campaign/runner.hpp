@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -62,10 +61,6 @@ struct CampaignOptions {
   /// aggregates are bit-identical with snapshots on or off — `false` is
   /// the `--no-snapshot` escape hatch that only disables the cache.
   bool snapshots = true;
-  /// Directory for persisted `<key>.hsnap` snapshot files (must exist).
-  /// Empty keeps the cache in-memory; set it to share one warm-up across
-  /// the K processes of a sharded campaign.
-  std::string snapshot_dir;
   /// Collect nanosecond phase timers (obs::Phase) alongside the
   /// always-on counters. Enabled by the CLI's `--metrics-json`; timers
   /// read clocks only, never RNG state, so aggregates are bit-identical

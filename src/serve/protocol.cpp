@@ -21,19 +21,13 @@ std::uint64_t integer(wire::Lexer& lx) {
   return v;
 }
 
-bool boolean(wire::Lexer& lx) {
-  if (lx.consume("true")) return true;
-  if (lx.consume("false")) return false;
-  lx.fail("expected true or false");
-}
-
 }  // namespace
 
-// Objects, strings, unsigned integers and booleans — the whole request
+// One flat object of strings and unsigned integers — the whole request
 // grammar. Tolerant of key order and whitespace (clients serialize with
 // stock JSON libraries), strict about everything else: duplicate keys,
 // unknown keys, wrong value types, trailing bytes and unsupported JSON
-// (floats, arrays, null, nested objects outside "overrides") all fail.
+// (floats, booleans, arrays, null, nested objects) all fail.
 Request parse_request(std::string_view line) try {
   if (line.size() > kMaxRequestBytes) {
     throw ProtocolError("request: line exceeds " +
@@ -44,7 +38,7 @@ Request parse_request(std::string_view line) try {
   std::string cmd;
   bool have_cmd = false, have_preset = false, have_id = false;
   bool have_seed = false, have_trials = false, have_chunk_size = false;
-  bool have_priority = false, have_overrides = false;
+  bool have_priority = false;
 
   lx.expect("{");
   if (!lx.consume("}")) {
@@ -78,30 +72,6 @@ Request parse_request(std::string_view line) try {
                   ", " + std::to_string(kMaxPriority) + "]");
         }
         req.run.priority = static_cast<unsigned>(p);
-      } else if (key == "overrides") {
-        once(have_overrides);
-        lx.expect("{");
-        if (!lx.consume("}")) {
-          bool have_snapshots = false;
-          for (;;) {
-            const std::string okey = lx.string();
-            lx.expect(":");
-            if (okey == "snapshots") {
-              if (have_snapshots) lx.fail("duplicate override 'snapshots'");
-              have_snapshots = true;
-              req.run.snapshots = boolean(lx);
-            } else {
-              // Only execution-shaping knobs that cannot change report
-              // bytes are overridable; reject the rest loudly so a
-              // client cannot believe it changed something it did not.
-              lx.fail("unknown override '" + okey +
-                      "' (allowed: snapshots)");
-            }
-            if (lx.consume(",")) continue;
-            lx.expect("}");
-            break;
-          }
-        }
       } else if (key == "id") {
         once(have_id);
         req.cancel_id = integer(lx);
@@ -117,7 +87,7 @@ Request parse_request(std::string_view line) try {
   if (!have_cmd) throw ProtocolError("request: missing 'cmd'");
 
   const bool run_keys = have_preset || have_seed || have_trials ||
-                        have_chunk_size || have_priority || have_overrides;
+                        have_chunk_size || have_priority;
   if (cmd == "run") {
     req.kind = RequestKind::kRun;
     if (!have_preset || req.run.preset.empty()) {

@@ -4,7 +4,7 @@
 /// Requests (client -> server), one JSON object per line:
 ///
 ///   {"cmd":"run","preset":"fig9-eaves-ber","seed":1,"trials":40,
-///    "chunk_size":1,"priority":2,"overrides":{"snapshots":true}}
+///    "chunk_size":1,"priority":2}
 ///   {"cmd":"cancel","id":7}
 ///   {"cmd":"stats"}
 ///   {"cmd":"ping"}
@@ -15,12 +15,11 @@
 /// json.dumps output); unknown keys and malformed values are still hard
 /// errors, never silently ignored. Tokens are the strict wire codec's
 /// (wire/lexer.hpp): integers are digits only, and strings take only the
-/// escapes json_escape writes (\" \\ \n \r \t). "overrides" accepts only
-/// "snapshots", an execution-shaping knob that provably cannot change
-/// report bytes — anything that could alter aggregates (seed, trials,
-/// chunk_size) is a first-class field of the request, so the serial CLI
-/// command the report must byte-match is derivable from the request
-/// alone.
+/// escapes json_escape writes (\" \\ \n \r \t). Everything that could
+/// alter aggregates (seed, trials, chunk_size) is a first-class field of
+/// the request, so the serial CLI command the report must byte-match is
+/// derivable from the request alone. A cancel reaches only the runs
+/// submitted on the same connection.
 ///
 /// Responses (server -> client), one JSON object per line, "type"-keyed:
 ///
@@ -81,7 +80,6 @@ struct RunRequest {
   std::size_t trials = 0;      ///< 0 = the preset's default_trials
   std::size_t chunk_size = 1;
   unsigned priority = 1;       ///< kMinPriority..kMaxPriority
-  bool snapshots = true;       ///< overrides.snapshots
 };
 
 enum class RequestKind { kRun, kCancel, kStats, kPing };

@@ -52,7 +52,7 @@ struct Scheduler::RequestState {
 };
 
 Scheduler::Scheduler(SchedulerOptions options, obs::ServiceStats* stats)
-    : options_(options), stats_(stats), cache_(options.snapshot_dir) {
+    : options_(options), stats_(stats) {
   unsigned workers = options_.workers > 0
                          ? options_.workers
                          : std::max(1u, std::thread::hardware_concurrency());
@@ -74,7 +74,6 @@ Admission Scheduler::submit(const campaign::Scenario& scenario,
   state->options.trials_per_point = request.trials;
   state->options.chunk_size = std::max<std::size_t>(request.chunk_size, 1);
   state->options.threads = 1;
-  state->options.snapshots = request.snapshots;
   // Count the chunks before planning them: the plan and its accumulators
   // grow with the count.
   const std::size_t trials =
@@ -274,9 +273,9 @@ campaign::CampaignResult Scheduler::assemble_result(
 }
 
 void Scheduler::worker_loop() {
-  // The resident warm state: one TrialContext per worker, serving chunks
-  // of whatever request the fair-share pick hands it; run_chunk
-  // re-applies the owning request's warm policy on every chunk.
+  // One TrialContext per worker, serving chunks of whatever request the
+  // fair-share pick hands it; run_chunk re-applies the owning request's
+  // warm-up seed on every chunk.
   shield::TrialContext pool;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -290,9 +289,8 @@ void Scheduler::worker_loop() {
     lock.unlock();
     const campaign::ChunkRef& chunk = req->plan.chunks[chunk_idx];
     const auto c0 = std::chrono::steady_clock::now();
-    auto metrics = campaign::run_chunk(
-        req->scenario, req->options.seed, chunk, &pool, req->warm_seed,
-        req->options.snapshots ? &cache_ : nullptr);
+    auto metrics = campaign::run_chunk(req->scenario, req->options.seed,
+                                       chunk, &pool, req->warm_seed, nullptr);
     const double chunk_ms =
         ms_between(c0, std::chrono::steady_clock::now());
     stats_->on_chunk();

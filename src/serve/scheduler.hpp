@@ -18,10 +18,10 @@
 /// policy (priorities, admission, cancellation) decides only WHEN chunks
 /// run and whether a report is produced — never its bytes.
 ///
-/// Warm state stays resident across requests: one shield::TrialContext
-/// per worker (run_chunk re-applies each request's warm policy per
-/// chunk) and one shared snapshot::SnapshotCache, so a new request for
-/// an already-warmed configuration skips its warm-up entirely.
+/// Each worker keeps one shield::TrialContext across requests: a chunk
+/// whose node set matches the worker's pooled deployment resets it in
+/// place, and any other rebuilds it. Nothing else outlives a request, so
+/// memory stays flat however many configurations the daemon serves.
 #pragma once
 
 #include <chrono>
@@ -40,7 +40,6 @@
 #include "campaign/runner.hpp"
 #include "obs/service_stats.hpp"
 #include "serve/protocol.hpp"
-#include "snapshot/snapshot_cache.hpp"
 
 namespace hs::serve {
 
@@ -52,8 +51,6 @@ struct SchedulerOptions {
   /// Admitted requests queued beyond the active set; a submit that finds
   /// the queue full is rejected with a retry-after hint (429-style).
   std::size_t max_queue = 8;
-  /// Snapshot directory shared by all workers ("" = in-memory cache).
-  std::string snapshot_dir;
 };
 
 /// Most chunks one request may plan. Each chunk holds ~750 B of
@@ -142,7 +139,6 @@ class Scheduler {
 
   SchedulerOptions options_;
   obs::ServiceStats* stats_;
-  snapshot::SnapshotCache cache_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;

@@ -89,6 +89,11 @@ struct Server::Connection {
     owned.erase(id);
   }
 
+  bool owns(std::uint64_t id) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return owned.count(id) != 0;
+  }
+
   const int fd;
   const int wake_fd;
   std::string in;  ///< unterminated request bytes; the loop's alone
@@ -326,7 +331,10 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       conn->write_line(stats_line(stats_->snapshot()));
       return;
     case RequestKind::kCancel:
-      if (!scheduler_.cancel(req.cancel_id)) {
+      // A client cancels only its own runs. Ids count up from 1, so
+      // another connection's id is easy to guess; it gets the same
+      // error as an unknown one.
+      if (!conn->owns(req.cancel_id) || !scheduler_.cancel(req.cancel_id)) {
         conn->write_line(error_line("cancel: unknown or finished id " +
                                     std::to_string(req.cancel_id)));
       }

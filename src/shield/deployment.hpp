@@ -32,7 +32,7 @@ struct DeploymentOptions {
   /// per-trial streams are reseeded from `seed` afterwards (see
   /// Deployment::begin_trial) — so the post-warmup state is a pure
   /// function of the configuration + warmup_seed and one snapshot of it
-  /// serves every trial, shard and process. Zero keeps the single-phase
+  /// serves every trial and worker. Zero keeps the single-phase
   /// legacy behavior: everything draws from `seed`, no post-warmup
   /// reseed (existing tests and examples are bit-for-bit unchanged).
   std::uint64_t warmup_seed = 0;
@@ -57,9 +57,9 @@ class Deployment {
   explicit Deployment(const DeploymentOptions& options);
 
   /// Builds the node set for `options` WITHOUT simulating the warm-up,
-  /// then restores the warm snapshot — the fast path for a worker's (or
-  /// shard's) first trial when another process already published the
-  /// snapshot. Equivalent to Deployment(options) followed by
+  /// then restores the warm snapshot — the fast path for a worker's
+  /// first build of a configuration another worker already published.
+  /// Equivalent to Deployment(options) followed by
   /// restore_warm(warm, options), minus the redundant warm-up replay.
   Deployment(const snapshot::StateDoc& warm,
              const DeploymentOptions& options);

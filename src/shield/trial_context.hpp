@@ -49,12 +49,12 @@ class TrialContext {
   /// publishing a snapshot on the first cold miss — whenever the
   /// deployment must be (re)built. A pooled deployment whose node set
   /// matches is reset instead: replaying the warm-up costs less than
-  /// deserializing a snapshot, so restores pay only where a context is
-  /// freshly built (sharded startup, daemon workers). The cache may be
-  /// shared across worker threads (it is internally locked) and, through
-  /// its directory, across shard processes. Both restored and cold
-  /// deployments are bit-identical by construction; the campaign's
-  /// snapshot-identity tests enforce it.
+  /// deserializing a snapshot, so a restore can pay only where a fresh
+  /// context of a multi-threaded run builds a configuration a sibling
+  /// already saved. The cache may be shared across worker threads (it is
+  /// internally locked). Both restored and cold deployments are
+  /// bit-identical by construction; the campaign's snapshot-identity
+  /// tests enforce it. The campaign service passes no cache.
   void set_warm_policy(std::uint64_t warmup_seed,
                        snapshot::SnapshotCache* cache);
 

@@ -1,7 +1,7 @@
 /// @file
 /// Whole-file I/O behind the chunk-stream loaders, the dispatcher's child
-/// streams, the report writers and the snapshot cache; each maps a
-/// failure onto its own error taxonomy.
+/// streams and the report writers; each maps a failure onto its own
+/// error taxonomy.
 #pragma once
 
 #include <string>

@@ -6,19 +6,22 @@
 // records reassemble into a stream the v3 parser accepts and folds to
 // the same bytes), admission control (bounded queue, 429-style reject
 // with retry-after, recovery after drain-down), cancellation semantics,
-// graceful drain, and the socket layer end to end over a Unix socket
-// (unknown preset, a run too large to plan, mid-stream client
-// disconnect, concurrent clients, a client that never reads, one whose
-// unsent output passes the cap, fds and threads released when clients
-// hang up, a daemon that runs out of fds).
+// graceful drain, a worker's live heap staying flat across requests
+// that rebuild its deployment, and the socket layer end to end over a
+// Unix socket (unknown preset, a run too large to plan, mid-stream
+// client disconnect, concurrent clients, a cancel of another client's
+// run, a client that never reads, one whose unsent output passes the
+// cap, an unterminated line past the request cap, fds and threads
+// released when clients hang up, a daemon that runs out of fds).
 //
 // Also part of the TSan suite (see .github/workflows/ci.yml): the
 // scheduler's worker pool, per-request callback serialization and the
-// shared snapshot cache are exactly the shared-state hot spots
+// per-connection writers are exactly the shared-state hot spots
 // ThreadSanitizer is pointed at.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -60,15 +63,13 @@ using serve::RunRequest;
 TEST(ServeProtocol, ParsesFullRunRequest) {
   const auto req = serve::parse_request(
       R"({"cmd":"run","preset":"fig9-eaves-ber","seed":42,"trials":8,)"
-      R"("chunk_size":2,"priority":5,)"
-      R"("overrides":{"snapshots":false}})");
+      R"("chunk_size":2,"priority":5})");
   EXPECT_EQ(req.kind, serve::RequestKind::kRun);
   EXPECT_EQ(req.run.preset, "fig9-eaves-ber");
   EXPECT_EQ(req.run.seed, 42u);
   EXPECT_EQ(req.run.trials, 8u);
   EXPECT_EQ(req.run.chunk_size, 2u);
   EXPECT_EQ(req.run.priority, 5u);
-  EXPECT_FALSE(req.run.snapshots);
 }
 
 TEST(ServeProtocol, DefaultsAndKeyOrderTolerance) {
@@ -79,7 +80,6 @@ TEST(ServeProtocol, DefaultsAndKeyOrderTolerance) {
   EXPECT_EQ(req.run.trials, 0u);      // preset default
   EXPECT_EQ(req.run.chunk_size, 1u);
   EXPECT_EQ(req.run.priority, 1u);
-  EXPECT_TRUE(req.run.snapshots);
 
   const auto cancel = serve::parse_request(R"({"id":7,"cmd":"cancel"})");
   EXPECT_EQ(cancel.kind, serve::RequestKind::kCancel);
@@ -96,7 +96,7 @@ TEST(ServeProtocol, EveryTruncationOfAValidRequestIsRejected) {
   // request must throw — none may parse as a smaller valid request.
   const std::string valid =
       R"({"cmd":"run","preset":"fig9-eaves-ber","seed":42,"trials":8,)"
-      R"("chunk_size":2,"priority":5,"overrides":{"snapshots":true}})";
+      R"("chunk_size":2,"priority":5})";
   EXPECT_NO_THROW(serve::parse_request(valid));
   for (std::size_t len = 0; len < valid.size(); ++len) {
     EXPECT_THROW(serve::parse_request(valid.substr(0, len)),
@@ -435,6 +435,50 @@ TEST(ServeScheduler, DrainCompletesEverythingAdmitted) {
   EXPECT_EQ(stats.snapshot().requests_completed, 4u);
 }
 
+TEST(ServeScheduler, HeapStaysFlatAcrossRebuildingRequests) {
+  // One worker alternates a preset without a shield (fig3-imd-timing)
+  // and one with a shield (fig7-cancellation), each request with a fresh
+  // seed, so every request rebuilds the worker's deployment. Nothing a
+  // request leaves behind may pile up: live heap after 100 pairs stays
+  // within 4 MiB of its level after the first 10. Live heap, not RSS:
+  // memory that earlier tests freed can hide RSS growth.
+  const Scenario* fig3 = campaign::find_scenario("fig3-imd-timing");
+  const Scenario* fig7 = campaign::find_scenario("fig7-cancellation");
+  ASSERT_NE(fig3, nullptr);
+  ASSERT_NE(fig7, nullptr);
+  obs::ServiceStats stats;
+  serve::SchedulerOptions options;
+  options.workers = 1;
+  serve::Scheduler scheduler(options, &stats);
+
+  const auto run = [&scheduler](const Scenario& s, std::uint64_t seed) {
+    RunRequest r;
+    r.preset = s.name;
+    r.seed = seed;
+    r.trials = 1;
+    auto out = std::make_shared<Outcome>();
+    const serve::Admission adm = scheduler.submit(s, r, capture(out));
+    if (!adm.admitted) return false;
+    scheduler.start(adm.id);
+    out->wait();
+    return out->done;
+  };
+  std::size_t after_ten = 0;
+  for (std::uint64_t pair = 1; pair <= 100; ++pair) {
+    ASSERT_TRUE(run(*fig3, 2 * pair)) << "pair " << pair;
+    ASSERT_TRUE(run(*fig7, 2 * pair + 1)) << "pair " << pair;
+    if (pair == 10) after_ten = mallinfo2().uordblks;
+  }
+  const std::size_t after_hundred = mallinfo2().uordblks;
+  if (after_ten == 0) {
+    // ASan's and TSan's allocators bypass glibc's arena counters.
+    GTEST_SKIP() << "mallinfo2 reports no live heap in this build";
+  }
+  EXPECT_LT(after_hundred, after_ten + (std::size_t{4} << 20))
+      << "live heap grew from " << after_ten << " to " << after_hundred
+      << " bytes over 90 request pairs";
+}
+
 // ---- server: the socket layer end to end -----------------------------------
 
 /// A fresh socket path for each server this process starts.
@@ -637,6 +681,80 @@ TEST(ServeServer, ConcurrentWireClientsGetSerialIdenticalReports) {
   EXPECT_EQ(fx.stats.snapshot().requests_completed, kClients);
 }
 
+/// The id of an `admitted` frame.
+std::uint64_t admitted_id(const std::string& frame) {
+  const auto pos = frame.find("\"id\":");
+  EXPECT_NE(pos, std::string::npos) << frame;
+  return pos == std::string::npos
+             ? 0
+             : std::strtoull(frame.c_str() + pos + 5, nullptr, 10);
+}
+
+TEST(ServeServer, CancelReachesOnlyTheClientsOwnRuns) {
+  // Ids count up from 1, so one client can guess another's. A cancel of
+  // a run submitted on another connection gets the error an unknown id
+  // gets and leaves the run alone; a client still cancels its own runs.
+  ServerFixture fx(1);
+  const Scenario* preset = campaign::find_scenario("fig9-eaves-ber");
+  ASSERT_NE(preset, nullptr);
+  LineClient a(fx.path);
+  LineClient b(fx.path);
+  set_timeouts(a.fd(), 60);
+  set_timeouts(b.fd(), 60);
+
+  a.send_line(R"({"cmd":"run","preset":"fig9-eaves-ber","seed":71,)"
+              R"("trials":1})");
+  const std::string admitted = a.read_line();
+  ASSERT_NE(admitted.find("\"type\":\"admitted\""), std::string::npos)
+      << admitted;
+  const std::string id = std::to_string(admitted_id(admitted));
+  // The ping bounds the wait: a cancel that answers nothing lets the
+  // pong through first.
+  b.send_line(R"({"cmd":"cancel","id":)" + id + "}");
+  b.send_line(R"({"cmd":"ping"})");
+  const std::string reply = b.read_line();
+  EXPECT_EQ(reply, serve::error_line("cancel: unknown or finished id " + id));
+  if (reply != R"({"type":"pong"})") {
+    EXPECT_EQ(b.read_line(), R"({"type":"pong"})");
+  }
+
+  // A's frames up to its next done, cancelled or error frame, which is
+  // returned; the report frame is kept.
+  std::string report;
+  const auto terminal_frame = [&a, &report] {
+    for (;;) {
+      const std::string line = a.read_line();
+      const auto is = [&line](const std::string& type) {
+        return line.find("\"type\":\"" + type + '"') != std::string::npos;
+      };
+      if (is("report")) report = line;
+      if (line.empty() || is("done") || is("cancelled") || is("error")) {
+        return line;
+      }
+    }
+  };
+  const std::string end = terminal_frame();
+  ASSERT_NE(end.find("\"type\":\"done\""), std::string::npos) << end;
+  RunRequest r;
+  r.seed = 71;
+  r.trials = 1;
+  const auto [want_csv, want_json] = serial_reports(*preset, r);
+  EXPECT_NE(report.find(campaign::json_escape(want_csv)), std::string::npos);
+  EXPECT_NE(report.find(campaign::json_escape(want_json)), std::string::npos);
+
+  a.send_line(R"({"cmd":"run","preset":"fig9-eaves-ber","seed":72,)"
+              R"("trials":2})");
+  const std::string second = a.read_line();
+  ASSERT_NE(second.find("\"type\":\"admitted\""), std::string::npos)
+      << second;
+  const std::string own = std::to_string(admitted_id(second));
+  a.send_line(R"({"cmd":"cancel","id":)" + own + "}");
+  const std::string cancelled = terminal_frame();
+  EXPECT_NE(cancelled.find("\"type\":\"cancelled\",\"id\":" + own + ","),
+            std::string::npos)
+      << cancelled;
+}
+
 TEST(ServeServer, ClientThatNeverReadsStallsNoOne) {
   // One worker. Client A's 2,000-chunk run streams to a socket nobody
   // reads, so its frames back up on the connection; the worker must run
@@ -705,6 +823,29 @@ TEST(ServeServer, ClientPastTheOutputCapIsDroppedOnce) {
   other.send_line(R"({"cmd":"ping"})");
   EXPECT_EQ(other.read_line(), R"({"type":"pong"})");
   EXPECT_EQ(fx.stats.snapshot().clients_dropped, 1u);
+}
+
+TEST(ServeServer, UnterminatedLineOverTheCapIsAnsweredThenDropped) {
+  // 17 KiB with no newline passes kMaxRequestBytes before any parse: the
+  // poll loop answers once, naming the cap, and closes the connection
+  // instead of buffering on. Other clients are served on.
+  ServerFixture fx;
+  LineClient flood(fx.path);
+  set_timeouts(flood.fd(), 20);
+  const std::string bytes(17 * 1024, 'a');
+  ASSERT_EQ(::send(flood.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  const std::string reply = flood.read_line();
+  EXPECT_NE(reply.find("\"type\":\"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find(std::to_string(serve::kMaxRequestBytes)),
+            std::string::npos)
+      << reply;
+  char byte = 0;
+  EXPECT_EQ(::recv(flood.fd(), &byte, 1, 0), 0) << "no EOF after the error";
+
+  LineClient other(fx.path);
+  other.send_line(R"({"cmd":"ping"})");
+  EXPECT_EQ(other.read_line(), R"({"type":"pong"})");
 }
 
 /// Entries in a /proc directory, the listing's own handle included.

@@ -1,20 +1,20 @@
 // Warm-state snapshot subsystem tests: exact state serialization round
 // trips, strict rejection of corrupted/truncated/version-mismatched
-// documents (no partial restores, ever), the keyed snapshot cache with
-// its disk fallback, deployment save/restore bit-identity — including a
-// randomized round-trip property test — and campaign-level byte identity
-// of warm-restored runs against cold runs, on every kernel backend the
-// host supports, for every scenario preset.
+// documents (no partial restores, ever), the keyed in-memory snapshot
+// cache, deployment save/restore bit-identity — including a randomized
+// round-trip property test — a chunk restored in a fresh context, and
+// campaign-level byte identity of warm runs against cold runs, on every
+// kernel backend the host supports, for every scenario preset.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "campaign/chunk_stream.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -223,13 +223,6 @@ TEST(StateIo, RngStreamPositionRoundTrips) {
 
 // ---- SnapshotCache --------------------------------------------------------
 
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/hs-snapshot-test-XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
 std::string tiny_snapshot() {
   StateWriter w;
   w.begin("x");
@@ -249,52 +242,6 @@ TEST(SnapshotCacheTest, MemoryStoreAndFind) {
   // Unparseable payloads must never enter the cache.
   EXPECT_THROW(cache.store("bad", "not a snapshot"), SnapshotError);
   EXPECT_EQ(cache.find("bad"), nullptr);
-}
-
-TEST(SnapshotCacheTest, DiskPersistsAcrossCacheInstances) {
-  const std::string dir = make_temp_dir();
-  {
-    SnapshotCache writer_cache(dir);
-    writer_cache.store("key1", tiny_snapshot());
-  }
-  SnapshotCache reader_cache(dir);
-  const auto doc = reader_cache.find("key1");
-  ASSERT_NE(doc, nullptr);
-  EXPECT_EQ(reader_cache.disk_loads(), 1u);
-  StateReader r(*doc);
-  r.begin("x");
-  EXPECT_EQ(r.u64("v"), 5u);
-  r.end("x");
-}
-
-TEST(SnapshotCacheTest, UnusableDiskFilesAreMissesNotCrashes) {
-  const std::string dir = make_temp_dir();
-  const auto write = [&](const std::string& key, const std::string& body) {
-    std::FILE* f = std::fopen((dir + "/" + key + ".hsnap").c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-  };
-  write("garbage", "this is not a snapshot at all");
-  const std::string good = tiny_snapshot();
-  write("truncated", good.substr(0, good.size() / 2));
-  std::string corrupt = good;
-  corrupt[good.size() / 2] ^= 1;
-  write("corrupt", corrupt);
-  write("wrong_version", "hs-snapshot v99\nu k 1\nsha256 x\n");
-
-  SnapshotCache cache(dir);
-  EXPECT_EQ(cache.find("garbage"), nullptr);
-  EXPECT_EQ(cache.find("truncated"), nullptr);
-  EXPECT_EQ(cache.find("corrupt"), nullptr);
-  EXPECT_EQ(cache.find("wrong_version"), nullptr);
-  EXPECT_EQ(cache.misses(), 4u);
-  // load_snapshot_file is the strict single-file entry point: it throws
-  // where find() degrades to a miss.
-  EXPECT_THROW(snapshot::load_snapshot_file(dir + "/corrupt.hsnap"),
-               SnapshotError);
-  EXPECT_THROW(snapshot::load_snapshot_file(dir + "/nonexistent.hsnap"),
-               SnapshotError);
 }
 
 // ---- Deployment save/restore ----------------------------------------------
@@ -425,7 +372,6 @@ TEST(DeploymentSnapshot, RandomizedRoundTripProperty) {
 // ---- TrialContext fallback ------------------------------------------------
 
 TEST(TrialContextSnapshot, CorruptCacheEntryFallsBackToColdBitIdentically) {
-  const std::string dir = make_temp_dir();
   shield::DeploymentOptions opt;
   opt.seed = 31;
 
@@ -434,37 +380,28 @@ TEST(TrialContextSnapshot, CorruptCacheEntryFallsBackToColdBitIdentically) {
   cold.set_warm_policy(7, nullptr);
   const std::string want = cold.deployment(opt).save_warm();
 
-  // Populate the cache, then corrupt the persisted file and force the
-  // next process to read it from disk.
-  const shield::DeploymentOptions keyed = [&] {
-    shield::DeploymentOptions k = opt;
-    k.warmup_seed = 7;
-    return k;
-  }();
-  const std::string key = shield::deployment_warm_key(keyed);
-  {
-    SnapshotCache cache(dir);
-    shield::TrialContext warm;
-    warm.set_warm_policy(7, &cache);
-    warm.deployment(opt);
-    EXPECT_EQ(warm.snapshots_saved(), 1u);
-  }
-  const std::string path = dir + "/" + key + ".hsnap";
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 100, SEEK_SET);
-  std::fputc('!', f);
-  std::fclose(f);
+  // Another configuration's warm document, filed under this
+  // configuration's key: the cache hands it out, and restore_warm throws
+  // inside deployment() on the key mismatch.
+  shield::DeploymentOptions other = opt;
+  other.with_observer = true;
+  shield::TrialContext foreign;
+  foreign.set_warm_policy(7, nullptr);
+  const std::string wrong = foreign.deployment(other).save_warm();
+  shield::DeploymentOptions keyed = opt;
+  keyed.warmup_seed = 7;
+  SnapshotCache cache;
+  cache.store(shield::deployment_warm_key(keyed), wrong);
 
-  SnapshotCache cache(dir);
   shield::TrialContext ctx;
   ctx.set_warm_policy(7, &cache);
   shield::Deployment& d = ctx.deployment(opt);
-  // The corrupted file was a miss; the context warmed up cold and
-  // republished — state identical to the no-cache reference.
+  EXPECT_EQ(cache.hits(), 1u);
+  // The failed restore left nothing half-applied: the context warmed up
+  // cold — state identical to the no-cache reference.
   EXPECT_EQ(d.save_warm(), want);
   EXPECT_EQ(ctx.snapshots_restored(), 0u);
-  EXPECT_EQ(ctx.snapshots_saved(), 1u);
+  EXPECT_EQ(ctx.deployments_built(), 1u);
 }
 
 // ---- Campaign-level byte identity -----------------------------------------
@@ -663,36 +600,40 @@ TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
   }
 }
 
-TEST(CampaignSnapshot, SnapshotDirIsSharedAcrossProcessesAndRuns) {
-  // Simulates the sharded flow: one run populates <dir>, a later run (a
-  // different process in real life) restores from disk without a single
-  // cold warm-up — and still reproduces the cold aggregates exactly.
-  const std::string dir = make_temp_dir();
-  campaign::Scenario s = shrink(*campaign::find_scenario("fig8-tradeoff"));
+TEST(CampaignSnapshot, ChunkRestoredInAFreshContextMatchesColdChunk) {
+  // Two workers of one campaign: A runs chunk 0 of a point and saves its
+  // warm state; a fresh B runs chunk 1 of the same point from that cache
+  // and restores instead of warming up. Both chunks equal a cold
+  // run_chunk (no cache) bit for bit.
+  const campaign::Scenario s =
+      shrink(*campaign::find_scenario("fig8-tradeoff"));
+  const std::uint64_t seed = 29;
+  const std::uint64_t warm_seed = campaign::campaign_warmup_seed(seed, s.name);
+  const campaign::ChunkRef chunks[] = {{0, 1, 0, 1}, {1, 1, 1, 2}};
+  const auto cold_record = [&](const campaign::ChunkRef& chunk) {
+    shield::TrialContext cold;
+    return campaign::serialize_chunk_record(
+        chunk,
+        campaign::run_chunk(s, seed, chunk, &cold, warm_seed, nullptr));
+  };
 
-  campaign::CampaignOptions cold;
-  cold.seed = 29;
-  cold.threads = 1;
-  cold.snapshots = false;
-  auto cold_result = campaign::run_campaign(s, cold);
+  SnapshotCache cache;
+  shield::TrialContext a;
+  const auto a_metrics =
+      campaign::run_chunk(s, seed, chunks[0], &a, warm_seed, &cache);
+  EXPECT_EQ(a.snapshots_saved(), 1u);
+  EXPECT_EQ(a.snapshots_restored(), 0u);
 
-  campaign::CampaignOptions first = cold;
-  first.snapshots = true;
-  first.snapshot_dir = dir;
-  const auto first_result = campaign::run_campaign(s, first);
-  EXPECT_GT(first_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
+  shield::TrialContext b;
+  const auto b_metrics =
+      campaign::run_chunk(s, seed, chunks[1], &b, warm_seed, &cache);
+  EXPECT_EQ(b.snapshots_restored(), 1u);
+  EXPECT_EQ(b.snapshots_saved(), 0u);
 
-  auto second_result = campaign::run_campaign(s, first);
-  // All keys are on disk already.
-  EXPECT_EQ(second_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
-  EXPECT_GT(second_result.metrics.counter(obs::Counter::kSnapshotsRestored),
-            0u);
-
-  campaign::canonicalize(cold_result);
-  campaign::canonicalize(second_result);
-  EXPECT_EQ(campaign::to_csv(second_result), campaign::to_csv(cold_result));
-  EXPECT_EQ(campaign::to_json(second_result),
-            campaign::to_json(cold_result));
+  EXPECT_EQ(campaign::serialize_chunk_record(chunks[0], a_metrics),
+            cold_record(chunks[0]));
+  EXPECT_EQ(campaign::serialize_chunk_record(chunks[1], b_metrics),
+            cold_record(chunks[1]));
 }
 
 }  // namespace
