@@ -233,6 +233,8 @@ struct Cli {
   /// the salvaged headers, so these conflict there while --threads &co
   /// (which shape the repair execution) do not.
   const char* identity_flag = nullptr;
+  /// Last of --executor/--workdir seen; only --dispatch reads them.
+  const char* dispatch_flag = nullptr;
 };
 
 /// Parses argv into `cli`. Returns an exit status when the command line
@@ -264,8 +266,10 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
       cli.chunks_spec = value;
     } else if ((value = flag_value(arg, "--executor", argc, argv, &i))) {
       cli.executor_name = value;
+      cli.dispatch_flag = "--executor";
     } else if ((value = flag_value(arg, "--workdir", argc, argv, &i))) {
       cli.workdir = value;
+      cli.dispatch_flag = "--workdir";
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
       cli.timeout_seconds = flag_u64(value, "--timeout-seconds");
     } else if (std::strcmp(arg, "--no-snapshot") == 0) {
@@ -681,6 +685,13 @@ int run_serial(const Cli& cli, const campaign::Scenario& scenario,
 int main(int argc, char** argv) {
   Cli cli;
   if (const auto status = parse_cli(argc, argv, cli)) return *status;
+  if (cli.dispatch_flag != nullptr && !cli.dispatch_mode) {
+    std::fprintf(stderr,
+                 "%s is read only by --dispatch; without it the flag "
+                 "would be silently ignored\n",
+                 cli.dispatch_flag);
+    return 1;
+  }
 
   if (cli.list_mode) return run_list(cli);
   if (cli.list_json) {

@@ -63,10 +63,6 @@ class ActiveAdversaryNode : public sim::RadioNode {
   const std::vector<phy::ReceivedFrame>& recordings() const {
     return recordings_;
   }
-  void clear_recordings() { recordings_.clear(); }
-
-  /// True while a scheduled transmission is pending or on the air.
-  bool transmitting() const { return !tx_.empty(); }
 
   /// Retunes the transmit power (e.g., the P_thresh calibration sweep or
   /// switching to the 100x high-power mode).

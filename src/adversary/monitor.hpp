@@ -56,7 +56,6 @@ class MonitorNode : public sim::RadioNode {
 
   /// All frames whose sync was acquired (decode status may be any).
   const std::vector<phy::ReceivedFrame>& frames() const { return frames_; }
-  void clear_frames() { frames_.clear(); }
 
   /// Raw captured samples (empty unless capture_samples).
   const dsp::Samples& capture() const { return capture_; }

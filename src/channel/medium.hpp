@@ -66,7 +66,6 @@ class Medium {
              const LinkBudgetConfig& budget);
 
   AntennaId add_antenna(const AntennaDesc& desc);
-  std::size_t antenna_count() const { return antennas_.size(); }
   const AntennaDesc& antenna(AntennaId id) const { return antennas_.at(id); }
 
   /// Overrides the directional gain a->b with an exact complex value

@@ -1,150 +1,8 @@
 #include "dsp/correlate.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace hs::dsp {
-namespace {
-
-/// acc = sum_i a[i] * conj(b[i]) over split planes. The expansion
-/// (ar*br + ai*bi, ai*br - ar*bi) and the sequential accumulation order
-/// match what -fcx-limited-range compiles the AoS loop to, so AoS and SoA
-/// callers get bit-identical sums; the independent re/im chains and the
-/// contiguous plane loads are what the vectorizer works with.
-inline cplx dot_conj(const double* ar, const double* ai, const double* br,
-                     const double* bi, std::size_t n) {
-  double acc_re = 0.0;
-  double acc_im = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc_re += ar[i] * br[i] + ai[i] * bi[i];
-    acc_im += ai[i] * br[i] - ar[i] * bi[i];
-  }
-  return {acc_re, acc_im};
-}
-
-inline double plane_energy(const double* re, const double* im,
-                           std::size_t n) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += re[i] * re[i] + im[i] * im[i];
-  return s;
-}
-
-}  // namespace
-
-Samples cross_correlate(SampleView signal, SampleView reference) {
-  if (signal.size() < reference.size() || reference.empty()) return {};
-  const std::size_t lags = signal.size() - reference.size() + 1;
-  Samples out(lags);
-  for (std::size_t k = 0; k < lags; ++k) {
-    cplx acc{};
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      acc += signal[k + i] * std::conj(reference[i]);
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
-std::vector<double> normalized_correlation(SampleView signal,
-                                           SampleView reference) {
-  if (signal.size() < reference.size() || reference.empty()) return {};
-  const std::size_t lags = signal.size() - reference.size() + 1;
-  double ref_energy = 0.0;
-  for (cplx r : reference) ref_energy += std::norm(r);
-  if (ref_energy <= 0.0) return std::vector<double>(lags, 0.0);
-
-  // Running local energy of the signal window. The O(1) sliding update
-  // (+= entering sample, -= leaving sample) accumulates rounding error
-  // without bound on long high-dynamic-range signals — after a loud burst
-  // the residual can dwarf a quiet tail's true energy and even go
-  // negative (masked into the 1e-30 floor, collapsing the denominator).
-  // Recomputing the window exactly every reference.size() lags bounds the
-  // drift to one window's worth of updates. The SoA overload below uses
-  // the same cadence and accumulation order, keeping the two overloads
-  // bit-identical.
-  double win_energy = 0.0;
-  std::vector<double> out(lags);
-  for (std::size_t k = 0; k < lags; ++k) {
-    if (k % reference.size() == 0) {
-      win_energy = 0.0;
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        win_energy += std::norm(signal[k + i]);
-      }
-    }
-    cplx acc{};
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      acc += signal[k + i] * std::conj(reference[i]);
-    }
-    const double denom = std::sqrt(ref_energy * std::max(win_energy, 1e-30));
-    out[k] = std::abs(acc) / denom;
-    if (k + 1 < lags && (k + 1) % reference.size() != 0) {
-      win_energy += std::norm(signal[k + reference.size()]);
-      win_energy -= std::norm(signal[k]);
-    }
-  }
-  return out;
-}
-
-Samples cross_correlate(SoaView signal, SoaView reference) {
-  if (signal.size() < reference.size() || reference.empty()) return {};
-  const std::size_t lags = signal.size() - reference.size() + 1;
-  Samples out(lags);
-  for (std::size_t k = 0; k < lags; ++k) {
-    out[k] = dot_conj(signal.re + k, signal.im + k, reference.re,
-                      reference.im, reference.size());
-  }
-  return out;
-}
-
-std::vector<double> normalized_correlation(SoaView signal,
-                                           SoaView reference) {
-  if (signal.size() < reference.size() || reference.empty()) return {};
-  const std::size_t lags = signal.size() - reference.size() + 1;
-  const double ref_energy =
-      plane_energy(reference.re, reference.im, reference.size());
-  if (ref_energy <= 0.0) return std::vector<double>(lags, 0.0);
-
-  // Same periodic exact recompute cadence as the AoS overload above (see
-  // the drift note there); plane_energy accumulates in the same order as
-  // std::norm over the AoS samples, so the overloads stay bit-identical.
-  double win_energy = 0.0;
-  std::vector<double> out(lags);
-  for (std::size_t k = 0; k < lags; ++k) {
-    if (k % reference.size() == 0) {
-      win_energy =
-          plane_energy(signal.re + k, signal.im + k, reference.size());
-    }
-    const cplx acc = dot_conj(signal.re + k, signal.im + k, reference.re,
-                              reference.im, reference.size());
-    const double denom = std::sqrt(ref_energy * std::max(win_energy, 1e-30));
-    out[k] = std::abs(acc) / denom;
-    if (k + 1 < lags && (k + 1) % reference.size() != 0) {
-      const std::size_t next = k + reference.size();
-      win_energy +=
-          signal.re[next] * signal.re[next] + signal.im[next] * signal.im[next];
-      win_energy -=
-          signal.re[k] * signal.re[k] + signal.im[k] * signal.im[k];
-    }
-  }
-  return out;
-}
-
-CorrelationPeak find_peak(SampleView signal, SampleView reference) {
-  CorrelationPeak peak;
-  const auto mags = normalized_correlation(signal, reference);
-  if (mags.empty()) return peak;
-  for (std::size_t k = 0; k < mags.size(); ++k) {
-    if (mags[k] > peak.magnitude) {
-      peak.magnitude = mags[k];
-      peak.lag = k;
-    }
-  }
-  cplx acc{};
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    acc += signal[peak.lag + i] * std::conj(reference[i]);
-  }
-  peak.value = acc;
-  return peak;
-}
 
 cplx estimate_flat_channel(SampleView received, SampleView reference) {
   cplx num{};
@@ -154,15 +12,6 @@ cplx estimate_flat_channel(SampleView received, SampleView reference) {
     num += received[i] * std::conj(reference[i]);
     denom += std::norm(reference[i]);
   }
-  if (denom <= 0.0) return {};
-  return num / denom;
-}
-
-cplx estimate_flat_channel(SoaView received, SoaView reference) {
-  const std::size_t n = std::min(received.size(), reference.size());
-  const cplx num =
-      dot_conj(received.re, received.im, reference.re, reference.im, n);
-  const double denom = plane_energy(reference.re, reference.im, n);
   if (denom <= 0.0) return {};
   return num / denom;
 }

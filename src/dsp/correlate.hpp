@@ -1,50 +1,14 @@
-// Cross-correlation and matched filtering, used for preamble detection,
-// symbol timing recovery, and channel probing (the shield correlates its
-// known probe against the receive-antenna signal to estimate H_self and
-// H_jam->rec).
+// Flat-channel estimation by correlation, used for channel probing: the
+// shield correlates its known probe against the receive-antenna signal to
+// estimate H_self and H_jam->rec.
 #pragma once
-
-#include <cstddef>
 
 #include "dsp/types.hpp"
 
 namespace hs::dsp {
 
-/// Sliding cross-correlation of `signal` against `reference`:
-/// out[k] = sum_i signal[k + i] * conj(reference[i]),
-/// for k in [0, signal.size() - reference.size()].
-Samples cross_correlate(SampleView signal, SampleView reference);
-
-/// Split-complex overload. The inner multiply-accumulate runs on the
-/// re/im planes (autovectorizable) using the same naive complex-multiply
-/// expansion and accumulation order as the AoS path, so the result is
-/// bit-identical.
-Samples cross_correlate(SoaView signal, SoaView reference);
-
-/// Normalized correlation magnitude in [0, 1] at each lag (correlation
-/// coefficient against the reference's energy and the local signal energy).
-std::vector<double> normalized_correlation(SampleView signal,
-                                           SampleView reference);
-
-/// Split-complex overload; bit-identical to the AoS path.
-std::vector<double> normalized_correlation(SoaView signal,
-                                           SoaView reference);
-
-struct CorrelationPeak {
-  std::size_t lag = 0;
-  double magnitude = 0.0;  ///< normalized in [0, 1]
-  cplx value;              ///< raw complex correlation at the peak
-};
-
-/// Finds the strongest normalized correlation peak. Returns magnitude 0 if
-/// `signal` is shorter than `reference`.
-CorrelationPeak find_peak(SampleView signal, SampleView reference);
-
 /// Least-squares estimate of a flat channel h given y ~= h * x:
 /// h = <y, x> / <x, x>. Returns 0 when x has no energy.
 cplx estimate_flat_channel(SampleView received, SampleView reference);
-
-/// Split-complex overload; bit-identical to the AoS path.
-cplx estimate_flat_channel(SoaView received, SoaView reference);
 
 }  // namespace hs::dsp

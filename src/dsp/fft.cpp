@@ -144,22 +144,6 @@ Samples ifft(SampleView input) {
   return out;
 }
 
-Samples fftshift(SampleView input) {
-  const std::size_t n = input.size();
-  Samples out(n);
-  const std::size_t half = (n + 1) / 2;  // first half moves to the back
-  for (std::size_t i = 0; i < n; ++i) out[i] = input[(i + half) % n];
-  return out;
-}
-
-Samples ifftshift(SampleView input) {
-  const std::size_t n = input.size();
-  Samples out(n);
-  const std::size_t half = n / 2;
-  for (std::size_t i = 0; i < n; ++i) out[i] = input[(i + half) % n];
-  return out;
-}
-
 double bin_frequency(std::size_t k, std::size_t n, double fs) {
   const double f = static_cast<double>(k) * fs / static_cast<double>(n);
   return (k < (n + 1) / 2) ? f : f - fs;

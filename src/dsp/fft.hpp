@@ -46,13 +46,6 @@ Samples fft(SampleView input);
 /// otherwise (a spectrum cannot be meaningfully zero-padded).
 Samples ifft(SampleView input);
 
-/// Reorders an FFT output so the DC bin sits at the center (matplotlib-style
-/// fftshift); used when printing spectra against physical frequency axes.
-Samples fftshift(SampleView input);
-
-/// Inverse of fftshift.
-Samples ifftshift(SampleView input);
-
 /// Frequency (Hz) of FFT bin `k` out of `n` at sample rate `fs`, mapped to
 /// the range [-fs/2, fs/2).
 double bin_frequency(std::size_t k, std::size_t n, double fs);

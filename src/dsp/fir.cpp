@@ -265,11 +265,6 @@ void ComplexFirFilter::process(SoaView in, SoaSamples& out) {
   pos_ = (pos_ + m) % t;
 }
 
-void ComplexFirFilter::reset() {
-  history_.assign(taps_.size(), cplx{});
-  pos_ = 0;
-}
-
 void ComplexFirFilter::save_state(snapshot::StateWriter& w) const {
   save_fir_state(w, taps_.size(), history_, pos_);
 }

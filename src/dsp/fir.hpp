@@ -64,8 +64,6 @@ class FirFilter {
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
 
-  std::size_t tap_count() const { return taps_.size(); }
-
   /// Group delay in samples for the linear-phase designs above.
   double group_delay() const {
     return (static_cast<double>(taps_.size()) - 1.0) / 2.0;
@@ -91,13 +89,9 @@ class ComplexFirFilter {
   /// `in` must not view `out` (growing `out` may reallocate its planes).
   void process(SoaView in, SoaSamples& out);
 
-  void reset();
-
   /// Warm-state snapshot round trip (see FirFilter::save_state).
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
-
-  std::size_t tap_count() const { return taps_.size(); }
 
  private:
   Samples taps_;

@@ -5,9 +5,8 @@
 
 namespace hs::dsp {
 
-Mixer::Mixer(double shift_hz, double fs) : shift_hz_(shift_hz), fs_(fs) {
-  phase_step_ = kTwoPi * shift_hz_ / fs_;
-}
+Mixer::Mixer(double shift_hz, double fs)
+    : shift_hz_(shift_hz), phase_step_(kTwoPi * shift_hz / fs) {}
 
 cplx Mixer::process(cplx x) {
   const cplx osc(std::cos(phase_), std::sin(phase_));
@@ -47,30 +46,9 @@ void Mixer::process(SoaView in, SoaSamples& out) {
   }
 }
 
-void Mixer::set_shift(double shift_hz) {
-  shift_hz_ = shift_hz;
-  phase_step_ = kTwoPi * shift_hz_ / fs_;
-}
-
 Samples apply_cfo(SampleView in, double offset_hz, double fs) {
   Mixer m(offset_hz, fs);
   return m.process(in);
-}
-
-double estimate_cfo(SampleView received, SampleView reference, double fs) {
-  const std::size_t n = std::min(received.size(), reference.size());
-  if (n < 2) return 0.0;
-  // Remove the data: z[i] = received[i] * conj(reference[i]) ~ h*e^{j w i}.
-  // Estimate w by averaging the phase of lag-1 products (Kay-style).
-  cplx acc{};
-  for (std::size_t i = 1; i < n; ++i) {
-    const cplx z0 = received[i - 1] * std::conj(reference[i - 1]);
-    const cplx z1 = received[i] * std::conj(reference[i]);
-    acc += z1 * std::conj(z0);
-  }
-  if (std::abs(acc) <= 0.0) return 0.0;
-  const double w = std::arg(acc);  // radians per sample
-  return w * fs / kTwoPi;
 }
 
 }  // namespace hs::dsp

@@ -2,9 +2,9 @@
 // frequency offset (CFO) modelling.
 //
 // The shield "compensates for any carrier frequency offset between its RF
-// chain and that of the IMD" (paper section 6(a)); the Mixer and the CFO
-// estimator below provide that machinery, and the MICS channelizer uses the
-// Mixer to move 300 kHz channels to and from the 3 MHz wideband view.
+// chain and that of the IMD" (paper section 6(a)); the Mixer provides that
+// machinery, and the MICS channelizer uses it to move 300 kHz channels to
+// and from the 3 MHz wideband view.
 #pragma once
 
 #include <cstddef>
@@ -29,26 +29,17 @@ class Mixer {
   /// `in` must not view `out` (growing `out` may reallocate its planes).
   void process(SoaView in, SoaSamples& out);
 
-  /// Retunes the oscillator without resetting phase.
-  void set_shift(double shift_hz);
-
   double shift_hz() const { return shift_hz_; }
 
   void reset_phase() { phase_ = 0.0; }
 
  private:
   double shift_hz_;
-  double fs_;
-  double phase_ = 0.0;       // radians
-  double phase_step_ = 0.0;  // radians/sample
+  double phase_ = 0.0;  // radians
+  double phase_step_;   // radians/sample
 };
 
 /// Applies a static CFO of `offset_hz` to a copy of the signal.
 Samples apply_cfo(SampleView in, double offset_hz, double fs);
-
-/// Data-aided CFO estimate: given received = cfo(reference) * h, estimates
-/// the frequency offset in Hz by the phase slope of received .* conj(ref).
-/// Accurate within +-fs/(2*span) of zero. Returns 0 on degenerate input.
-double estimate_cfo(SampleView received, SampleView reference, double fs);
 
 }  // namespace hs::dsp

@@ -1,7 +1,6 @@
 #include "dsp/power.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace hs::dsp {
@@ -20,33 +19,6 @@ double mean_power(SoaView x) {
     s += x.re[i] * x.re[i] + x.im[i] * x.im[i];
   }
   return s / static_cast<double>(x.n);
-}
-
-double peak_power(SampleView x) {
-  double p = 0.0;
-  for (cplx v : x) p = std::max(p, std::norm(v));
-  return p;
-}
-
-double energy(SampleView x) {
-  double s = 0.0;
-  for (cplx v : x) s += std::norm(v);
-  return s;
-}
-
-double energy(SoaView x) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.n; ++i) {
-    s += x.re[i] * x.re[i] + x.im[i] * x.im[i];
-  }
-  return s;
-}
-
-void set_mean_power(MutSampleView x, double target_power) {
-  const double p = mean_power(x);
-  if (p <= 0.0) return;
-  const double scale = std::sqrt(target_power / p);
-  for (auto& v : x) v *= scale;
 }
 
 RssiMeter::RssiMeter(std::size_t window) : window_(window) {

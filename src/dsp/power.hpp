@@ -16,19 +16,6 @@ double mean_power(SampleView x);
 /// Split-complex overload; bit-identical to the AoS result.
 double mean_power(SoaView x);
 
-/// Peak per-sample power of a block.
-double peak_power(SampleView x);
-
-/// Total energy (sum |x|^2).
-double energy(SampleView x);
-
-/// Split-complex overload; bit-identical to the AoS result.
-double energy(SoaView x);
-
-/// Scales `x` in place so its mean power equals `target_power`.
-/// No-op on all-zero input.
-void set_mean_power(MutSampleView x, double target_power);
-
 /// Streaming sliding-window RSSI meter.
 class RssiMeter {
  public:

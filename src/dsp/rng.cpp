@@ -234,6 +234,4 @@ void Rng::fill_cgaussian(MutSampleView out, std::span<const double> sigma) {
                     });
 }
 
-bool Rng::bernoulli(double p) { return uniform() < p; }
-
 }  // namespace hs::dsp

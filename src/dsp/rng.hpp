@@ -68,9 +68,6 @@ class Rng {
   /// Throws std::invalid_argument unless sigma.size() == out.size().
   void fill_cgaussian(MutSampleView out, std::span<const double> sigma);
 
-  /// True with probability p.
-  bool bernoulli(double p);
-
   /// Raw xoshiro256++ state, four 64-bit words — the warm-state snapshot
   /// subsystem serializes stream *positions* with these, so a restored
   /// stream continues exactly where the saved one stopped.

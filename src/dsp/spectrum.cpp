@@ -91,11 +91,4 @@ double psd_band_power(const PsdEstimate& psd, double f_lo, double f_hi) {
   return count ? total : 0.0;
 }
 
-void normalize_peak(PsdEstimate& psd) {
-  const double peak =
-      *std::max_element(psd.power.begin(), psd.power.end());
-  if (peak <= 0.0) return;
-  for (auto& p : psd.power) p /= peak;
-}
-
 }  // namespace hs::dsp

@@ -35,7 +35,4 @@ double band_power(SampleView signal, double fs, double f_lo, double f_hi);
 /// Mean power of a PSD estimate within [f_lo, f_hi].
 double psd_band_power(const PsdEstimate& psd, double f_lo, double f_hi);
 
-/// Normalizes a PSD so its peak bin is 1.0 (for printing relative profiles).
-void normalize_peak(PsdEstimate& psd);
-
 }  // namespace hs::dsp

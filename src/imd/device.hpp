@@ -71,7 +71,6 @@ class ImdDevice : public sim::RadioNode {
   const Battery& battery() const { return battery_; }
 
   const ImdStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Over-the-air bits of the most recent reply (ground truth for
   /// eavesdropper BER measurements) and its scheduled start sample.

@@ -55,7 +55,6 @@ class ProgrammerNode : public sim::RadioNode {
   const std::vector<phy::ReceivedFrame>& responses() const {
     return responses_;
   }
-  void clear_responses() { responses_.clear(); }
 
   /// True while a queued command is waiting for LBT clearance.
   bool waiting_for_clear_channel() const { return !pending_.empty(); }

@@ -16,9 +16,4 @@ double channel_baseband_offset_hz(std::size_t index) {
   return channel_center_hz(index) - band_center;
 }
 
-std::size_t channel_of_frequency(double freq_hz) {
-  if (freq_hz < kBandStartHz || freq_hz >= kBandStopHz) return kChannelCount;
-  return static_cast<std::size_t>((freq_hz - kBandStartHz) / kChannelWidthHz);
-}
-
 }  // namespace hs::mics

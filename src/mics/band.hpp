@@ -23,8 +23,4 @@ double channel_center_hz(std::size_t index);
 /// wideband front end centered on the band sees at complex baseband).
 double channel_baseband_offset_hz(std::size_t index);
 
-/// Channel index whose 300 kHz span contains `freq_hz`; returns
-/// kChannelCount if the frequency is outside the band.
-std::size_t channel_of_frequency(double freq_hz);
-
 }  // namespace hs::mics

@@ -40,28 +40,8 @@ std::string_view counter_name(Counter c) {
   return kCounterNames[static_cast<std::size_t>(c)];
 }
 
-bool counter_from_name(std::string_view name, Counter* out) {
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    if (kCounterNames[i] == name) {
-      *out = static_cast<Counter>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string_view phase_name(Phase p) {
   return kPhaseNames[static_cast<std::size_t>(p)];
-}
-
-bool phase_from_name(std::string_view name, Phase* out) {
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    if (kPhaseNames[i] == name) {
-      *out = static_cast<Phase>(i);
-      return true;
-    }
-  }
-  return false;
 }
 
 void Report::merge(const Report& other) {

@@ -71,8 +71,6 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount_);
 
 std::string_view counter_name(Counter c);
-/// Inverse of counter_name; returns false for unknown names.
-bool counter_from_name(std::string_view name, Counter* out);
 
 /// Instrumented phases of a campaign. Wall-clock per phase accumulates
 /// only while timers are enabled for the attached thread.
@@ -92,7 +90,6 @@ inline constexpr std::size_t kPhaseCount =
     static_cast<std::size_t>(Phase::kCount_);
 
 std::string_view phase_name(Phase p);
-bool phase_from_name(std::string_view name, Phase* out);
 
 struct PhaseTotals {
   std::uint64_t calls = 0;

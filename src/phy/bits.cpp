@@ -15,31 +15,6 @@ BitVec bytes_to_bits(ByteView bytes) {
   return bits;
 }
 
-ByteVec bits_to_bytes(BitView bits) {
-  if (bits.size() % 8 != 0) {
-    throw std::invalid_argument("bits_to_bytes: size must be multiple of 8");
-  }
-  ByteVec bytes;
-  bytes.reserve(bits.size() / 8);
-  for (std::size_t i = 0; i < bits.size(); i += 8) {
-    std::uint8_t b = 0;
-    for (std::size_t j = 0; j < 8; ++j) {
-      b = static_cast<std::uint8_t>((b << 1) | (bits[i + j] & 1));
-    }
-    bytes.push_back(b);
-  }
-  return bytes;
-}
-
-std::size_t hamming_distance(BitView a, BitView b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("hamming_distance: length mismatch");
-  }
-  std::size_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] ^ b[i]) & 1;
-  return d;
-}
-
 std::size_t hamming_distance_at(BitView stream, std::size_t offset,
                                 BitView pattern) {
   if (offset + pattern.size() > stream.size()) {
@@ -64,13 +39,6 @@ double bit_error_rate(BitView sent, BitView received) {
          static_cast<double>(n + missing);
 }
 
-void append_uint(BitVec& bits, std::uint64_t value, std::size_t bit_count) {
-  for (std::size_t i = 0; i < bit_count; ++i) {
-    bits.push_back(
-        static_cast<std::uint8_t>((value >> (bit_count - 1 - i)) & 1));
-  }
-}
-
 std::uint64_t read_uint(BitView bits, std::size_t offset,
                         std::size_t bit_count) {
   if (offset + bit_count > bits.size()) {
@@ -81,12 +49,6 @@ std::uint64_t read_uint(BitView bits, std::size_t offset,
     v = (v << 1) | (bits[offset + i] & 1);
   }
   return v;
-}
-
-void flip_bits(BitVec& bits, std::span<const std::size_t> positions) {
-  for (std::size_t p : positions) {
-    if (p < bits.size()) bits[p] ^= 1;
-  }
 }
 
 }  // namespace hs::phy

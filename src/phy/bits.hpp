@@ -20,12 +20,6 @@ using ByteView = std::span<const std::uint8_t>;
 /// Expands bytes to bits, MSB first.
 BitVec bytes_to_bits(ByteView bytes);
 
-/// Packs bits (MSB first) into bytes. `bits.size()` must be a multiple of 8.
-ByteVec bits_to_bytes(BitView bits);
-
-/// Hamming distance between two equal-length bit vectors.
-std::size_t hamming_distance(BitView a, BitView b);
-
 /// Hamming distance between `pattern` and the window of `stream` starting at
 /// `offset` (both must fit).
 std::size_t hamming_distance_at(BitView stream, std::size_t offset,
@@ -36,15 +30,8 @@ std::size_t hamming_distance_at(BitView stream, std::size_t offset,
 /// convention used in the paper's BER plots).
 double bit_error_rate(BitView sent, BitView received);
 
-/// Appends the bits of `value`, MSB first, using `bit_count` bits.
-void append_uint(BitVec& bits, std::uint64_t value, std::size_t bit_count);
-
 /// Reads `bit_count` bits MSB-first starting at `offset`.
 std::uint64_t read_uint(BitView bits, std::size_t offset,
                         std::size_t bit_count);
-
-/// Flips `count` random-ish bit positions given by `positions` (clamped to
-/// size); helper for fault-injection tests.
-void flip_bits(BitVec& bits, std::span<const std::size_t> positions);
 
 }  // namespace hs::phy

@@ -125,29 +125,4 @@ BitVec NoncoherentFskDemod::demodulate(dsp::SoaView rx, std::size_t offset,
   return bits;
 }
 
-CoherentFskDemod::CoherentFskDemod(const FskParams& params)
-    : params_(params),
-      tone0_(make_tone_reference(params.f0, params)),
-      tone1_(make_tone_reference(params.f1, params)) {}
-
-BitVec CoherentFskDemod::demodulate(dsp::SampleView rx, std::size_t offset,
-                                    std::size_t count, cplx channel) const {
-  BitVec bits;
-  bits.reserve(count);
-  const double mag = std::abs(channel);
-  const cplx derot = mag > 0 ? std::conj(channel) / mag : cplx(1.0, 0.0);
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::size_t start = offset + s * params_.sps;
-    if (start + params_.sps > rx.size()) break;
-    cplx c0{}, c1{};
-    for (std::size_t i = 0; i < params_.sps; ++i) {
-      const cplx x = rx[start + i] * derot;
-      c0 += x * tone0_[i];
-      c1 += x * tone1_[i];
-    }
-    bits.push_back(c1.real() > c0.real() ? 1 : 0);
-  }
-  return bits;
-}
-
 }  // namespace hs::phy

@@ -2,12 +2,9 @@
 // and Concerto CRT: a '0' bit at tone f0 and a '1' bit at tone f1, with
 // most energy near +-50 kHz of the 300 kHz channel (paper Fig. 4).
 //
-// Two demodulators are provided:
-//  * NoncoherentFskDemod — the "optimal FSK decoder [38]" the paper's
-//    eavesdropper uses: per-symbol tone matched filters, pick the larger
-//    envelope. Needs no carrier phase.
-//  * CoherentFskDemod — genie-phase variant used in tests as an upper
-//    bound on decoding performance.
+// The demodulator, NoncoherentFskDemod, is the "optimal FSK decoder [38]"
+// the paper's eavesdropper uses: per-symbol tone matched filters, pick the
+// larger envelope. It needs no carrier phase.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +22,6 @@ struct FskParams {
   double f1 = +50e3;        ///< tone for bit 1 (Hz)
 
   double bit_rate() const { return fs / static_cast<double>(sps); }
-  double symbol_duration_s() const { return static_cast<double>(sps) / fs; }
 
   /// Tones are orthogonal over a symbol iff their separation is an integer
   /// multiple of the symbol rate; the defaults give |f1-f0| = 4 * 25 kHz.
@@ -97,23 +93,6 @@ class NoncoherentFskDemod {
   // so the SoA demod hot path is a single packed MAC kernel call.
   std::vector<double> tone_a_;
   std::vector<double> tone_b_;
-};
-
-/// Coherent 2-FSK demodulator (uses the complex channel estimate `h` to
-/// derotate before correlating; a performance upper bound).
-class CoherentFskDemod {
- public:
-  explicit CoherentFskDemod(const FskParams& params);
-
-  BitVec demodulate(dsp::SampleView rx, std::size_t offset, std::size_t count,
-                    dsp::cplx channel) const;
-
-  const FskParams& params() const { return params_; }
-
- private:
-  FskParams params_;
-  dsp::Samples tone0_;
-  dsp::Samples tone1_;
 };
 
 }  // namespace hs::phy

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "dsp/correlate.hpp"
 #include "dsp/kernels.hpp"
 #include "dsp/power.hpp"
 #include "obs/metrics.hpp"

@@ -31,11 +31,6 @@ cplx AntidoteController::antidote_coefficient() const {
   return ideal_coefficient() * (cplx(1.0, 0.0) + hardware_error_);
 }
 
-cplx AntidoteController::jam_channel() const {
-  if (!h_jam_to_rec_) throw std::logic_error("antidote: no jam estimate");
-  return *h_jam_to_rec_;
-}
-
 cplx AntidoteController::self_channel() const {
   if (!h_self_) throw std::logic_error("antidote: no self estimate");
   return *h_self_;

@@ -55,7 +55,6 @@ class AntidoteController {
   /// The ideal (error-free) coefficient; tests use it as ground truth.
   dsp::cplx ideal_coefficient() const;
 
-  dsp::cplx jam_channel() const;
   dsp::cplx self_channel() const;
 
   /// Resets to the never-probed state.

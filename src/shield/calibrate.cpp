@@ -53,18 +53,6 @@ std::vector<double> measure_cancellation_cdf(Deployment& d,
   return out;
 }
 
-double measure_jam_residual_dbm(Deployment& d) {
-  ShieldNode& shield = d.shield();
-  shield.force_probe();
-  d.run_for(2e-3);
-  shield.set_antidote_enabled(true);
-  shield.set_manual_jam(true);
-  const double p = mean_rx_power(d, shield.rx_antenna(), 64);
-  shield.set_manual_jam(false);
-  d.run_for(1e-3);
-  return dsp::mw_to_dbm(std::max(p, 1e-30));
-}
-
 PthreshResult measure_pthresh(std::uint64_t seed, int location_index,
                               double power_lo_dbm, double power_hi_dbm,
                               double power_step_db,

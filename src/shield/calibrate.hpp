@@ -23,11 +23,6 @@ double measure_cancellation_db(Deployment& deployment);
 std::vector<double> measure_cancellation_cdf(Deployment& deployment,
                                              std::size_t runs);
 
-/// Mean power (dBm) left at the shield's receive antenna while it jams
-/// with the antidote active — the residual that bounds SINR_shield in
-/// equation 9.
-double measure_jam_residual_dbm(Deployment& deployment);
-
 struct PthreshResult {
   double min_dbm = 0.0;
   double mean_dbm = 0.0;

@@ -83,7 +83,6 @@ class Deployment {
   channel::Medium& medium() { return *medium_; }
   sim::Timeline& timeline() { return *timeline_; }
   imd::ImdDevice& imd() { return *imd_; }
-  bool has_shield() const { return shield_ != nullptr; }
   ShieldNode& shield() { return *shield_; }
   adversary::MonitorNode* observer() { return observer_.get(); }
   const DeploymentOptions& options() const { return options_; }

@@ -94,10 +94,6 @@ struct AttackResult {
                         static_cast<double>(trials)
                   : 0.0;
   }
-  double alarm_probability() const {
-    return trials ? static_cast<double>(alarms) / static_cast<double>(trials)
-                  : 0.0;
-  }
   /// Battery energy the IMD spent transmitting during the attack (mJ).
   double battery_energy_spent_mj = 0.0;
 };

@@ -1,6 +1,5 @@
 #include "shield/multitap_antidote.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
@@ -100,23 +99,10 @@ void MultitapAntidote::design_equalizer() {
   filter_.emplace(eq_);
 }
 
-void MultitapAntidote::reset_stream() {
-  if (filter_) filter_->reset();
-}
-
 Samples MultitapAntidote::antidote_for(dsp::SampleView jamming) {
   if (!ready()) throw std::logic_error("MultitapAntidote: not estimated");
   return filter_->process(jamming);
 }
-
-void MultitapAntidote::antidote_for(dsp::SoaView jamming,
-                                    dsp::SoaSamples& out) {
-  if (!ready()) throw std::logic_error("MultitapAntidote: not estimated");
-  out.clear();
-  out.reserve(jamming.size());
-  filter_->process(jamming, out);
-}
-
 
 void MultitapAntidote::save_state(snapshot::StateWriter& w) const {
   w.begin("multitap");
@@ -149,27 +135,6 @@ void MultitapAntidote::load_state(snapshot::StateReader& r) {
     filter_.reset();
   }
   r.end("multitap");
-}
-
-double MultitapAntidote::predicted_cancellation_db() const {
-  if (!ready() || eq_.empty()) return 0.0;
-  // Residual transfer = Hjr(f) + Hself(f) * EQ(f), evaluated on the
-  // equalizer's own frequency grid.
-  Samples jam_f(eq_taps_, cplx{});
-  Samples self_f(eq_taps_, cplx{});
-  for (std::size_t k = 0; k < h_jam_.size(); ++k) jam_f[k] = h_jam_[k];
-  for (std::size_t k = 0; k < h_self_.size(); ++k) self_f[k] = h_self_[k];
-  dsp::fft_inplace(jam_f);
-  dsp::fft_inplace(self_f);
-  Samples eq_f(eq_.begin(), eq_.end());
-  dsp::fft_inplace(eq_f);
-  double jam_power = 0.0, residual_power = 0.0;
-  for (std::size_t k = 0; k < eq_taps_; ++k) {
-    jam_power += std::norm(jam_f[k]);
-    residual_power += std::norm(jam_f[k] + self_f[k] * eq_f[k]);
-  }
-  if (residual_power <= 0.0) return 120.0;
-  return 10.0 * std::log10(jam_power / residual_power);
 }
 
 }  // namespace hs::shield

@@ -45,26 +45,9 @@ class MultitapAntidote {
 
   bool ready() const { return have_jam_ && have_self_; }
 
-  /// The estimated channel impulse responses.
-  const dsp::Samples& jam_channel_taps() const { return h_jam_; }
-  const dsp::Samples& self_channel_taps() const { return h_self_; }
-
   /// Produces the antidote stream for the given jamming samples
   /// (streaming; phase-continuous across calls).
   dsp::Samples antidote_for(dsp::SampleView jamming);
-
-  /// Split-complex overload: overwrites `out` with the antidote for
-  /// `jamming`. Shares streaming state with (and is bit-identical to) the
-  /// AoS overload — both run the same ComplexFirFilter.
-  void antidote_for(dsp::SoaView jamming, dsp::SoaSamples& out);
-
-  /// Resets filter state (e.g., when re-estimating from scratch).
-  void reset_stream();
-
-  /// Predicted residual-to-jam power ratio (dB, negative is good) of this
-  /// equalizer against the current channel estimates, evaluated on white
-  /// jamming — a design-quality diagnostic.
-  double predicted_cancellation_db() const;
 
   /// Warm-state snapshot round trip: both estimated channel FIRs, the
   /// designed equalizer taps, and the streaming filter's history — a

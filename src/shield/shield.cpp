@@ -340,10 +340,6 @@ std::vector<phy::ReceivedFrame> ShieldNode::take_decoded_replies() {
   return out;
 }
 
-bool ShieldNode::relay_busy() const {
-  return !pending_.empty() || !tx_.empty();
-}
-
 double ShieldNode::idle_threshold() const {
   double floor = noise_floor_mw_;
   if (jammed_this_block_) {

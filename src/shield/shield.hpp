@@ -77,15 +77,11 @@ class ShieldNode : public sim::RadioNode {
   /// CRC-valid IMD frames decoded (through the shield's own jamming).
   std::vector<phy::ReceivedFrame> take_decoded_replies();
 
-  /// True while a queued command has not finished transmitting.
-  bool relay_busy() const;
-
   // ---- Introspection ------------------------------------------------------
   channel::AntennaId rx_antenna() const { return rx_ant_; }
   channel::AntennaId jam_antenna() const { return jam_ant_; }
   const ShieldConfig& config() const { return config_; }
   const ShieldStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
   bool jamming() const { return active_jam_ || manual_jam_; }
   bool antidote_ready() const { return antidote_.ready(); }
   double measured_imd_rssi_dbm() const;
@@ -95,9 +91,6 @@ class ShieldNode : public sim::RadioNode {
   // ---- Calibration / test hooks (used by section-10.1 calibrations) ------
   void set_manual_jam(bool on) { manual_jam_ = on; }
   void set_antidote_enabled(bool on) { antidote_enabled_ = on; }
-  void set_active_protection(bool on) { config_.enable_active_protection = on; }
-  void set_passive_jamming(bool on) { config_.enable_passive_jamming = on; }
-  void set_jam_profile(JamProfile p) { jamgen_.set_profile(p); }
   void set_jam_power_override(std::optional<double> dbm);
   void force_probe() { probe_due_ = true; }
   const AntidoteController& antidote() const { return antidote_; }

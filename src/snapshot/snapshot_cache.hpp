@@ -39,7 +39,8 @@ class SnapshotCache {
   std::shared_ptr<const StateDoc> store(const std::string& key,
                                         const std::string& payload);
 
-  /// Observability counters for the campaign perf snapshot.
+  /// Lookup counters. Only tests read them; campaigns report the
+  /// snapshots_saved/snapshots_restored obs counters instead.
   std::size_t hits() const;
   std::size_t misses() const;
 

@@ -11,13 +11,16 @@
 // exhausted) raises DispatchError instead of emitting a short report;
 // (7) SubprocessExecutor recovers a really killed campaign_runner child
 // (HS_CAMPAIGN_RUNNER, built alongside this test) to the serial bytes,
-// with the children's phase timers reaching the parent's report.
+// with the children's phase timers reaching the parent's report; (8)
+// that binary refuses the dispatch-only flags outside --dispatch.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/chunk_stream.hpp"
@@ -27,6 +30,7 @@
 #include "campaign/scenario.hpp"
 #include "campaign/shard.hpp"
 #include "obs/metrics.hpp"
+#include "wire/file.hpp"
 
 namespace hs::campaign {
 namespace {
@@ -252,6 +256,36 @@ TEST(Dispatch, ProcessExecutorRecoversAKilledChild) {
   EXPECT_GT(rep.chunks_redealt, 0u);
   // The children's trailers carry their phase timers.
   EXPECT_GT(rep.metrics.report.phase(obs::Phase::kTrial).calls, 0u);
+}
+
+TEST(DispatchCli, ExecutorAndWorkdirAreRefusedOutsideDispatch) {
+  // Only --dispatch reads --executor and --workdir; any other mode exits
+  // 1 naming the flag instead of ignoring it.
+  const TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::string err = dir.path + "/stderr.txt";
+  const auto run = [&err](const std::string& flags) {
+    const std::string cmd = std::string(HS_CAMPAIGN_RUNNER) +
+                            " --scenario=fig3-imd-timing --trials=1"
+                            " --threads=1 " +
+                            flags + " > /dev/null 2> " + err;
+    const int status = std::system(cmd.c_str());
+    std::string text;
+    wire::read_whole_file(err, text);
+    return std::make_pair(WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+                          text);
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {"--executor", "--executor=bogus"},
+      {"--workdir", "--workdir=/nonexistent"}};
+  for (const auto& [flag, arg] : cases) {
+    const auto [status, text] = run(arg);
+    EXPECT_EQ(status, 1) << arg << ": " << text;
+    EXPECT_NE(text.find(flag), std::string::npos) << text;
+    EXPECT_NE(text.find("--dispatch"), std::string::npos) << text;
+  }
+  EXPECT_EQ(run("--executor=bogus --workdir=/nonexistent").first, 1);
+  EXPECT_EQ(run("").first, 0);
 }
 
 TEST(FaultPlanSpec, ParsesAndRoundTrips) {

@@ -18,85 +18,6 @@ Samples random_signal(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
-TEST(Correlate, PeakAtEmbeddedOffset) {
-  const auto ref = random_signal(64, 1);
-  Samples sig(400, cplx{});
-  const std::size_t offset = 123;
-  for (std::size_t i = 0; i < ref.size(); ++i) sig[offset + i] = ref[i];
-  const auto peak = find_peak(sig, ref);
-  EXPECT_EQ(peak.lag, offset);
-  EXPECT_NEAR(peak.magnitude, 1.0, 1e-9);
-}
-
-TEST(Correlate, ScaledRotatedCopyStillCorrelatesPerfectly) {
-  const auto ref = random_signal(64, 2);
-  Samples sig(200, cplx{});
-  const cplx gain = 0.3 * cplx(std::cos(1.1), std::sin(1.1));
-  for (std::size_t i = 0; i < ref.size(); ++i) sig[50 + i] = gain * ref[i];
-  const auto peak = find_peak(sig, ref);
-  EXPECT_EQ(peak.lag, 50u);
-  EXPECT_NEAR(peak.magnitude, 1.0, 1e-9);
-}
-
-TEST(Correlate, NoiseOnlyCorrelatesWeakly) {
-  const auto ref = random_signal(64, 3);
-  const auto sig = random_signal(1000, 4);
-  const auto peak = find_peak(sig, ref);
-  EXPECT_LT(peak.magnitude, 0.6);
-}
-
-TEST(Correlate, TooShortSignalReturnsZero) {
-  const auto ref = random_signal(64, 5);
-  const auto sig = random_signal(32, 6);
-  EXPECT_EQ(find_peak(sig, ref).magnitude, 0.0);
-  EXPECT_TRUE(cross_correlate(sig, ref).empty());
-}
-
-TEST(Correlate, CrossCorrelateValues) {
-  Samples sig = {cplx{1, 0}, cplx{2, 0}, cplx{3, 0}};
-  Samples ref = {cplx{1, 0}, cplx{1, 0}};
-  const auto xc = cross_correlate(sig, ref);
-  ASSERT_EQ(xc.size(), 2u);
-  EXPECT_NEAR(xc[0].real(), 3.0, 1e-12);
-  EXPECT_NEAR(xc[1].real(), 5.0, 1e-12);
-}
-
-// Regression: the sliding win_energy update used to accumulate rounding
-// error without bound; after a loud burst the residual dwarfed a quiet
-// tail's true window energy and corrupted every later lag's denominator.
-// The fix recomputes the window exactly every reference.size() lags, so
-// each lag must now match a per-lag exact reference within tight relative
-// error — across six orders of magnitude of signal dynamic range — and
-// the AoS and SoA overloads must stay bit-identical.
-TEST(Correlate, WindowEnergyDoesNotDriftOverHighDynamicRangeSignal) {
-  const std::size_t ref_len = 64;
-  const auto ref = random_signal(ref_len, 7);
-  Samples sig = random_signal(4096, 8);
-  // Loud leading burst, then a very quiet tail.
-  for (std::size_t i = 0; i < sig.size(); ++i) {
-    sig[i] *= (i < 512) ? 1e6 : 1e-6;
-  }
-  const auto aos = normalized_correlation(sig, ref);
-  const SoaSamples sig_soa = to_soa(sig);
-  const SoaSamples ref_soa = to_soa(ref);
-  const auto soa = normalized_correlation(sig_soa.view(), ref_soa.view());
-  ASSERT_EQ(aos.size(), soa.size());
-  double ref_energy = 0.0;
-  for (cplx r : ref) ref_energy += std::norm(r);
-  for (std::size_t k = 0; k < aos.size(); ++k) {
-    EXPECT_EQ(aos[k], soa[k]) << "lag " << k;
-    cplx acc{};
-    double win = 0.0;
-    for (std::size_t i = 0; i < ref_len; ++i) {
-      acc += sig[k + i] * std::conj(ref[i]);
-      win += std::norm(sig[k + i]);
-    }
-    const double exact =
-        std::abs(acc) / std::sqrt(ref_energy * std::max(win, 1e-30));
-    EXPECT_NEAR(aos[k], exact, 1e-9 * std::max(exact, 1.0)) << "lag " << k;
-  }
-}
-
 TEST(EstimateFlatChannel, RecoversGain) {
   const auto ref = random_signal(256, 7);
   const cplx h(0.01, -0.02);
@@ -152,27 +73,6 @@ TEST(Mixer, PreservesPower) {
   for (const auto& x : sig) pin += std::norm(x);
   for (const auto& x : out) pout += std::norm(x);
   EXPECT_NEAR(pout, pin, 1e-6 * pin);
-}
-
-class CfoSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(CfoSweep, EstimateRecoversOffset) {
-  const double offset = GetParam();
-  const double fs = 300e3;
-  const auto ref = random_signal(1024, 10);
-  const auto rx = apply_cfo(ref, offset, fs);
-  const double est = estimate_cfo(rx, ref, fs);
-  EXPECT_NEAR(est, offset, 5.0);  // within 5 Hz
-}
-
-INSTANTIATE_TEST_SUITE_P(Offsets, CfoSweep,
-                         ::testing::Values(-5000.0, -800.0, -50.0, 0.0, 50.0,
-                                           800.0, 5000.0));
-
-TEST(Cfo, DegenerateInputsGiveZero) {
-  EXPECT_EQ(estimate_cfo({}, {}, 300e3), 0.0);
-  Samples one(1, cplx{1.0, 0.0});
-  EXPECT_EQ(estimate_cfo(one, one, 300e3), 0.0);
 }
 
 TEST(Resample, DecimateInterpolateRoundTripTone) {

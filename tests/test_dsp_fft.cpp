@@ -185,23 +185,6 @@ TEST(Fft, Parseval) {
   EXPECT_NEAR(freq_energy / 256.0, time_energy, 1e-6 * time_energy);
 }
 
-TEST(Fft, ShiftThenUnshiftIsIdentity) {
-  Rng rng(3);
-  Samples data(64);
-  rng.fill_awgn(data, 1.0);
-  auto round = ifftshift(fftshift(data));
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_NEAR(std::abs(round[i] - data[i]), 0.0, 1e-15);
-  }
-}
-
-TEST(Fft, FftshiftCentersDc) {
-  Samples data(8, cplx{});
-  data[0] = 1.0;  // DC bin
-  auto shifted = fftshift(data);
-  EXPECT_NEAR(std::abs(shifted[4]), 1.0, 1e-12);
-}
-
 TEST(Fft, BinFrequencyHalves) {
   EXPECT_NEAR(bin_frequency(0, 8, 800.0), 0.0, 1e-12);
   EXPECT_NEAR(bin_frequency(1, 8, 800.0), 100.0, 1e-12);

@@ -125,14 +125,6 @@ TEST(Rng, FillAwgnMatchesPower) {
   EXPECT_NEAR(mean_power(buf), 0.25, 0.01);
 }
 
-TEST(Rng, BernoulliProbability) {
-  Rng rng(15);
-  int hits = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
 // ---- Fill contract ---------------------------------------------------------
 //
 // Every fill must return exactly the values, and leave exactly the stream

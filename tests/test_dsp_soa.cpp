@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "channel/medium.hpp"
-#include "dsp/correlate.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/mixer.hpp"
 #include "dsp/power.hpp"
@@ -23,7 +22,6 @@
 #include "phy/fsk.hpp"
 #include "phy/receiver.hpp"
 #include "shield/jamgen.hpp"
-#include "shield/multitap_antidote.hpp"
 
 namespace hs::dsp {
 namespace {
@@ -136,35 +134,10 @@ TEST(Soa, MixerBlockMatchesScalar) {
   EXPECT_EQ(scalar.process(probe), block.process(probe));
 }
 
-TEST(Soa, CorrelationKernelsMatchAos) {
-  const Samples sig = random_samples(6, 300);
-  const Samples ref = random_samples(7, 48);
-  const SoaSamples sig_s = to_soa(sig);
-  const SoaSamples ref_s = to_soa(ref);
-
-  const auto cc_aos = cross_correlate(sig, ref);
-  const auto cc_soa = cross_correlate(sig_s.view(), ref_s.view());
-  ASSERT_EQ(cc_aos.size(), cc_soa.size());
-  for (std::size_t i = 0; i < cc_aos.size(); ++i) {
-    EXPECT_EQ(cc_aos[i], cc_soa[i]);
-  }
-
-  const auto nc_aos = normalized_correlation(sig, ref);
-  const auto nc_soa = normalized_correlation(sig_s.view(), ref_s.view());
-  ASSERT_EQ(nc_aos.size(), nc_soa.size());
-  for (std::size_t i = 0; i < nc_aos.size(); ++i) {
-    EXPECT_EQ(nc_aos[i], nc_soa[i]);
-  }
-
-  EXPECT_EQ(estimate_flat_channel(sig, ref),
-            estimate_flat_channel(sig_s.view(), ref_s.view()));
-}
-
 TEST(Soa, PowerMetersMatchAos) {
   const Samples x = random_samples(8, 222);
   const SoaSamples xs = to_soa(x);
   EXPECT_EQ(mean_power(SampleView(x)), mean_power(xs.view()));
-  EXPECT_EQ(energy(SampleView(x)), energy(xs.view()));
 
   RssiMeter a(64);
   RssiMeter b(64);
@@ -214,33 +187,6 @@ TEST(Soa, JamgenSoaStreamMatchesAos) {
     soa.append(chunk.view());
   }
   expect_bit_equal(aos, soa.view());
-}
-
-TEST(Soa, MultitapAntidoteSoaMatchesAos) {
-  // Drive two identical estimators, then compare the AoS and SoA
-  // streaming applications.
-  const Samples probe = random_samples(12, 256);
-  Samples received(probe.size(), cplx{});
-  // A synthetic 3-tap channel.
-  const cplx h[3] = {{0.8, 0.1}, {-0.2, 0.05}, {0.05, -0.02}};
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    for (std::size_t k = 0; k < 3 && k <= i; ++k) {
-      received[i] += h[k] * probe[i - k];
-    }
-  }
-  shield::MultitapAntidote a(4, 64);
-  a.update_jam_channel(received, probe);
-  a.update_self_channel(probe, probe);  // identity self channel
-  shield::MultitapAntidote b(4, 64);
-  b.update_jam_channel(received, probe);
-  b.update_self_channel(probe, probe);
-
-  const Samples jam = random_samples(13, 300);
-  const SoaSamples jam_s = to_soa(jam);
-  const Samples want = a.antidote_for(jam);
-  SoaSamples got;
-  b.antidote_for(jam_s.view(), got);
-  expect_bit_equal(want, got.view());
 }
 
 TEST(Soa, FskReceiverPushPathsAgree) {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "dsp/power.hpp"
-#include "dsp/rng.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/units.hpp"
 
@@ -86,34 +85,10 @@ TEST(BandPower, CapturesToneInBand) {
   EXPECT_LT(out, 0.01);
 }
 
-TEST(NormalizePeak, PeakBecomesOne) {
-  auto psd = welch_psd(make_tone(20e3, 300e3, 4096), 300e3);
-  normalize_peak(psd);
-  double peak = 0;
-  for (double p : psd.power) peak = std::max(peak, p);
-  EXPECT_NEAR(peak, 1.0, 1e-12);
-}
-
-TEST(Power, MeanPeakEnergy) {
+TEST(Power, MeanPower) {
   Samples s = {cplx{1, 0}, cplx{0, 2}, cplx{0, 0}};
   EXPECT_NEAR(mean_power(s), (1.0 + 4.0 + 0.0) / 3.0, 1e-12);
-  EXPECT_NEAR(peak_power(s), 4.0, 1e-12);
-  EXPECT_NEAR(energy(s), 5.0, 1e-12);
   EXPECT_EQ(mean_power(Samples{}), 0.0);
-}
-
-TEST(Power, SetMeanPowerScales) {
-  Rng rng(3);
-  Samples s(1000);
-  rng.fill_awgn(s, 3.7);
-  set_mean_power(s, 0.5);
-  EXPECT_NEAR(mean_power(s), 0.5, 1e-12);
-}
-
-TEST(Power, SetMeanPowerNoopOnZeros) {
-  Samples s(16, cplx{});
-  set_mean_power(s, 1.0);
-  EXPECT_EQ(mean_power(s), 0.0);
 }
 
 TEST(RssiMeter, WindowAverage) {

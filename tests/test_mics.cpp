@@ -8,7 +8,6 @@
 #include "mics/band.hpp"
 #include "mics/channelizer.hpp"
 #include "mics/lbt.hpp"
-#include "mics/session.hpp"
 
 namespace hs::mics {
 namespace {
@@ -31,15 +30,6 @@ TEST(Band, BasebandOffsetsSymmetric) {
   EXPECT_DOUBLE_EQ(channel_baseband_offset_hz(4) +
                        channel_baseband_offset_hz(5),
                    0.0);
-}
-
-TEST(Band, ChannelOfFrequency) {
-  EXPECT_EQ(channel_of_frequency(402.0e6), 0u);
-  EXPECT_EQ(channel_of_frequency(402.2e6), 0u);
-  EXPECT_EQ(channel_of_frequency(402.31e6), 1u);
-  EXPECT_EQ(channel_of_frequency(404.99e6), 9u);
-  EXPECT_EQ(channel_of_frequency(405.0e6), kChannelCount);  // out of band
-  EXPECT_EQ(channel_of_frequency(401.9e6), kChannelCount);
 }
 
 TEST(Band, FccListenBeforeTalkIs10ms) {
@@ -177,61 +167,6 @@ TEST(Cca, ResetClears) {
   cca.push(quiet);
   cca.reset();
   EXPECT_EQ(cca.quiet_time_s(), 0.0);
-}
-
-TEST(Session, NormalLifecycle) {
-  SessionMachine session;
-  EXPECT_EQ(session.state(), SessionState::kIdle);
-  session.start_listening(3);
-  EXPECT_EQ(session.state(), SessionState::kListening);
-  EXPECT_EQ(session.channel(), 3u);
-  session.lbt_result(true);
-  EXPECT_EQ(session.state(), SessionState::kEstablished);
-  session.exchange_result(true);
-  session.exchange_result(true);
-  EXPECT_EQ(session.state(), SessionState::kEstablished);
-  session.end_session();
-  EXPECT_EQ(session.state(), SessionState::kIdle);
-  EXPECT_FALSE(session.channel().has_value());
-}
-
-TEST(Session, BusyChannelGoesToInterfered) {
-  SessionMachine session;
-  session.start_listening(0);
-  session.lbt_result(false);
-  EXPECT_EQ(session.state(), SessionState::kInterfered);
-  EXPECT_EQ(session.next_channel(), 1u);
-}
-
-TEST(Session, PersistentInterferenceMovesChannels) {
-  SessionMachine session(/*interference_limit=*/3);
-  session.start_listening(9);
-  session.lbt_result(true);
-  session.exchange_result(false);
-  session.exchange_result(false);
-  EXPECT_EQ(session.state(), SessionState::kEstablished);
-  session.exchange_result(false);
-  EXPECT_EQ(session.state(), SessionState::kInterfered);
-  EXPECT_EQ(session.next_channel(), 0u);  // wraps around
-}
-
-TEST(Session, SuccessResetsFailureCount) {
-  SessionMachine session(3);
-  session.start_listening(1);
-  session.lbt_result(true);
-  session.exchange_result(false);
-  session.exchange_result(false);
-  session.exchange_result(true);
-  EXPECT_EQ(session.consecutive_failures(), 0u);
-  session.exchange_result(false);
-  session.exchange_result(false);
-  EXPECT_EQ(session.state(), SessionState::kEstablished);
-}
-
-TEST(Session, ChannelIndexWraps) {
-  SessionMachine session;
-  session.start_listening(25);  // out-of-range input is taken modulo 10
-  EXPECT_EQ(session.channel(), 5u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include "dsp/rng.hpp"
 #include "phy/bits.hpp"
 #include "phy/crc.hpp"
-#include "phy/whitening.hpp"
 
 namespace hs::phy {
 namespace {
@@ -14,32 +13,11 @@ TEST(Bits, BytesToBitsMsbFirst) {
   EXPECT_EQ(bytes_to_bits(ByteView(bytes.data(), bytes.size())), expected);
 }
 
-TEST(Bits, BitsToBytesInverse) {
+TEST(Bits, BytesToBitsKeepsByteOrder) {
   const ByteVec bytes = {0x00, 0xFF, 0x3C, 0x81};
-  const auto bits = bytes_to_bits(ByteView(bytes.data(), bytes.size()));
-  EXPECT_EQ(bits_to_bytes(BitView(bits.data(), bits.size())), bytes);
-}
-
-TEST(Bits, BitsToBytesRejectsPartialBytes) {
-  BitVec bits(13, 1);
-  EXPECT_THROW(bits_to_bytes(BitView(bits.data(), bits.size())),
-               std::invalid_argument);
-}
-
-TEST(Bits, HammingDistance) {
-  const BitVec a = {1, 0, 1, 1};
-  const BitVec b = {1, 1, 1, 0};
-  EXPECT_EQ(hamming_distance(BitView(a.data(), a.size()),
-                             BitView(b.data(), b.size())),
-            2u);
-}
-
-TEST(Bits, HammingDistanceMismatchedLengthThrows) {
-  const BitVec a = {1, 0};
-  const BitVec b = {1};
-  EXPECT_THROW(hamming_distance(BitView(a.data(), a.size()),
-                                BitView(b.data(), b.size())),
-               std::invalid_argument);
+  const BitVec expected = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+                           0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1};
+  EXPECT_EQ(bytes_to_bits(ByteView(bytes.data(), bytes.size())), expected);
 }
 
 TEST(Bits, HammingDistanceAtWindow) {
@@ -70,22 +48,13 @@ TEST(Bits, BitErrorRateConventions) {
                    (0.0 + 0.5 * 2.0) / 4.0);
 }
 
-TEST(Bits, AppendReadUintRoundTrip) {
-  BitVec bits;
-  append_uint(bits, 0x2DD4, 16);
-  append_uint(bits, 7, 3);
-  EXPECT_EQ(bits.size(), 19u);
+TEST(Bits, ReadUintMsbFirst) {
+  const BitVec bits = {0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1,
+                       0, 1, 0, 0, 1, 1, 1};  // 0x2DD4, then 7 in 3 bits
   EXPECT_EQ(read_uint(BitView(bits.data(), bits.size()), 0, 16), 0x2DD4u);
   EXPECT_EQ(read_uint(BitView(bits.data(), bits.size()), 16, 3), 7u);
   EXPECT_THROW(read_uint(BitView(bits.data(), bits.size()), 16, 4),
                std::out_of_range);
-}
-
-TEST(Bits, FlipBits) {
-  BitVec bits = {0, 0, 0, 0};
-  const std::size_t positions[] = {1, 3, 99};
-  flip_bits(bits, std::span<const std::size_t>(positions, 3));
-  EXPECT_EQ(bits, (BitVec{0, 1, 0, 1}));
 }
 
 TEST(Crc16, KnownCheckValue) {
@@ -144,48 +113,6 @@ TEST(Crc16, DetectsDoubleBitFlips) {
     EXPECT_NE(crc16_ccitt(ByteView(corrupted.data(), corrupted.size())),
               clean);
   }
-}
-
-TEST(Whitening, SelfInverse) {
-  dsp::Rng rng(4);
-  BitVec bits(333);
-  for (auto& b : bits) b = rng.next_u64() & 1;
-  const BitVec original = bits;
-  Whitener w1;
-  w1.apply(bits);
-  EXPECT_NE(bits, original);
-  Whitener w2;
-  w2.apply(bits);
-  EXPECT_EQ(bits, original);
-}
-
-TEST(Whitening, BreaksConstantRuns) {
-  BitVec zeros(256, 0);
-  Whitener w;
-  w.apply(zeros);
-  std::size_t ones = 0;
-  for (auto b : zeros) ones += b;
-  // The LFSR sequence is balanced-ish; a constant run must not survive.
-  EXPECT_GT(ones, 96u);
-  EXPECT_LT(ones, 160u);
-}
-
-TEST(Whitening, ZeroSeedRemapped) {
-  Whitener w(0);  // all-zero LFSR state would never produce output
-  BitVec bits(64, 0);
-  w.apply(bits);
-  std::size_t ones = 0;
-  for (auto b : bits) ones += b;
-  EXPECT_GT(ones, 0u);
-}
-
-TEST(Whitening, ResetReproducesSequence) {
-  Whitener w(0x1AB);
-  BitVec a(64, 0), b(64, 0);
-  w.apply(a);
-  w.reset(0x1AB);
-  w.apply(b);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

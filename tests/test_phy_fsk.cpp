@@ -120,16 +120,6 @@ TEST(NoncoherentDemod, MetricSignMatchesBit) {
   EXPECT_LT(m0, 0.0);
 }
 
-TEST(CoherentDemod, CleanRoundTripWithChannel) {
-  FskParams p;
-  const auto bits = random_bits(200, 7);
-  auto wave = fsk_modulate(p, bits);
-  const dsp::cplx h = 0.01 * dsp::cplx(std::cos(-1.0), std::sin(-1.0));
-  for (auto& x : wave) x *= h;
-  CoherentFskDemod demod(p);
-  EXPECT_EQ(demod.demodulate(wave, 0, bits.size(), h), bits);
-}
-
 struct SnrBerCase {
   double snr_db;
   double max_ber;

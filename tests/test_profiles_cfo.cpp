@@ -55,8 +55,7 @@ class CfoSweepRx : public ::testing::TestWithParam<double> {};
 TEST_P(CfoSweepRx, ReceiverToleratesRealisticCarrierOffsets) {
   // TCXO-grade MICS radios sit within a few hundred Hz of each other at
   // 403 MHz; the receiver's segmented sync correlation and the 25 kHz-wide
-  // tone correlators must ride that out. (Larger offsets are measured and
-  // pre-compensated with dsp::estimate_cfo — see CfoCompensation below.)
+  // tone correlators must ride that out.
   const double cfo_hz = GetParam();
   phy::FskParams fsk;
   phy::Frame f;
@@ -84,31 +83,6 @@ TEST_P(CfoSweepRx, ReceiverToleratesRealisticCarrierOffsets) {
 INSTANTIATE_TEST_SUITE_P(Offsets, CfoSweepRx,
                          ::testing::Values(-600.0, -300.0, -100.0, 100.0,
                                            300.0, 600.0));
-
-TEST(CfoCompensation, EstimatorEnablesPreCorrection) {
-  // The shield's compensation path: estimate the offset from a known
-  // prefix, then derotate before decoding. Works even for offsets well
-  // beyond crystal tolerances.
-  const double cfo_hz = 9000.0;
-  phy::FskParams fsk;
-  phy::Frame f;
-  f.device_id = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3};
-  f.payload.assign(8, 0x77);
-  const auto bits = phy::encode_frame(f);
-  const auto clean = phy::fsk_modulate(fsk, bits);
-  const auto shifted = dsp::apply_cfo(clean, cfo_hz, fsk.fs);
-
-  // Data-aided estimate over the known preamble+sync prefix.
-  const std::size_t prefix = 48 * fsk.sps;
-  const double est = dsp::estimate_cfo(
-      dsp::SampleView(shifted.data(), prefix),
-      dsp::SampleView(clean.data(), prefix), fsk.fs);
-  EXPECT_NEAR(est, cfo_hz, 20.0);
-
-  const auto corrected = dsp::apply_cfo(shifted, -est, fsk.fs);
-  phy::NoncoherentFskDemod demod(fsk);
-  EXPECT_EQ(demod.demodulate(corrected, 0, bits.size()), bits);
-}
 
 }  // namespace
 }  // namespace hs

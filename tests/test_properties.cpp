@@ -8,7 +8,6 @@
 #include "imd/profiles.hpp"
 #include "phy/frame.hpp"
 #include "phy/receiver.hpp"
-#include "phy/whitening.hpp"
 #include "shield/experiments.hpp"
 #include "shield/sid_matcher.hpp"
 
@@ -193,37 +192,6 @@ TEST(Invariant, ConfidentialityHoldsForEveryPayloadPattern) {
   for (double ber : result.eavesdropper_ber) {
     EXPECT_GT(ber, 0.35);
     EXPECT_LT(ber, 0.65);
-  }
-}
-
-TEST(Invariant, WhitenedPayloadsRoundTripThroughTheStack) {
-  // Whitening composes with framing: apply at the sender, invert at the
-  // receiver, contents intact.
-  dsp::Rng rng(13);
-  for (int trial = 0; trial < 20; ++trial) {
-    phy::Frame f;
-    f.device_id = {9, 9, 9, 9, 9, 9, 9, 9, 9, 9};
-    f.type = 0x44;
-    f.payload.assign(1 + rng.uniform_u64(40), 0);
-    for (auto& b : f.payload) b = static_cast<std::uint8_t>(rng.next_u64());
-
-    phy::Frame on_air = f;
-    auto bits = phy::bytes_to_bits(
-        phy::ByteView(on_air.payload.data(), on_air.payload.size()));
-    phy::Whitener tx_whitener;
-    tx_whitener.apply(bits);
-    on_air.payload = phy::bits_to_bytes(phy::BitView(bits.data(),
-                                                     bits.size()));
-
-    const auto decoded = phy::decode_frame(phy::encode_frame(on_air));
-    ASSERT_EQ(decoded.status, phy::DecodeStatus::kOk);
-    auto rx_bits = phy::bytes_to_bits(phy::ByteView(
-        decoded.frame.payload.data(), decoded.frame.payload.size()));
-    phy::Whitener rx_whitener;
-    rx_whitener.apply(rx_bits);
-    EXPECT_EQ(phy::bits_to_bytes(phy::BitView(rx_bits.data(),
-                                              rx_bits.size())),
-              f.payload);
   }
 }
 

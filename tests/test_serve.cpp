@@ -509,10 +509,19 @@ void set_timeouts(int fd, long seconds) {
 /// Minimal blocking line client.
 class LineClient {
  public:
-  explicit LineClient(const std::string& path)
-      : LineClient(::socket(AF_UNIX, SOCK_STREAM, 0), path) {}
+  static constexpr long kDefaultReadTimeoutS = 60;
 
-  /// Connects the caller's unconnected Unix socket `fd` and owns it.
+  /// Connects to the server at `path`. Reads time out after
+  /// kDefaultReadTimeoutS unless the test sets its own, so a reply that
+  /// never comes fails the test instead of hanging it.
+  explicit LineClient(const std::string& path)
+      : LineClient(::socket(AF_UNIX, SOCK_STREAM, 0), path) {
+    const timeval timeout{kDefaultReadTimeoutS, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
+
+  /// Connects the caller's unconnected Unix socket `fd` and owns it,
+  /// keeping the timeouts the caller set on it.
   LineClient(int fd, const std::string& path) : fd_(fd) {
     EXPECT_GE(fd_, 0);
     EXPECT_EQ(connect_to(fd_, path), 0) << std::strerror(errno);
@@ -532,7 +541,8 @@ class LineClient {
               static_cast<ssize_t>(framed.size()));
   }
 
-  /// Blocking read of the next '\n'-terminated line (empty on EOF).
+  /// Blocking read of the next '\n'-terminated line. Empty on EOF; a
+  /// receive timeout fails the test and also returns empty.
   std::string read_line() {
     for (;;) {
       const auto nl = buffer_.find('\n');
@@ -543,6 +553,14 @@ class LineClient {
       }
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        timeval t{};
+        socklen_t size = sizeof t;
+        ::getsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &t, &size);
+        ADD_FAILURE() << "read_line: no complete line within the "
+                      << t.tv_sec + t.tv_usec / 1e6 << " s receive timeout";
+        return "";
+      }
       if (n <= 0) return "";
       buffer_.append(chunk, static_cast<std::size_t>(n));
     }
@@ -890,6 +908,39 @@ TEST(ServeServer, FinishedConnectionsReleaseTheirFds) {
     after = entries("/proc/self/fd");
   }
   EXPECT_LE(after, fds_before + 4);
+}
+
+TEST(ServeServer, ClientThatHangsUpMidRequestLineIsDropped) {
+  // A client that sends part of a request line and hangs up: the partial
+  // line is never run, the connection's fd is released, and the server
+  // goes on serving.
+  ServerFixture fx;
+  const std::size_t fds_before = entries("/proc/self/fd");
+  const std::uint64_t admitted_before = fx.stats.snapshot().requests_admitted;
+  {
+    // The pong shows the server holds A's connection before A hangs up.
+    LineClient a(fx.path);
+    a.send_line(R"({"cmd":"ping"})");
+    ASSERT_EQ(a.read_line(), R"({"type":"pong"})");
+    const std::string partial = R"({"cmd":"run","preset":"fig3-imd)";
+    ASSERT_EQ(::send(a.fd(), partial.data(), partial.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(partial.size()));
+  }
+  // The server notices the hang-up on its own thread; poll until the
+  // connection is gone.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::size_t after = entries("/proc/self/fd");
+  while (after > fds_before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    after = entries("/proc/self/fd");
+  }
+  EXPECT_LE(after, fds_before);
+  EXPECT_EQ(fx.stats.snapshot().requests_admitted, admitted_before);
+
+  LineClient b(fx.path);
+  b.send_line(R"({"cmd":"ping"})");
+  EXPECT_EQ(b.read_line(), R"({"type":"pong"})");
 }
 
 /// The fd numbers open in this process, the listing's own handle

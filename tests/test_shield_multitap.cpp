@@ -139,7 +139,6 @@ TEST(MultitapAntidote, FlatAntidoteFailsOnMultipathMultitapSucceeds) {
   EXPECT_LT(flat_db, 12.0);
   EXPECT_GT(fir_db, 30.0);
   EXPECT_GT(fir_db, flat_db + 15.0);
-  EXPECT_GT(multitap.predicted_cancellation_db(), 30.0);
 }
 
 TEST(MultitapAntidote, SelfChannelMultipathAlsoHandled) {
