@@ -11,9 +11,11 @@
 // Observability: --metrics-json writes the merged counter/phase-timer
 // report (serial, parallel, per-shard, or aggregated across shards by
 // --merge from the chunk-stream trailers); --trace writes a Chrome
-// trace-event timeline (chrome://tracing / Perfetto) of workers, chunks
-// and snapshot events. Neither changes any aggregate or report byte (see
+// trace-event timeline (chrome://tracing / Perfetto) of workers and
+// chunks. Neither changes any aggregate or report byte (see
 // src/obs/metrics.hpp).
+//
+// `--list [--json]` prints the preset list and takes no other flag.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -35,7 +37,6 @@
 #include "campaign/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "snapshot/state_io.hpp"
 #include "wire/cli.hpp"
 
 using namespace hs;
@@ -87,9 +88,9 @@ void list_presets_json(std::FILE* out) {
 /// machine-greppable. Scripts and CI use it to confirm a binary and a
 /// recorded artifact speak the same format.
 void print_versions(std::FILE* out) {
-  std::fprintf(out, "chunk-stream %d\nsnapshot %d\nmetrics %d\ntrace %d\n",
-               campaign::kChunkStreamVersion, snapshot::kSnapshotVersion,
-               obs::kMetricsVersion, obs::kTraceVersion);
+  std::fprintf(out, "chunk-stream %d\nmetrics %d\ntrace %d\n",
+               campaign::kChunkStreamVersion, obs::kMetricsVersion,
+               obs::kTraceVersion);
 }
 
 int usage(const char* argv0, bool is_error) {
@@ -97,12 +98,12 @@ int usage(const char* argv0, bool is_error) {
   // goes to stderr so it cannot pollute piped CSV/JSON output.
   std::fprintf(
       is_error ? stderr : stdout,
-      "usage: %s [--list [--json]] [--scenario=NAME] [--seed=N]\n"
-      "          [--trials=N] [--threads=N] [--chunk=N]\n"
-      "          [--no-snapshot] [--canonical]\n"
+      "usage: %s [--scenario=NAME] [--seed=N]\n"
+      "          [--trials=N] [--threads=N] [--chunk=N] [--canonical]\n"
       "          [--csv=PATH] [--json=PATH]\n"
       "          [--metrics-json=PATH] [--trace=PATH] [--version]\n"
       "          [--timeout-seconds=N]\n"
+      "       %s --list [--json]\n"
       "       %s --shards=K --shard=I --emit-chunks=PATH [run options]\n"
       "          [--chunks=ID,ID,...] [--fault-plan=SPEC]\n"
       "       %s --merge A.jsonl B.jsonl ... [--csv=PATH] [--json=PATH]\n"
@@ -115,12 +116,8 @@ int usage(const char* argv0, bool is_error) {
       "          [--metrics-json=PATH]\n"
       "  Every value flag also accepts the space-separated form\n"
       "  (--shards 3). --threads=0 uses all hardware threads (default).\n"
-      "  --list --json emits the preset list as machine-readable JSON.\n"
-      "  Warm-state snapshots are on by default: a worker that builds a\n"
-      "  deployment restores its post-warm-up state from an in-memory\n"
-      "  snapshot instead of re-simulating the warm-up; --no-snapshot\n"
-      "  disables the cache. Aggregates and reports are byte-identical\n"
-      "  either way.\n"
+      "  --list --json emits the preset list as machine-readable JSON;\n"
+      "  --list takes no other flag.\n"
       "  --canonical zeroes the runtime fields (wall time, threads) in\n"
       "  reports so they diff cleanly against a --merge report.\n"
       "  --shards/--shard/--emit-chunks run one deterministic shard of\n"
@@ -150,7 +147,7 @@ int usage(const char* argv0, bool is_error) {
       "  fault-tolerant dispatcher (thread executor, or process\n"
       "  executor spawning this binary; --workdir, which must exist,\n"
       "  holds the child streams).\n",
-      argv0, argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0, argv0, argv0, argv0);
   return is_error ? 1 : 0;
 }
 
@@ -235,6 +232,9 @@ struct Cli {
   const char* identity_flag = nullptr;
   /// Last of --executor/--workdir seen; only --dispatch reads them.
   const char* dispatch_flag = nullptr;
+  /// First argument other than --list and a bare --json, which --list
+  /// refuses (listing reads no other flag).
+  const char* non_list_arg = nullptr;
 };
 
 /// Parses argv into `cli`. Returns an exit status when the command line
@@ -245,8 +245,9 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
+    bool lists = false;  // --list, or a bare --json
     if (std::strcmp(arg, "--list") == 0) {
-      cli.list_mode = true;
+      cli.list_mode = lists = true;
     } else if (std::strcmp(arg, "--version") == 0) {
       print_versions(stdout);
       return 0;
@@ -272,9 +273,6 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
       cli.dispatch_flag = "--workdir";
     } else if ((value = flag_value(arg, "--timeout-seconds", argc, argv, &i))) {
       cli.timeout_seconds = flag_u64(value, "--timeout-seconds");
-    } else if (std::strcmp(arg, "--no-snapshot") == 0) {
-      cli.options.snapshots = false;
-      cli.run_flag = "--no-snapshot";
     } else if (std::strcmp(arg, "--canonical") == 0) {
       cli.canonical = true;
     } else if ((value = flag_value(arg, "--scenario", argc, argv, &i))) {
@@ -306,12 +304,13 @@ std::optional<int> parse_cli(int argc, char** argv, Cli& cli) {
     } else if (std::strcmp(arg, "--json") == 0) {
       // Bare --json (no value) selects the machine-readable preset list;
       // --json=PATH / --json PATH stays the report destination above.
-      cli.list_json = true;
+      cli.list_json = lists = true;
     } else if (arg[0] != '-' && (cli.merge_mode || cli.recover_mode)) {
       cli.stream_files.push_back(arg);
     } else {
       return usage(argv[0], std::strcmp(arg, "--help") != 0);
     }
+    if (!lists && cli.non_list_arg == nullptr) cli.non_list_arg = arg;
   }
   return std::nullopt;
 }
@@ -357,6 +356,14 @@ int write_folded_outputs(const Cli& cli,
 }
 
 int run_list(const Cli& cli) {
+  if (cli.non_list_arg != nullptr) {
+    std::fprintf(stderr,
+                 "--list prints the preset list and reads no other flag "
+                 "— %s would be silently ignored; drop it (--json is the "
+                 "only companion)\n",
+                 cli.non_list_arg);
+    return 1;
+  }
   if (cli.list_json) {
     list_presets_json(stdout);
   } else {
@@ -387,8 +394,8 @@ int run_recover(const Cli& cli) {
     std::fprintf(stderr,
                  "--recover takes the campaign identity from the "
                  "salvaged headers — %s would be silently ignored; "
-                 "drop it (--threads/--no-snapshot still shape the "
-                 "repair execution)\n",
+                 "drop it (--threads still shapes the repair "
+                 "execution)\n",
                  cli.identity_flag);
     return 1;
   }

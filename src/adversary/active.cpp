@@ -1,5 +1,6 @@
 #include "adversary/active.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/units.hpp"
@@ -12,7 +13,6 @@ ActiveAdversaryNode::ActiveAdversaryNode(const ActiveAdversaryConfig& config,
     : config_(config),
       log_(log),
       modulator_(config.fsk),
-      receiver_(config.fsk),
       tx_amplitude_(std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm))) {
   register_with_medium(medium);
 }
@@ -31,10 +31,8 @@ void ActiveAdversaryNode::reset(const ActiveAdversaryConfig& config,
   config_ = config;
   log_ = log;
   modulator_ = phy::FskModulator(config.fsk);
-  receiver_.reset(config.fsk);
   tx_ = sim::TransmitScheduler();
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
-  recordings_.clear();
   next_allowed_sample_ = 0;
   next_block_start_ = 0;
   register_with_medium(medium);
@@ -58,21 +56,6 @@ void ActiveAdversaryNode::inject(const phy::Frame& frame,
   }
 }
 
-void ActiveAdversaryNode::replay(const phy::BitVec& recorded_bits,
-                                 std::size_t at_sample) {
-  const std::size_t at =
-      std::max({at_sample, next_allowed_sample_, next_block_start_});
-  // Demodulate-then-remodulate: the recording is already bits, so replay
-  // is a clean re-modulation (no accumulated channel noise; section 9).
-  dsp::Samples wave = modulator_.modulate(recorded_bits);
-  next_allowed_sample_ = at + wave.size();
-  tx_.schedule(at, std::move(wave));
-  if (log_ != nullptr) {
-    log_->record(static_cast<double>(at) / config_.fsk.fs, config_.name,
-                 sim::EventKind::kTxStart, "replayed command");
-  }
-}
-
 void ActiveAdversaryNode::produce(const sim::StepContext& ctx,
                                   channel::Medium& medium) {
   next_block_start_ = ctx.block_start_sample() + ctx.block_size;
@@ -83,14 +66,7 @@ void ActiveAdversaryNode::produce(const sim::StepContext& ctx,
   }
 }
 
-void ActiveAdversaryNode::consume(const sim::StepContext&,
-                                  channel::Medium& medium) {
-  receiver_.push(medium.rx_soa(antenna_));
-  while (auto frame = receiver_.pop()) {
-    if (frame->decode.status == phy::DecodeStatus::kOk) {
-      recordings_.push_back(std::move(*frame));
-    }
-  }
-}
+// The adversary only transmits; what its antenna hears is never decoded.
+void ActiveAdversaryNode::consume(const sim::StepContext&, channel::Medium&) {}
 
 }  // namespace hs::adversary

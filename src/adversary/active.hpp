@@ -1,23 +1,22 @@
 // Active adversary node (paper section 3.2(b) and 10.3).
 //
-// Capabilities, matching the threat model exactly:
+// Capabilities, from the threat model:
 //  * forge its own unauthorized command frames (a sophisticated adversary
 //    that reverse-engineered the protocol),
-//  * record a legitimate programmer's transmissions, demodulate them to
-//    bits to strip channel noise, and re-modulate for clean replay
-//    (exactly the procedure of section 9),
 //  * transmit at the FCC limit (commercial programmer hardware) or at
 //    100x the shield's power (custom hardware, Fig. 13).
+// Replay of a recorded programmer command (section 9) is not modelled:
+// no experiment uses it, and a replayed frame reaches the IMD exactly as
+// a forged one does.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "channel/medium.hpp"
 #include "dsp/rng.hpp"
 #include "imd/protocol.hpp"
-#include "phy/receiver.hpp"
+#include "phy/fsk.hpp"
 #include "sim/node.hpp"
 #include "sim/trace.hpp"
 #include "sim/transmit_scheduler.hpp"
@@ -56,14 +55,6 @@ class ActiveAdversaryNode : public sim::RadioNode {
   /// next block boundary.
   void inject(const phy::Frame& frame, std::size_t at_sample = 0);
 
-  /// Replays previously recorded bits (demodulate-then-remodulate replay).
-  void replay(const phy::BitVec& recorded_bits, std::size_t at_sample = 0);
-
-  /// Frames recorded off the air (CRC-valid only), for later replay.
-  const std::vector<phy::ReceivedFrame>& recordings() const {
-    return recordings_;
-  }
-
   /// Retunes the transmit power (e.g., the P_thresh calibration sweep or
   /// switching to the 100x high-power mode).
   void set_tx_power_dbm(double dbm);
@@ -76,10 +67,8 @@ class ActiveAdversaryNode : public sim::RadioNode {
   channel::AntennaId antenna_;
   sim::EventLog* log_;
   phy::FskModulator modulator_;
-  phy::FskReceiver receiver_;
   sim::TransmitScheduler tx_;
   double tx_amplitude_;
-  std::vector<phy::ReceivedFrame> recordings_;
   std::size_t next_allowed_sample_ = 0;
   std::size_t next_block_start_ = 0;  ///< tracked from produce()
 };

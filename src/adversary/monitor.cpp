@@ -40,24 +40,6 @@ void MonitorNode::save_state(snapshot::StateWriter& w) const {
   w.end("monitor");
 }
 
-void MonitorNode::load_state(snapshot::StateReader& r) {
-  r.begin("monitor");
-  if (r.str("name") != config_.name) {
-    throw snapshot::SnapshotError("snapshot: monitor identity mismatch");
-  }
-  antenna_ = r.u64("antenna");
-  receiver_.load_state(r);
-  const std::uint64_t frames = r.u64("frames");
-  frames_.clear();
-  frames_.reserve(frames);
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    frames_.push_back(phy::load_received_frame(r));
-  }
-  capture_ = r.samples("capture");
-  capture_start_ = r.u64("capture_start");
-  r.end("monitor");
-}
-
 void MonitorNode::produce(const sim::StepContext&, channel::Medium&) {
   // Purely passive.
 }

@@ -18,7 +18,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::adversary {
@@ -64,11 +63,10 @@ class MonitorNode : public sim::RadioNode {
   /// Absolute sample index corresponding to capture()[0].
   std::size_t capture_start() const { return capture_start_; }
 
-  /// Warm-state snapshot round trip (receiver stream, retained frames,
-  /// raw capture). Only the deployment's in-body observer is ever
+  /// Writes the receiver stream, retained frames and raw capture into a
+  /// warm-state snapshot. Only the deployment's in-body observer is ever
   /// snapshotted; per-trial eavesdroppers are reset fresh each trial.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   void register_with_medium(channel::Medium& medium);

@@ -308,7 +308,6 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     }
     cmd += " --threads=" + std::to_string(options_.threads);
     cmd += " --chunk=" + std::to_string(options_.chunk_size);
-    if (!options_.snapshots) cmd += " --no-snapshot";
     cmd += " --shards=" + std::to_string(task.plan.shard_count);
     cmd += " --shard=" + std::to_string(task.slot);
     cmd += " --emit-chunks=" + shell_quote(child.path);
@@ -599,7 +598,7 @@ CampaignResult recover_campaign(const Scenario& scenario,
                         "', not '" + scenario.name + "'");
   }
   // Campaign identity from the salvaged header; execution knobs (worker
-  // threads, snapshots) from the caller.
+  // threads) from the caller.
   CampaignOptions ropt = options;
   ropt.seed = h.seed;
   ropt.trials_per_point = h.trials_per_point;

@@ -28,7 +28,6 @@
 #include "shield/multitap_antidote.hpp"
 #include "shield/trial_context.hpp"
 #include "shield/wideband.hpp"
-#include "snapshot/snapshot_cache.hpp"
 
 namespace hs::campaign {
 
@@ -520,17 +519,9 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
 
   // Two-phase seeding is unconditional for campaign trials: warm-up
   // streams draw from the shared campaign warm-up seed, trial streams
-  // from the per-trial seed. Snapshots only change HOW the post-warm-up
-  // state is reached (restore vs re-simulation), never what it is — so
-  // --no-snapshot runs stay byte-identical to snapshot runs.
+  // from the per-trial seed.
   const std::uint64_t warm_seed =
       campaign_warmup_seed(options.seed, scenario.name);
-  // One in-memory cache per shard execution, shared by every worker
-  // thread (it is internally locked; parsed snapshot documents are shared
-  // read-only) and dropped when the execution returns.
-  std::optional<snapshot::SnapshotCache> cache;
-  if (options.snapshots) cache.emplace();
-  snapshot::SnapshotCache* cache_ptr = cache ? &*cache : nullptr;
 
   // Shared observability sink: workers accumulate counters (and, with
   // CampaignOptions::metrics_timers, phase timers) into thread-local
@@ -571,7 +562,7 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                              std::string(args));
         }
         exec.chunk_metrics[c] = run_chunk(scenario, options.seed, chunk,
-                                          &pool, warm_seed, cache_ptr);
+                                          &pool, warm_seed, nullptr);
       }
       obs::count(obs::Counter::kChunks);
       oscope.flush();  // chunk boundary: fold the thread block + spans

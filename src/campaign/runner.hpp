@@ -54,13 +54,6 @@ struct CampaignOptions {
   /// One trial per chunk maximizes parallelism (a trial simulates a full
   /// deployment, so accumulator merge overhead is negligible).
   std::size_t chunk_size = 1;
-  /// Restore post-warm-up deployment state from warm snapshots instead of
-  /// re-simulating the warm-up on every trial (see src/snapshot/). The
-  /// per-trial RNG streams always run two-phase (warm-up streams keyed by
-  /// campaign_warmup_seed, trial streams by the trial seed), so
-  /// aggregates are bit-identical with snapshots on or off — `false` is
-  /// the `--no-snapshot` escape hatch that only disables the cache.
-  bool snapshots = true;
   /// Collect nanosecond phase timers (obs::Phase) alongside the
   /// always-on counters. Enabled by the CLI's `--metrics-json`; timers
   /// read clocks only, never RNG state, so aggregates are bit-identical
@@ -95,7 +88,7 @@ struct CampaignResult {
   std::size_t total_trials = 0;
   double wall_seconds = 0.0;
   /// Merged observability report: every obs::Counter (trials, chunks,
-  /// deployment builds/reuses, snapshot restores/saves) plus, when
+  /// deployment builds/reuses) plus, when
   /// CampaignOptions::metrics_timers was set, per-phase wall time.
   /// Runtime-only — reports/CSV/JSON never include it, so canonical
   /// outputs stay byte-identical with metrics on or off.
@@ -116,8 +109,7 @@ std::uint64_t trial_seed(std::uint64_t campaign_seed,
 /// The warm-up seed every trial, worker and shard of a campaign shares
 /// (two-phase seeding; see DeploymentOptions::warmup_seed). A pure
 /// function of (campaign seed, scenario name) so shard processes agree
-/// on it — and on the snapshot keys derived from it — without
-/// communicating.
+/// on it without communicating.
 std::uint64_t campaign_warmup_seed(std::uint64_t campaign_seed,
                                    std::string_view scenario_name);
 
@@ -152,9 +144,10 @@ using ChunkMetrics = std::array<StreamingStats, kMetricCount>;
 /// `context` is the caller's resident TrialContext and must not be null
 /// (its warm policy is (re)applied from `warmup_seed`/`cache` on every
 /// call, so one context may serve chunks of different campaigns back to
-/// back). `warmup_seed` must come from campaign_warmup_seed(); `cache`
-/// may be null (two-phase seeding stays on, only the snapshot cache is
-/// bypassed).
+/// back). `warmup_seed` must come from campaign_warmup_seed(). Every
+/// execution path passes a null `cache`; a non-null one only receives a
+/// warm snapshot per deployment build (see TrialContext::set_warm_policy)
+/// and changes no result.
 ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
                        const ChunkRef& chunk, shield::TrialContext* context,
                        std::uint64_t warmup_seed,

@@ -669,17 +669,6 @@ const std::vector<Metric>& metrics_for(ExperimentKind kind) {
   return eavesdrop;
 }
 
-bool experiment_uses_deployments(ExperimentKind kind) {
-  switch (kind) {
-    case ExperimentKind::kSpectrum:
-    case ExperimentKind::kMultipathAntidote:
-    case ExperimentKind::kWideband:
-      return false;
-    default:
-      return true;
-  }
-}
-
 std::string_view experiment_kind_name(ExperimentKind kind) {
   switch (kind) {
     case ExperimentKind::kEavesdrop: return "eavesdrop";

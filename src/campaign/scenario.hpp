@@ -182,11 +182,6 @@ const std::vector<Metric>& metrics_for(ExperimentKind kind);
 /// tools consume the preset list without scraping the human listing.
 std::string_view experiment_kind_name(ExperimentKind kind);
 
-/// True when trials of this kind stand up shield::Deployments (and can
-/// therefore benefit from — and be checked against — warm-state
-/// snapshots). Spectrum/wideband/multipath trials run pure DSP instead.
-bool experiment_uses_deployments(ExperimentKind kind);
-
 /// Human-readable axis label for reports ("location", "jam margin (dB)"...).
 std::string_view axis_name(SweepAxis axis);
 

@@ -150,56 +150,6 @@ void Medium::save_state(snapshot::StateWriter& w) const {
   w.end("medium");
 }
 
-void Medium::load_state(snapshot::StateReader& r) {
-  r.begin("medium");
-  fs_ = r.f64("fs");
-  block_size_ = r.u64("block_size");
-  budget_.pathloss.carrier_hz = r.f64("pathloss.carrier_hz");
-  budget_.pathloss.exponent = r.f64("pathloss.exponent");
-  budget_.pathloss.wall_loss_db = r.f64("pathloss.wall_loss_db");
-  budget_.pathloss.reference_m = r.f64("pathloss.reference_m");
-  budget_.pathloss.min_distance_m = r.f64("pathloss.min_distance_m");
-  budget_.noise_floor_dbm = r.f64("noise_floor_dbm");
-  budget_.fcc_limit_dbm = r.f64("fcc_limit_dbm");
-  budget_.shadowing_sigma_db = r.f64("shadowing_sigma_db");
-  budget_.shadowing_min_distance_m = r.f64("shadowing_min_distance_m");
-  snapshot::read_rng(r, "rng", rng_);
-  noise_enabled_ = r.boolean("noise_enabled");
-  const std::uint64_t n = r.u64("antennas");
-  antennas_.clear();
-  antennas_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AntennaDesc a;
-    a.name = r.str("name");
-    a.position.x = r.f64("x");
-    a.position.y = r.f64("y");
-    a.walls = static_cast<int>(r.u64("walls"));
-    a.body_loss_db = r.f64("body_loss_db");
-    a.extra_loss_db = r.f64("extra_loss_db");
-    antennas_.push_back(std::move(a));
-  }
-  pairs_.assign(n * n, PairState{});
-  for (PairState& p : pairs_) {
-    const bool has_override = r.boolean("override");
-    const dsp::cplx og = r.cx("override_gain");
-    if (has_override) {
-      p.override_gain = og;
-    } else {
-      p.override_gain.reset();
-    }
-    p.extra_loss_db = r.f64("extra_loss_db");
-    p.phase = r.cx("phase");
-    p.shadow_db = r.f64("shadow_db");
-    p.cached_gain.reset();
-  }
-  tx_.assign(n, dsp::SoaSamples(block_size_));
-  tx_active_.assign(n, false);
-  rx_.assign(n, dsp::SoaSamples(block_size_));
-  rx_aos_.assign(n, dsp::Samples{});
-  rx_aos_valid_.assign(n, false);
-  r.end("medium");
-}
-
 double Medium::nominal_loss_db(AntennaId from, AntennaId to) const {
   const AntennaDesc& f = antennas_.at(from);
   const AntennaDesc& t = antennas_.at(to);

@@ -26,7 +26,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::channel {
@@ -83,18 +82,16 @@ class Medium {
   /// per-trial seed and redraws every link realization from it. Override
   /// gains (H_self, H_jam->rec) and pair losses are calibration, not
   /// randomness — they survive. Construction/warm-up randomness stays on
-  /// the warm-up stream, which is what makes post-warmup snapshots
-  /// shareable across trials (see shield::Deployment::begin_trial).
+  /// the warm-up stream, which is what makes the post-warm-up state the
+  /// same for every trial (see shield::Deployment::begin_trial).
   void reseed_trial(std::uint64_t trial_seed);
 
-  /// Warm-state snapshot round trip: antennas, per-pair channel state,
-  /// RNG stream position, and the link-budget configuration. The lazy
-  /// per-pair gain caches are NOT serialized — gain() is a pure function
-  /// of the restored fields, so they repopulate with identical values.
-  /// Block buffers restore empty (the next mix() overwrites them; no
-  /// caller reads rx() before stepping a restored deployment).
+  /// Writes antennas, per-pair channel state, RNG stream position and
+  /// the link-budget configuration into a warm-state snapshot. The lazy
+  /// per-pair gain caches and the block buffers are not written: gain()
+  /// is a pure function of the written fields, and the next mix()
+  /// overwrites the buffers.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
   /// Current complex amplitude gain from one antenna to another.
   dsp::cplx gain(AntennaId from, AntennaId to) const;

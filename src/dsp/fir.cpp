@@ -170,32 +170,10 @@ void save_fir_state(snapshot::StateWriter& w, std::size_t taps,
   w.end("fir");
 }
 
-void load_fir_state(snapshot::StateReader& r, std::size_t taps,
-                    Samples& history, std::size_t& pos) {
-  r.begin("fir");
-  const std::uint64_t saved_taps = r.u64("taps");
-  if (saved_taps != taps) {
-    throw snapshot::SnapshotError(
-        "snapshot: FIR tap count mismatch (saved " +
-        std::to_string(saved_taps) + ", target " + std::to_string(taps) +
-        ")");
-  }
-  pos = r.u64("pos");
-  history = r.samples("history");
-  if (history.size() != taps || pos >= taps) {
-    throw snapshot::SnapshotError("snapshot: FIR history shape invalid");
-  }
-  r.end("fir");
-}
-
 }  // namespace
 
 void FirFilter::save_state(snapshot::StateWriter& w) const {
   save_fir_state(w, taps_.size(), history_, pos_);
-}
-
-void FirFilter::load_state(snapshot::StateReader& r) {
-  load_fir_state(r, taps_.size(), history_, pos_);
 }
 
 ComplexFirFilter::ComplexFirFilter(Samples taps) : taps_(std::move(taps)) {
@@ -267,10 +245,6 @@ void ComplexFirFilter::process(SoaView in, SoaSamples& out) {
 
 void ComplexFirFilter::save_state(snapshot::StateWriter& w) const {
   save_fir_state(w, taps_.size(), history_, pos_);
-}
-
-void ComplexFirFilter::load_state(snapshot::StateReader& r) {
-  load_fir_state(r, taps_.size(), history_, pos_);
 }
 
 double fir_power_response(const std::vector<double>& taps, double freq_hz,

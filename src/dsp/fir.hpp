@@ -12,7 +12,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::dsp {
@@ -58,11 +57,9 @@ class FirFilter {
   /// Clears filter history.
   void reset();
 
-  /// Warm-state snapshot round trip of the streaming state (history ring
-  /// + cursor). The load target must have been built with the same tap
-  /// count; taps themselves are configuration, not state.
+  /// Writes the streaming state (history ring + cursor) into a warm-state
+  /// snapshot; taps themselves are configuration, not state.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
   /// Group delay in samples for the linear-phase designs above.
   double group_delay() const {
@@ -89,9 +86,8 @@ class ComplexFirFilter {
   /// `in` must not view `out` (growing `out` may reallocate its planes).
   void process(SoaView in, SoaSamples& out);
 
-  /// Warm-state snapshot round trip (see FirFilter::save_state).
+  /// Writes the streaming state (see FirFilter::save_state).
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   Samples taps_;

@@ -68,9 +68,9 @@ class Rng {
   /// Throws std::invalid_argument unless sigma.size() == out.size().
   void fill_cgaussian(MutSampleView out, std::span<const double> sigma);
 
-  /// Raw xoshiro256++ state, four 64-bit words — the warm-state snapshot
-  /// subsystem serializes stream *positions* with these, so a restored
-  /// stream continues exactly where the saved one stopped.
+  /// Raw xoshiro256++ state, four 64-bit words. Warm-state snapshots
+  /// write stream positions with state(); the block fills keep the state
+  /// in locals and write it back with set_state().
   std::array<std::uint64_t, 4> state() const {
     return {s_[0], s_[1], s_[2], s_[3]};
   }

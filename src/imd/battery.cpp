@@ -32,14 +32,4 @@ void Battery::save_state(snapshot::StateWriter& w) const {
   w.end("battery");
 }
 
-void Battery::load_state(snapshot::StateReader& r) {
-  r.begin("battery");
-  capacity_mj_ = r.f64("capacity_mj");
-  tx_power_mw_ = r.f64("tx_power_mw");
-  idle_power_mw_ = r.f64("idle_power_mw");
-  remaining_mj_ = r.f64("remaining_mj");
-  tx_spent_mj_ = r.f64("tx_spent_mj");
-  r.end("battery");
-}
-
 }  // namespace hs::imd

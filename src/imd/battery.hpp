@@ -7,7 +7,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::imd {
@@ -34,9 +33,8 @@ class Battery {
   /// Total energy spent on transmissions (the attack's damage metric).
   double tx_energy_spent_mj() const { return tx_spent_mj_; }
 
-  /// Warm-state snapshot round trip (all five energy fields).
+  /// Writes all five energy fields into a warm-state snapshot.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   double capacity_mj_;

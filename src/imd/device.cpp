@@ -105,41 +105,6 @@ void ImdDevice::save_state(snapshot::StateWriter& w) const {
   w.end("imd-device");
 }
 
-void ImdDevice::load_state(snapshot::StateReader& r) {
-  r.begin("imd-device");
-  if (r.str("model") != profile_.model_name) {
-    throw snapshot::SnapshotError("snapshot: IMD profile mismatch");
-  }
-  antenna_ = r.u64("antenna");
-  snapshot::read_rng(r, "rng", rng_);
-  receiver_.load_state(r);
-  modulator_.set_phase(r.f64("mod_phase"));
-  tx_.load_state(r);
-  therapy_.pacing_rate_bpm =
-      static_cast<std::uint8_t>(r.u64("therapy.pacing_rate_bpm"));
-  therapy_.shock_energy_half_joules =
-      static_cast<std::uint8_t>(r.u64("therapy.shock_energy"));
-  const std::uint64_t mode = r.u64("therapy.mode");
-  if (mode > static_cast<std::uint64_t>(PacingMode::kOff)) {
-    throw snapshot::SnapshotError("snapshot: unknown pacing mode");
-  }
-  therapy_.mode = static_cast<PacingMode>(mode);
-  therapy_.tachy_threshold_bpm =
-      static_cast<std::uint8_t>(r.u64("therapy.tachy_threshold_bpm"));
-  battery_.load_state(r);
-  stats_.frames_detected = r.u64("stats.frames_detected");
-  stats_.frames_accepted = r.u64("stats.frames_accepted");
-  stats_.crc_failures = r.u64("stats.crc_failures");
-  stats_.wrong_device = r.u64("stats.wrong_device");
-  stats_.replies_sent = r.u64("stats.replies_sent");
-  stats_.therapy_changes = r.u64("stats.therapy_changes");
-  patient_data_ = r.bytes("patient_data");
-  data_cursor_ = r.u64("data_cursor");
-  last_tx_bits_ = r.bytes("last_tx_bits");
-  last_tx_start_ = r.u64("last_tx_start");
-  r.end("imd-device");
-}
-
 void ImdDevice::produce(const sim::StepContext& ctx, channel::Medium& medium) {
   dsp::Samples block;
   if (tx_.fill(ctx.block_start_sample(), ctx.block_size, block)) {

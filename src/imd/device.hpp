@@ -29,7 +29,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::imd {
@@ -82,13 +81,10 @@ class ImdDevice : public sim::RadioNode {
   /// battery and protocol state stay at their post-warm-up values.
   void reseed(std::uint64_t trial_seed);
 
-  /// Warm-state snapshot round trip of everything the device accumulates:
+  /// Writes everything the device accumulates into a warm-state snapshot:
   /// receiver stream, scheduled replies, RNG position, modulator phase,
   /// therapy, battery, stats, patient-data cursor and ground-truth bits.
-  /// The load target must have been built with the same profile; `log`
-  /// and the medium registration come from the restoring deployment.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   void handle_frame(const phy::ReceivedFrame& rx, const sim::StepContext& ctx);

@@ -49,7 +49,7 @@ enum class Counter : unsigned {
   kChunks,
   kDeploymentsBuilt,
   kDeploymentsReused,
-  kSnapshotsRestored,
+  kSnapshotsRestored,  ///< always 0: nothing restores (kept in hs-metrics v3)
   kSnapshotsSaved,
   /// Chunks whose original shard lost them (dead/straggler/corrupt) and
   /// that the dispatcher handed to a repair task (src/campaign/dispatch).
@@ -77,7 +77,7 @@ std::string_view counter_name(Counter c);
 enum class Phase : unsigned {
   kWarmup,           ///< deployment warm-up simulation (cold path)
   kSnapshotSave,     ///< warm-state capture + publish to the cache
-  kSnapshotRestore,  ///< warm-state restore from a cached snapshot
+  kSnapshotRestore,  ///< never timed: nothing restores (kept in hs-metrics v3)
   kMediumMix,        ///< channel::Medium::mix per-block TX->RX mixing
   kJamgen,           ///< jamming waveform synthesis (IFFT shaping)
   kReceiverDemod,    ///< FSK receiver push: detection + demodulation

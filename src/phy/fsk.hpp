@@ -42,10 +42,8 @@ class FskModulator {
   void reset_phase() { phase_ = 0.0; }
   const FskParams& params() const { return params_; }
 
-  /// Oscillator phase (radians) — serialized by warm-state snapshots so a
-  /// restored modulator stays phase-continuous with the saved one.
+  /// Oscillator phase (radians), written into warm-state snapshots.
   double phase() const { return phase_; }
-  void set_phase(double phase) { phase_ = phase; }
 
  private:
   FskParams params_;

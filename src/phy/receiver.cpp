@@ -331,36 +331,9 @@ void save_received_frame(snapshot::StateWriter& w, const ReceivedFrame& f) {
   w.end("frame");
 }
 
-ReceivedFrame load_received_frame(snapshot::StateReader& r) {
-  ReceivedFrame f;
-  r.begin("frame");
-  const std::uint64_t status = r.u64("status");
-  if (status > static_cast<std::uint64_t>(DecodeStatus::kBadCrc)) {
-    throw snapshot::SnapshotError("snapshot: unknown decode status " +
-                                  std::to_string(status));
-  }
-  f.decode.status = static_cast<DecodeStatus>(status);
-  const auto& id = r.bytes("device_id");
-  if (id.size() != f.decode.frame.device_id.size()) {
-    throw snapshot::SnapshotError("snapshot: device id length mismatch");
-  }
-  std::copy(id.begin(), id.end(), f.decode.frame.device_id.begin());
-  f.decode.frame.type = static_cast<std::uint8_t>(r.u64("type"));
-  f.decode.frame.seq = static_cast<std::uint8_t>(r.u64("seq"));
-  f.decode.frame.payload = r.bytes("payload");
-  f.decode.consumed_bits = r.u64("consumed_bits");
-  f.decode.sync_errors = r.u64("sync_errors");
-  f.start_sample = r.u64("start_sample");
-  f.rssi = r.f64("rssi");
-  f.raw_bits = r.bytes("raw_bits");
-  r.end("frame");
-  return f;
-}
-
 void FskReceiver::save_state(snapshot::StateWriter& w) const {
   w.begin("fsk-receiver");
-  // Modem geometry, pinned so a snapshot can never restore into a
-  // receiver built for a different PHY.
+  // Modem geometry: the PHY this receiver was built for.
   w.f64("fs", params_.fs);
   w.u64("sps", params_.sps);
   w.f64("noise_floor", noise_floor_);
@@ -376,33 +349,6 @@ void FskReceiver::save_state(snapshot::StateWriter& w) const {
   w.u64("output", output_.size());
   for (const ReceivedFrame& f : output_) save_received_frame(w, f);
   w.end("fsk-receiver");
-}
-
-void FskReceiver::load_state(snapshot::StateReader& r) {
-  r.begin("fsk-receiver");
-  if (r.f64("fs") != params_.fs || r.u64("sps") != params_.sps) {
-    throw snapshot::SnapshotError(
-        "snapshot: FSK receiver modem geometry mismatch");
-  }
-  noise_floor_ = r.f64("noise_floor");
-  floor_ready_ = r.boolean("floor_ready");
-  r.soa("buffer", buffer_);
-  buffer_base_ = r.u64("buffer_base");
-  total_consumed_ = r.u64("total_consumed");
-  scan_pos_ = r.u64("scan_pos");
-  locked_ = r.boolean("locked");
-  lock_start_ = r.u64("lock_start");
-  partial_bits_ = r.bytes("partial_bits");
-  next_symbol_ = r.u64("next_symbol");
-  const std::uint64_t frames = r.u64("output");
-  output_.clear();
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    output_.push_back(load_received_frame(r));
-  }
-  // The memo holds values for lags of the *previous* stream; they would
-  // be stale (and the restored stream recomputes its own exactly).
-  corr_cache_.clear();
-  r.end("fsk-receiver");
 }
 
 }  // namespace hs::phy

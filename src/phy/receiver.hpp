@@ -23,7 +23,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::phy {
@@ -35,11 +34,10 @@ struct ReceivedFrame {
   BitVec raw_bits;               ///< everything demodulated for this frame
 };
 
-/// Warm-state snapshot round trip for a completed frame (decode result,
-/// frame contents, timing, RSSI, raw bits) — used by the receiver's
-/// output queue and by nodes that retain frames across blocks.
+/// Writes a completed frame (decode result, frame contents, timing, RSSI,
+/// raw bits) into a warm-state snapshot — used by the receiver's output
+/// queue and by nodes that retain frames across blocks.
 void save_received_frame(snapshot::StateWriter& w, const ReceivedFrame& f);
-ReceivedFrame load_received_frame(snapshot::StateReader& r);
 
 struct ReceiverOptions {
   /// Normalized correlation threshold for declaring preamble detection.
@@ -96,15 +94,11 @@ class FskReceiver {
   /// otherwise it rebuilds them. Pooled nodes call this per trial.
   void reset(const FskParams& params, ReceiverOptions options = {});
 
-  /// Warm-state snapshot round trip of the full streaming state: scan
+  /// Writes the full streaming state into a warm-state snapshot: scan
   /// buffer planes, lock/partial-frame state, adaptive noise floor and
-  /// the output queue. The correlation memo is deliberately NOT
-  /// serialized — it is a pure function of the (restored) sample stream,
-  /// so a restored receiver recomputes identical values and makes
-  /// identical decisions. The load target must share this receiver's
-  /// FskParams (modem geometry is configuration, not state).
+  /// the output queue. The correlation memo is not written: it is a pure
+  /// function of the sample stream.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
   const FskParams& params() const { return params_; }
 

@@ -350,7 +350,7 @@ void Scheduler::worker_loop() {
       // The trailer mirrors the shard trailer: run geometry plus the
       // engine counters this scheduler tracks per request (trials and
       // chunks; service workers run obs-detached, so phase timers and
-      // deployment/snapshot counters are not collected per request).
+      // deployment counters are not collected per request).
       obs::Report report;
       report.counters[static_cast<std::size_t>(obs::Counter::kTrials)] =
           result.total_trials;

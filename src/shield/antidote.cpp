@@ -58,20 +58,6 @@ void AntidoteController::save_state(snapshot::StateWriter& w) const {
   w.end("antidote");
 }
 
-void AntidoteController::load_state(snapshot::StateReader& r) {
-  r.begin("antidote");
-  sigma_ = r.f64("sigma");
-  snapshot::read_rng(r, "rng", rng_);
-  const bool have_jam = r.boolean("have_jam");
-  const dsp::cplx h_jam = r.cx("h_jam");
-  h_jam_to_rec_ = have_jam ? std::optional<dsp::cplx>(h_jam) : std::nullopt;
-  const bool have_self = r.boolean("have_self");
-  const dsp::cplx h_self = r.cx("h_self");
-  h_self_ = have_self ? std::optional<dsp::cplx>(h_self) : std::nullopt;
-  hardware_error_ = r.cx("hardware_error");
-  r.end("antidote");
-}
-
 dsp::Samples make_probe_waveform(std::size_t length, std::uint64_t seed) {
   dsp::Rng rng(seed, "probe");
   dsp::Samples probe(length);

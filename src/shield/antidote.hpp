@@ -23,7 +23,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::shield {
@@ -66,10 +65,9 @@ class AntidoteController {
   /// kept.
   void reseed(std::uint64_t trial_seed);
 
-  /// Warm-state snapshot round trip: channel estimates, the live
-  /// hardware-error draw and the RNG stream position.
+  /// Writes the channel estimates, the live hardware-error draw and the
+  /// RNG stream position into a warm-state snapshot.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   double sigma_;

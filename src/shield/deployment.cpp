@@ -23,19 +23,6 @@ ShieldConfig shield_config_for(const DeploymentOptions& options) {
   return cfg;
 }
 
-/// Digest of the configuration alone — seeds and warm-up duration
-/// normalized away. restore_warm() uses it to decide whether the target
-/// deployment's nodes already carry the right configuration (profile,
-/// shield config, link budget) or must be reconfigured before their
-/// state is loaded over them.
-std::string config_key(const DeploymentOptions& options) {
-  DeploymentOptions c = options;
-  c.seed = 0;
-  c.warmup_seed = 1;
-  c.warmup_s = 0.0;
-  return deployment_warm_key(c);
-}
-
 adversary::MonitorConfig observer_config_for(const DeploymentOptions& options) {
   adversary::MonitorConfig mcfg;
   mcfg.name = "observer";
@@ -77,18 +64,6 @@ Deployment::Deployment(const DeploymentOptions& options) : options_(options) {
     timeline_->run_for(options_.warmup_s);
   }
   begin_trial(options_.seed);
-}
-
-Deployment::Deployment(const snapshot::StateDoc& warm,
-                       const DeploymentOptions& options)
-    : Deployment([&options] {
-        // Build the node set without simulating the warm-up — every field
-        // the skipped warm-up would have produced is about to be restored.
-        DeploymentOptions skip = options;
-        skip.warmup_s = 0.0;
-        return skip;
-      }()) {
-  restore_warm(warm, options);
 }
 
 void Deployment::wire_shield_directivity() {
@@ -160,56 +135,6 @@ std::string Deployment::save_warm() const {
   return w.finish();
 }
 
-void Deployment::restore_warm(const snapshot::StateDoc& doc,
-                              const DeploymentOptions& options) {
-  if (!can_reset_to(options)) {
-    throw snapshot::SnapshotError(
-        "snapshot: deployment node set does not match the restore target");
-  }
-  snapshot::StateReader r(doc);
-  r.begin("deployment");
-  if (r.str("key") != deployment_warm_key(options)) {
-    throw snapshot::SnapshotError(
-        "snapshot: warm key mismatch — snapshot was taken from a different "
-        "deployment configuration or warm-up seed");
-  }
-  if (config_key(options_) != config_key(options)) {
-    // The pooled target last held a different configuration (another
-    // sweep point, another IMD profile). load_state only carries state —
-    // configuration members (shield config, IMD profile, observer
-    // geometry) are the nodes' own — so reconfigure them first with a
-    // warm-up-free reset; the loads below then overwrite every stateful
-    // field with the snapshot's.
-    DeploymentOptions cfg = options;
-    cfg.warmup_s = 0.0;
-    reset(cfg);
-  }
-  options_ = options;
-  medium_->load_state(r);
-  timeline_->load_state(r);  // drops all node registrations
-  imd_->load_state(r);
-  timeline_->add_node(imd_.get());
-  if (r.boolean("shield") != (shield_ != nullptr)) {
-    throw snapshot::SnapshotError("snapshot: shield presence mismatch");
-  }
-  if (shield_ != nullptr) {
-    shield_->load_state(r);
-    timeline_->add_node(shield_.get());
-    // No wire_shield_directivity(): the pair losses it installs were part
-    // of the medium state and came back with Medium::load_state.
-  }
-  if (r.boolean("observer") != (observer_ != nullptr)) {
-    throw snapshot::SnapshotError("snapshot: observer presence mismatch");
-  }
-  if (observer_ != nullptr) {
-    observer_->load_state(r);
-    timeline_->add_node(observer_.get());
-  }
-  r.end("deployment");
-  r.expect_exhausted();
-  begin_trial(options_.seed);
-}
-
 std::string deployment_warm_key(const DeploymentOptions& o) {
   // Serialize through the StateWriter so doubles digest by exact bits
   // (hex-float), never by rounded decimal text.
@@ -217,7 +142,7 @@ std::string deployment_warm_key(const DeploymentOptions& o) {
   w.begin("warm-key");
   // In two-phase mode the trial seed is excluded on purpose: the
   // post-warm-up state is a pure function of configuration + warmup_seed,
-  // which is exactly what makes one snapshot serve every trial. In legacy
+  // so one key covers every trial of a campaign point. In legacy
   // single-phase mode warm-up consumed the trial seed, so it keys.
   w.u64("seed", o.warmup_seed != 0 ? 0 : o.seed);
   w.u64("warmup_seed", o.warmup_seed);

@@ -19,22 +19,18 @@
 #include "shield/shield.hpp"
 #include "sim/timeline.hpp"
 
-namespace hs::snapshot {
-class StateDoc;
-}  // namespace hs::snapshot
-
 namespace hs::shield {
 
 struct DeploymentOptions {
   std::uint64_t seed = 1;
-  /// Two-phase seeding for warm-state snapshots. When nonzero,
-  /// construction and warm-up draw every stream from THIS seed, and the
-  /// per-trial streams are reseeded from `seed` afterwards (see
-  /// Deployment::begin_trial) — so the post-warmup state is a pure
-  /// function of the configuration + warmup_seed and one snapshot of it
-  /// serves every trial and worker. Zero keeps the single-phase
-  /// legacy behavior: everything draws from `seed`, no post-warmup
-  /// reseed (existing tests and examples are bit-for-bit unchanged).
+  /// Two-phase seeding. When nonzero, construction and warm-up draw
+  /// every stream from THIS seed, and the per-trial streams are reseeded
+  /// from `seed` afterwards (see Deployment::begin_trial) — so the
+  /// post-warmup state is a pure function of the configuration +
+  /// warmup_seed, shared by every trial and worker of a campaign. Zero
+  /// keeps the single-phase legacy behavior: everything draws from
+  /// `seed`, no post-warmup reseed (existing tests and examples are
+  /// bit-for-bit unchanged).
   std::uint64_t warmup_seed = 0;
   imd::ImdProfile imd_profile = imd::virtuoso_profile();
   bool shield_present = true;
@@ -55,14 +51,6 @@ struct DeploymentOptions {
 class Deployment {
  public:
   explicit Deployment(const DeploymentOptions& options);
-
-  /// Builds the node set for `options` WITHOUT simulating the warm-up,
-  /// then restores the warm snapshot — the fast path for a worker's
-  /// first build of a configuration another worker already published.
-  /// Equivalent to Deployment(options) followed by
-  /// restore_warm(warm, options), minus the redundant warm-up replay.
-  Deployment(const snapshot::StateDoc& warm,
-             const DeploymentOptions& options);
 
   /// True when this deployment's node set can be re-seeded into the state
   /// a fresh `Deployment(options)` would have: the set of allocated nodes
@@ -95,30 +83,16 @@ class Deployment {
   /// Runs the simulation for the given duration.
   void run_for(double seconds) { timeline_->run_for(seconds); }
 
-  // ---- Warm-state snapshots ---------------------------------------------
   /// Serializes the deployment's complete state — medium, timeline/log,
   /// IMD, shield, observer — as a versioned snapshot document keyed by
-  /// deployment_warm_key(options()). Taken right after construction or
-  /// reset (i.e. post-warm-up, post-begin_trial; begin_trial fully
-  /// overwrites everything it touches, so the capture is trial-portable).
+  /// deployment_warm_key(options()). Nothing reads it back; tests compare
+  /// two deployments by it, and perfbench's set-up probe times it.
   std::string save_warm() const;
-
-  /// Restores the deployment into exactly the state a fresh
-  /// `Deployment(options)` (warm-up replay included) would have, without
-  /// simulating a single block: loads the snapshot, re-registers the
-  /// restored nodes, then runs begin_trial(options.seed). The snapshot's
-  /// embedded key must equal deployment_warm_key(options) and the node
-  /// set must satisfy can_reset_to(options) — both enforced with hard
-  /// SnapshotErrors, and a failed restore never leaves a half-written
-  /// deployment in the pool (the caller discards it).
-  void restore_warm(const snapshot::StateDoc& doc,
-                    const DeploymentOptions& options);
 
   /// Two-phase seeding, trial half: reseeds the medium (and redraws its
   /// link realizations), the IMD and the shield from per-trial streams
   /// derived from `trial_seed`. No-op in legacy single-phase mode
-  /// (warmup_seed == 0). Ctor, reset() and restore_warm() all end with
-  /// this, so cold and warm-restored trials run identical code.
+  /// (warmup_seed == 0). The constructor and reset() both end with this.
   void begin_trial(std::uint64_t trial_seed);
 
  private:

@@ -101,36 +101,6 @@ void JammingSignalGenerator::save_state(snapshot::StateWriter& w) const {
   w.end("jamgen");
 }
 
-void JammingSignalGenerator::load_state(snapshot::StateReader& r) {
-  r.begin("jamgen");
-  if (r.f64("fs") != fsk_.fs || r.u64("sps") != fsk_.sps ||
-      r.f64("f0") != fsk_.f0 || r.f64("f1") != fsk_.f1 ||
-      r.u64("fft_size") != fft_size_) {
-    throw snapshot::SnapshotError(
-        "snapshot: jamming generator geometry mismatch");
-  }
-  const std::uint64_t profile = r.u64("profile");
-  if (profile > static_cast<std::uint64_t>(JamProfile::kConstant)) {
-    throw snapshot::SnapshotError("snapshot: unknown jam profile");
-  }
-  profile_ = static_cast<JamProfile>(profile);
-  snapshot::read_rng(r, "rng", rng_);
-  power_mw_ = r.f64("power_mw");
-  shaped_weights_ = r.f64_vec("shaped_weights");
-  if (shaped_weights_.size() != fft_size_) {
-    throw snapshot::SnapshotError("snapshot: jam profile length mismatch");
-  }
-  r.soa("buffer", buffer_);
-  buffer_pos_ = r.u64("buffer_pos");
-  if (buffer_pos_ > buffer_.size()) {
-    throw snapshot::SnapshotError("snapshot: jam buffer cursor invalid");
-  }
-  // weights_, bin_sigma_ and scale_ are pure functions of the restored
-  // fields.
-  rebuild_weights();
-  r.end("jamgen");
-}
-
 void JammingSignalGenerator::rebuild_weights() {
   if (profile_ == JamProfile::kShaped) {
     weights_ = shaped_weights_;

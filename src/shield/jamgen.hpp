@@ -19,7 +19,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::shield {
@@ -71,14 +70,10 @@ class JammingSignalGenerator {
   /// power — the calibration — are untouched.
   void reseed(std::uint64_t trial_seed);
 
-  /// Warm-state snapshot round trip: RNG position, buffered stream slice
-  /// and cursor, power, profile mode, and the cached empirical FSK
-  /// profile (shaped_weights_) — carrying the profile in the snapshot is
-  /// what lets a fresh shard process skip the expensive spectral
-  /// estimation entirely. The load target must share fft_size and FSK
-  /// parameters (enforced; they shape the stream).
+  /// Writes the RNG position, buffered stream slice and cursor, power,
+  /// profile mode and the cached empirical FSK profile (shaped_weights_)
+  /// into a warm-state snapshot.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
   /// The per-bin weights currently in use (FFT order, DC first).
   const std::vector<double>& bin_weights() const { return weights_; }

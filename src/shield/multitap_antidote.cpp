@@ -118,23 +118,4 @@ void MultitapAntidote::save_state(snapshot::StateWriter& w) const {
   w.end("multitap");
 }
 
-void MultitapAntidote::load_state(snapshot::StateReader& r) {
-  r.begin("multitap");
-  if (r.u64("fir_taps") != fir_taps_ || r.u64("eq_taps") != eq_taps_) {
-    throw snapshot::SnapshotError("snapshot: multitap geometry mismatch");
-  }
-  have_jam_ = r.boolean("have_jam");
-  have_self_ = r.boolean("have_self");
-  h_jam_ = r.samples("h_jam");
-  h_self_ = r.samples("h_self");
-  eq_ = r.samples("eq");
-  if (r.boolean("have_filter")) {
-    filter_.emplace(eq_);
-    filter_->load_state(r);
-  } else {
-    filter_.reset();
-  }
-  r.end("multitap");
-}
-
 }  // namespace hs::shield

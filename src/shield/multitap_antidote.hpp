@@ -21,7 +21,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::shield {
@@ -49,11 +48,9 @@ class MultitapAntidote {
   /// (streaming; phase-continuous across calls).
   dsp::Samples antidote_for(dsp::SampleView jamming);
 
-  /// Warm-state snapshot round trip: both estimated channel FIRs, the
-  /// designed equalizer taps, and the streaming filter's history — a
-  /// restored equalizer stays phase-continuous with the saved stream.
+  /// Writes both estimated channel FIRs, the designed equalizer taps and
+  /// the streaming filter's history into a warm-state snapshot.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   void design_equalizer();

@@ -139,19 +139,6 @@ void save_frame(snapshot::StateWriter& w, const phy::Frame& f) {
   w.bytes("payload", f.payload);
 }
 
-phy::Frame load_frame(snapshot::StateReader& r) {
-  phy::Frame f;
-  const auto& id = r.bytes("device_id");
-  if (id.size() != f.device_id.size()) {
-    throw snapshot::SnapshotError("snapshot: device id length mismatch");
-  }
-  std::copy(id.begin(), id.end(), f.device_id.begin());
-  f.type = static_cast<std::uint8_t>(r.u64("type"));
-  f.seq = static_cast<std::uint8_t>(r.u64("seq"));
-  f.payload = r.bytes("payload");
-  return f;
-}
-
 }  // namespace
 
 void ShieldNode::save_state(snapshot::StateWriter& w) const {
@@ -220,96 +207,6 @@ void ShieldNode::save_state(snapshot::StateWriter& w) const {
   w.u64("stats.probes", stats_.probes);
   w.u64("stats.cross_traffic_ignored", stats_.cross_traffic_ignored);
   w.end("shield");
-}
-
-void ShieldNode::load_state(snapshot::StateReader& r) {
-  r.begin("shield");
-  jam_ant_ = r.u64("jam_ant");
-  rx_ant_ = r.u64("rx_ant");
-  snapshot::read_rng(r, "rng", rng_);
-  jamgen_.load_state(r);
-  antidote_.load_state(r);
-  sid_.load_state(r);
-  monitor_.load_state(r);
-  modulator_.set_phase(r.f64("mod_phase"));
-  tx_.load_state(r);
-
-  const std::uint64_t probe_phase = r.u64("probe_phase");
-  if (probe_phase > static_cast<std::uint64_t>(ProbePhase::kSelfLoop)) {
-    throw snapshot::SnapshotError("snapshot: unknown probe phase");
-  }
-  probe_phase_ = static_cast<ProbePhase>(probe_phase);
-  probe_waveform_ = r.samples("probe_waveform");
-  probe_amplitude_ = r.f64("probe_amplitude");
-  probe_due_ = r.boolean("probe_due");
-  last_probe_s_ = r.f64("last_probe_s");
-
-  active_jam_ = r.boolean("active_jam");
-  manual_jam_ = r.boolean("manual_jam");
-  antidote_enabled_ = r.boolean("antidote_enabled");
-  jammed_this_block_ = r.boolean("jammed_this_block");
-  active_jam_started_block_ = r.u64("active_jam_started_block");
-  quiet_blocks_ = r.u64("quiet_blocks");
-  high_power_suspect_ = r.boolean("high_power_suspect");
-  passive_windows_.clear();
-  const std::uint64_t windows = r.u64("passive_windows");
-  for (std::uint64_t i = 0; i < windows; ++i) {
-    const std::size_t from = r.u64("from");
-    const std::size_t to = r.u64("to");
-    passive_windows_.emplace_back(from, to);
-  }
-
-  pending_.clear();
-  const std::uint64_t pending = r.u64("pending");
-  for (std::uint64_t i = 0; i < pending; ++i) {
-    pending_.push_back(load_frame(r));
-  }
-  own_tx_ranges_.clear();
-  const std::uint64_t ranges = r.u64("own_tx_ranges");
-  for (std::uint64_t i = 0; i < ranges; ++i) {
-    const std::size_t from = r.u64("from");
-    const std::size_t to = r.u64("to");
-    own_tx_ranges_.emplace_back(from, to);
-  }
-  transmitted_this_block_ = r.boolean("transmitted_this_block");
-  self_cancel_error_ = r.cx("self_cancel_error");
-
-  noise_floor_mw_ = r.f64("noise_floor_mw");
-  last_block_power_ = r.f64("last_block_power");
-  imd_rssi_mw_ = r.f64("imd_rssi_mw");
-  const bool have_override = r.boolean("have_jam_override");
-  const double override_dbm = r.f64("jam_override_dbm");
-  jam_power_override_dbm_ =
-      have_override ? std::optional<double>(override_dbm) : std::nullopt;
-  sid_checked_bits_ = r.u64("sid_checked_bits");
-  current_lock_start_ = r.u64("current_lock_start");
-  current_lock_peak_power_ = r.f64("current_lock_peak_power");
-
-  decoded_replies_.clear();
-  const std::uint64_t replies = r.u64("decoded_replies");
-  for (std::uint64_t i = 0; i < replies; ++i) {
-    decoded_replies_.push_back(phy::load_received_frame(r));
-  }
-  capture_frames_ = r.boolean("capture_frames");
-  captured_frames_.clear();
-  const std::uint64_t captured = r.u64("captured_frames");
-  for (std::uint64_t i = 0; i < captured; ++i) {
-    captured_frames_.push_back(phy::load_received_frame(r));
-  }
-
-  stats_.commands_relayed = r.u64("stats.commands_relayed");
-  stats_.replies_decoded = r.u64("stats.replies_decoded");
-  stats_.reply_crc_failures = r.u64("stats.reply_crc_failures");
-  stats_.passive_jams = r.u64("stats.passive_jams");
-  stats_.active_jams = r.u64("stats.active_jams");
-  stats_.alarms = r.u64("stats.alarms");
-  stats_.aborted_tx = r.u64("stats.aborted_tx");
-  stats_.probes = r.u64("stats.probes");
-  stats_.cross_traffic_ignored = r.u64("stats.cross_traffic_ignored");
-
-  // No trailing set_power here: the generator's live power (including the
-  // emit_jam 5% tracking dead-band) was captured inside jamgen's state.
-  r.end("shield");
 }
 
 double ShieldNode::measured_imd_rssi_dbm() const {

@@ -45,7 +45,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::shield {
@@ -109,15 +108,12 @@ class ShieldNode : public sim::RadioNode {
   /// the post-calibration operating point — are untouched.
   void reseed(std::uint64_t trial_seed);
 
-  /// Warm-state snapshot round trip of the complete node: RNG positions,
+  /// Writes the complete node into a warm-state snapshot: RNG positions,
   /// jamming generator (incl. its cached spectral profile), antidote
   /// estimates, S_id matcher, monitor receiver stream, modulator phase,
   /// transmit scheduler, probe waveform/schedule, jamming and windowing
-  /// state, power estimates, retained frames and stats. Antenna ids are
-  /// restored; the medium's registration is restored by Medium::
-  /// load_state, so this must not re-register.
+  /// state, power estimates, retained frames and stats.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   enum class ProbePhase { kNone, kJamAntenna, kSelfLoop };

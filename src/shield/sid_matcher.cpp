@@ -80,20 +80,4 @@ void SidMatcher::save_state(snapshot::StateWriter& w) const {
   w.end("sid");
 }
 
-void SidMatcher::load_state(snapshot::StateReader& r) {
-  r.begin("sid");
-  const std::uint64_t bits = r.u64("sid_bits");
-  if (bits != sid_.size()) {
-    throw snapshot::SnapshotError("snapshot: S_id length mismatch");
-  }
-  window_ = r.bytes("window");
-  head_ = r.u64("head");
-  seen_ = r.u64("seen");
-  fired_ = r.boolean("fired");
-  if (window_.size() != sid_.size() || head_ >= window_.size()) {
-    throw snapshot::SnapshotError("snapshot: S_id window shape invalid");
-  }
-  r.end("sid");
-}
-
 }  // namespace hs::shield

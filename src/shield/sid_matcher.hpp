@@ -14,7 +14,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::shield {
@@ -49,10 +48,9 @@ class SidMatcher {
   std::size_t sid_bits() const { return sid_.size(); }
   std::size_t bthresh() const { return bthresh_; }
 
-  /// Warm-state snapshot round trip of the matcher's ring window. S_id
-  /// itself is configuration; the load target must match its length.
+  /// Writes the matcher's ring window into a warm-state snapshot; S_id
+  /// itself is configuration.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   phy::BitVec sid_;

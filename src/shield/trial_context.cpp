@@ -1,7 +1,5 @@
 #include "shield/trial_context.hpp"
 
-#include <cstdio>
-
 #include "obs/metrics.hpp"
 #include "snapshot/snapshot_cache.hpp"
 
@@ -13,66 +11,28 @@ void TrialContext::set_warm_policy(std::uint64_t warmup_seed,
   cache_ = warmup_seed != 0 ? cache : nullptr;
 }
 
-Deployment& TrialContext::cold_deployment(const DeploymentOptions& options) {
-  if (deployment_ != nullptr && deployment_->can_reset_to(options)) {
-    deployment_->reset(options);
-    ++deployments_reused_;
-    obs::count(obs::Counter::kDeploymentsReused);
-  } else {
-    deployment_ = std::make_unique<Deployment>(options);
-    ++deployments_built_;
-    obs::count(obs::Counter::kDeploymentsBuilt);
-  }
-  return *deployment_;
-}
-
 Deployment& TrialContext::deployment(const DeploymentOptions& options) {
   DeploymentOptions opts = options;
   if (warmup_seed_ != 0) opts.warmup_seed = warmup_seed_;
-  // Replaying the warm-up through reset is cheaper than deserializing a
-  // snapshot (and bit-identical); the cache matters only when the
-  // deployment must be (re)built.
-  if (cache_ == nullptr ||
-      (deployment_ != nullptr && deployment_->can_reset_to(opts))) {
-    return cold_deployment(opts);
+  if (deployment_ != nullptr && deployment_->can_reset_to(opts)) {
+    deployment_->reset(opts);
+    ++deployments_reused_;
+    obs::count(obs::Counter::kDeploymentsReused);
+    return *deployment_;
   }
-
-  const std::string key = deployment_warm_key(opts);
-  std::shared_ptr<const snapshot::StateDoc> doc = cache_->find(key);
-  if (doc == nullptr) {
-    // First trial for this configuration anywhere: warm up cold, then
-    // publish so every later trial — this worker's, its siblings', other
-    // shard processes' — restores instead of re-simulating the warm-up.
-    Deployment& d = cold_deployment(opts);
+  deployment_ = std::make_unique<Deployment>(opts);
+  ++deployments_built_;
+  obs::count(obs::Counter::kDeploymentsBuilt);
+  if (cache_ != nullptr) {
     {
       obs::ScopedTimer timer(obs::Phase::kSnapshotSave);
       obs::TraceSpan span("snapshot", "snapshot_save");
-      cache_->store(key, d.save_warm());
+      cache_->store(deployment_warm_key(opts), deployment_->save_warm());
     }
     ++snapshots_saved_;
     obs::count(obs::Counter::kSnapshotsSaved);
-    return d;
   }
-  try {
-    {
-      obs::ScopedTimer timer(obs::Phase::kSnapshotRestore);
-      obs::TraceSpan span("snapshot", "snapshot_restore");
-      deployment_ = std::make_unique<Deployment>(*doc, opts);
-    }
-    ++deployments_built_;
-    obs::count(obs::Counter::kDeploymentsBuilt);
-    ++snapshots_restored_;
-    obs::count(obs::Counter::kSnapshotsRestored);
-    return *deployment_;
-  } catch (const snapshot::SnapshotError& e) {
-    // The constructor threw, so nothing was half-restored: fall back to a
-    // cold warm-up (bit-identical, just slower).
-    std::fprintf(stderr,
-                 "snapshot: restore failed (%s); falling back to cold "
-                 "warm-up\n",
-                 e.what());
-    return cold_deployment(opts);
-  }
+  return *deployment_;
 }
 
 adversary::MonitorNode& TrialContext::monitor(

@@ -41,30 +41,22 @@ class TrialContext {
   TrialContext(const TrialContext&) = delete;
   TrialContext& operator=(const TrialContext&) = delete;
 
-  /// Two-phase seeding + warm-state snapshots. A nonzero `warmup_seed` is
-  /// stamped into every DeploymentOptions this context builds from (see
+  /// Two-phase seeding. A nonzero `warmup_seed` is stamped into every
+  /// DeploymentOptions this context builds from (see
   /// DeploymentOptions::warmup_seed), making the post-warm-up state
-  /// trial-independent. With a cache, deployment() then restores that
-  /// state from a warm snapshot instead of re-simulating the warm-up —
-  /// publishing a snapshot on the first cold miss — whenever the
-  /// deployment must be (re)built. A pooled deployment whose node set
-  /// matches is reset instead: replaying the warm-up costs less than
-  /// deserializing a snapshot, so a restore can pay only where a fresh
-  /// context of a multi-threaded run builds a configuration a sibling
-  /// already saved. The cache may be shared across worker threads (it is
-  /// internally locked). Both restored and cold deployments are
-  /// bit-identical by construction; the campaign's snapshot-identity
-  /// tests enforce it. The campaign service passes no cache.
+  /// trial-independent. With a cache, deployment() saves that state into
+  /// it after every (re)build; nothing reads it back. The campaign
+  /// engine and the service pass no cache; perfbench's set-up probe
+  /// passes one to time the save. The cache may be shared across worker
+  /// threads (it is internally locked).
   void set_warm_policy(std::uint64_t warmup_seed,
                        snapshot::SnapshotCache* cache);
 
   /// Returns a deployment in exactly the state `Deployment(options)`
   /// would produce. Reuses (reset + reseeds) the pooled instance when its
-  /// node set matches; otherwise rebuilds it. Under a warm policy the
-  /// rebuild is replaced by a snapshot restore on cache hits. Any auxiliary
-  /// nodes from the previous trial are forgotten — re-acquire them
-  /// after this call, in the same order a fresh experiment would
-  /// construct them.
+  /// node set matches; otherwise rebuilds it. Any auxiliary nodes from
+  /// the previous trial are forgotten — re-acquire them after this call,
+  /// in the same order a fresh experiment would construct them.
   Deployment& deployment(const DeploymentOptions& options);
 
   /// Acquire-or-reset the auxiliary node of the given kind, registered
@@ -91,15 +83,10 @@ class TrialContext {
   /// (CampaignResult::metrics), which is where campaigns report them.
   std::size_t deployments_built() const { return deployments_built_; }
   std::size_t deployments_reused() const { return deployments_reused_; }
-  /// Trials whose warm-up was skipped by a snapshot restore, and cold
-  /// warm-ups whose state this context published to the cache.
-  std::size_t snapshots_restored() const { return snapshots_restored_; }
+  /// Builds whose warm state this context saved to the cache.
   std::size_t snapshots_saved() const { return snapshots_saved_; }
 
  private:
-  /// Cold path: reset-or-rebuild with a full warm-up replay.
-  Deployment& cold_deployment(const DeploymentOptions& options);
-
   std::unique_ptr<Deployment> deployment_;
   std::unique_ptr<adversary::MonitorNode> monitor_;
   std::unique_ptr<imd::ProgrammerNode> programmer_;
@@ -110,7 +97,6 @@ class TrialContext {
   snapshot::SnapshotCache* cache_ = nullptr;
   std::size_t deployments_built_ = 0;
   std::size_t deployments_reused_ = 0;
-  std::size_t snapshots_restored_ = 0;
   std::size_t snapshots_saved_ = 0;
 };
 

@@ -36,12 +36,4 @@ void Timeline::save_state(snapshot::StateWriter& w) const {
   w.end("timeline");
 }
 
-void Timeline::load_state(snapshot::StateReader& r) {
-  r.begin("timeline");
-  nodes_.clear();
-  block_index_ = r.u64("block_index");
-  log_.load_state(r);
-  r.end("timeline");
-}
-
 }  // namespace hs::sim

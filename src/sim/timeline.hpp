@@ -10,7 +10,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::sim {
@@ -61,12 +60,9 @@ class Timeline {
   const EventLog& log() const { return log_; }
   channel::Medium& medium() { return medium_; }
 
-  /// Warm-state snapshot round trip: block counter + event log. Restoring
-  /// drops all registered nodes — the deployment re-registers its (also
-  /// restored) nodes in construction order afterwards, exactly as after
-  /// reset().
+  /// Writes the block counter and the event log into a warm-state
+  /// snapshot.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   channel::Medium& medium_;

@@ -68,27 +68,6 @@ void EventLog::save_state(snapshot::StateWriter& w) const {
   w.end("event-log");
 }
 
-void EventLog::load_state(snapshot::StateReader& r) {
-  r.begin("event-log");
-  const std::uint64_t n = r.u64("events");
-  events_.clear();
-  events_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Event e;
-    e.time_s = r.f64("t");
-    e.source = r.str("source");
-    const std::uint64_t kind = r.u64("kind");
-    if (kind > static_cast<std::uint64_t>(EventKind::kInfo)) {
-      throw snapshot::SnapshotError("snapshot: unknown event kind " +
-                                    std::to_string(kind));
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.detail = r.str("detail");
-    events_.push_back(std::move(e));
-  }
-  r.end("event-log");
-}
-
 std::string EventLog::to_string() const {
   std::ostringstream os;
   for (const auto& e : events_) {

@@ -8,7 +8,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::sim {
@@ -52,11 +51,10 @@ class EventLog {
   /// Human-readable dump (for examples and debugging).
   std::string to_string() const;
 
-  /// Warm-state snapshot round trip: experiments read warm-up events back
-  /// out of the log (e.g. jam-end timestamps), so a restored deployment
-  /// must carry the exact event history a replayed warm-up would leave.
+  /// Writes every event into a warm-state snapshot: experiments read
+  /// warm-up events back out of the log (e.g. jam-end timestamps), so
+  /// they are part of the post-warm-up state.
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   std::vector<Event> events_;

@@ -63,18 +63,4 @@ void TransmitScheduler::save_state(snapshot::StateWriter& w) const {
   w.end("tx-sched");
 }
 
-void TransmitScheduler::load_state(snapshot::StateReader& r) {
-  r.begin("tx-sched");
-  const std::uint64_t n = r.u64("entries");
-  entries_.clear();
-  entries_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Entry e;
-    e.start = r.u64("start");
-    e.waveform = r.samples("waveform");
-    entries_.push_back(std::move(e));
-  }
-  r.end("tx-sched");
-}
-
 }  // namespace hs::sim

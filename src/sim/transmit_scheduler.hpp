@@ -9,7 +9,6 @@
 
 namespace hs::snapshot {
 class StateWriter;
-class StateReader;
 }  // namespace hs::snapshot
 
 namespace hs::sim {
@@ -39,11 +38,10 @@ class TransmitScheduler {
 
   bool empty() const { return entries_.empty(); }
 
-  /// Warm-state snapshot round trip of every scheduled waveform — the
-  /// "timing state" a restored node resumes from (e.g. an IMD reply
-  /// scheduled during warm-up must still go out at its exact sample).
+  /// Writes every scheduled waveform into a warm-state snapshot — the
+  /// timing state of a node (e.g. an IMD reply scheduled during warm-up
+  /// goes out at its exact sample after it).
   void save_state(snapshot::StateWriter& w) const;
-  void load_state(snapshot::StateReader& r);
 
  private:
   struct Entry {

@@ -1,24 +1,18 @@
 /// @file
-/// Keyed in-memory cache of parsed warm-state snapshots, shared by the
-/// worker threads of one campaign execution.
+/// Keyed in-memory store of warm-state snapshot documents.
 ///
 /// Keys are content digests (sha256 hex of the canonicalized deployment
-/// configuration + warm-up seed; see shield::deployment_warm_key), so a
-/// snapshot can never be applied to a deployment it was not taken from.
-///
-/// Entries hold the parsed StateDoc behind a shared_ptr: parsing and
-/// validation happen once per key, and concurrent workers restore from
-/// the same immutable document. Nothing is evicted, so a cache lives no
-/// longer than the campaign execution that owns it.
+/// configuration + warm-up seed; see shield::deployment_warm_key). A
+/// TrialContext given a cache saves its deployment's warm state into it
+/// after every build. Nothing reads the documents back: the campaign
+/// engine and the service pass no cache, and the only caller that does
+/// is perfbench's set-up probe, which times the first save. Nothing is
+/// evicted, so a cache lives no longer than its caller's run.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-
-#include "snapshot/state_io.hpp"
 
 namespace hs::snapshot {
 
@@ -29,32 +23,20 @@ class SnapshotCache {
   SnapshotCache(const SnapshotCache&) = delete;
   SnapshotCache& operator=(const SnapshotCache&) = delete;
 
-  /// Looks up `key`; a missing key returns nullptr. Thread-safe.
-  std::shared_ptr<const StateDoc> find(const std::string& key);
-
-  /// Parses `payload` (a StateWriter::finish() document) and stores it
-  /// under `key`. First store wins; a concurrent duplicate is dropped.
-  /// Returns the stored (parsed) document. Throws SnapshotError, storing
-  /// nothing, on a payload that does not parse. Thread-safe.
-  std::shared_ptr<const StateDoc> store(const std::string& key,
-                                        const std::string& payload);
-
-  /// Lookup counters. Only tests read them; campaigns report the
-  /// snapshots_saved/snapshots_restored obs counters instead.
-  std::size_t hits() const;
-  std::size_t misses() const;
+  /// Stores `payload` (a StateWriter::finish() document) under `key`.
+  /// First store wins: returns false, storing nothing, when `key` is
+  /// already present. Thread-safe.
+  bool store(const std::string& key, std::string payload);
 
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   // Ordering audit (determinism linter: unordered-in-serializer allow
-  // entry in LINT.toml): docs_ is keyed by content digest and accessed
-  // exclusively through find()/emplace() — it is never iterated, so its
-  // bucket order can never reach a report, stream, or snapshot byte.
-  // If you add iteration (e.g. an eviction sweep), switch to std::map
-  // or sort the keys first, and update LINT.toml.
-  std::unordered_map<std::string, std::shared_ptr<const StateDoc>> docs_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
+  // entry in LINT.toml): docs_ is keyed by content digest and written
+  // only through emplace() — it is never iterated, so its bucket order
+  // can never reach a report, stream, or snapshot byte. If you add
+  // iteration (e.g. an eviction sweep), switch to std::map or sort the
+  // keys first, and update LINT.toml.
+  std::unordered_map<std::string, std::string> docs_;
 };
 
 }  // namespace hs::snapshot

@@ -1,5 +1,5 @@
 /// @file
-/// Versioned, deterministic state serialization for warm-state snapshots.
+/// Deterministic state serialization for warm-state snapshots.
 ///
 /// A snapshot is a line-based text document:
 ///
@@ -18,20 +18,15 @@
 ///
 /// Doubles travel as C99 hex-floats ("%a"), the same convention the
 /// sharded chunk streams use: the exact bits of the double, no decimal
-/// rounding, locale-proof. The reader is strict by design — a wrong
-/// version, a mangled line, a tag/key that differs from what the caller
-/// asks for, a truncated file or a checksum mismatch is a hard
-/// SnapshotError, never a silently partial restore.
+/// rounding, locale-proof.
 ///
-/// StateWriter produces the text; StateDoc::parse validates and decodes
-/// it once into an immutable entry list (shareable across threads);
-/// StateReader is a cheap sequential cursor over a StateDoc — every
-/// restore walks the same fixed field order the save wrote.
+/// StateWriter produces the text. Nothing reads a snapshot back: a
+/// campaign reaches a warm deployment by building it or by resetting a
+/// pooled one. The writer stays for Deployment::save_warm(), whose first
+/// call perfbench's set-up probe still times.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,20 +35,9 @@
 
 namespace hs::snapshot {
 
-/// Any structural problem with a snapshot: bad version, corruption,
-/// truncation, or a read that does not match what was written.
-class SnapshotError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-inline constexpr int kSnapshotVersion = 1;
-
 class StateWriter {
  public:
-  /// Section markers make save/load pairs self-checking: a load that
-  /// drifts out of sync fails at the next section boundary with both
-  /// names in the error.
+  /// Section markers group the fields of one object.
   void begin(std::string_view section);
   void end(std::string_view section);
 
@@ -78,65 +62,6 @@ class StateWriter {
   std::string body_;
 };
 
-/// One decoded entry of a parsed snapshot.
-struct StateEntry {
-  char tag = 0;          ///< 'u','f','b','s','v' (f64 vec), 'y' (bytes),
-                         ///< '(' / ')'
-  std::string key;
-  std::uint64_t u = 0;   ///< tag 'u' / 'b'
-  double f = 0.0;        ///< tag 'f'
-  std::string s;         ///< tag 's'
-  std::vector<double> fv;        ///< tag 'v'
-  std::vector<std::uint8_t> yv;  ///< tag 'y'
-};
-
-/// An immutable, fully validated snapshot document. Parsing happens once;
-/// restores share the parsed entries (the campaign keeps one StateDoc per
-/// cache key and every worker restores from it).
-class StateDoc {
- public:
-  /// Parses and validates `text` (header, every entry, checksum trailer).
-  /// Throws SnapshotError on any deviation; never returns a partial doc.
-  /// `source` names the origin (file path) in error messages.
-  static StateDoc parse(std::string_view text, std::string_view source);
-
-  const std::vector<StateEntry>& entries() const { return entries_; }
-
- private:
-  std::vector<StateEntry> entries_;
-};
-
-/// Sequential typed cursor over a StateDoc. Each read checks the entry's
-/// tag and key against the request — save/load skew is a hard error at
-/// the first mismatched field, with both sides named.
-class StateReader {
- public:
-  explicit StateReader(const StateDoc& doc) : doc_(doc) {}
-
-  void begin(std::string_view section);
-  void end(std::string_view section);
-
-  std::uint64_t u64(std::string_view key);
-  double f64(std::string_view key);
-  bool boolean(std::string_view key);
-  const std::string& str(std::string_view key);
-  dsp::cplx cx(std::string_view key);
-  const std::vector<double>& f64_vec(std::string_view key);
-  dsp::Samples samples(std::string_view key);
-  void soa(std::string_view key, dsp::SoaSamples& out);
-  const std::vector<std::uint8_t>& bytes(std::string_view key);
-
-  /// Asserts every entry was consumed (a restore that leaves fields
-  /// behind restored a different shape than was saved).
-  void expect_exhausted() const;
-
- private:
-  const StateEntry& next(char tag, std::string_view key);
-
-  const StateDoc& doc_;
-  std::size_t pos_ = 0;
-};
-
 /// sha256 hex digest of `data` — the digest primitive behind both the
 /// snapshot trailer and the SnapshotCache keys.
 std::string sha256_hex(std::string_view data);
@@ -149,9 +74,8 @@ class Rng;
 
 namespace hs::snapshot {
 
-/// Rng stream-position round trip (four xoshiro256++ state words under
+/// Writes an Rng stream position (four xoshiro256++ state words under
 /// `<key>.s0` .. `<key>.s3`).
 void write_rng(StateWriter& w, std::string_view key, const dsp::Rng& rng);
-void read_rng(StateReader& r, std::string_view key, dsp::Rng& rng);
 
 }  // namespace hs::snapshot

@@ -1,7 +1,8 @@
 /// @file
-/// The strict text codec under every wire format in this repo: chunk
-/// streams (campaign/chunk_stream.hpp), service requests
-/// (serve/protocol.hpp) and warm-state snapshots (snapshot/state_io.hpp).
+/// The strict text codec under every wire format this repo reads: chunk
+/// streams (campaign/chunk_stream.hpp) and service requests
+/// (serve/protocol.hpp). Warm-state snapshots (snapshot/state_io.hpp),
+/// which nothing reads back, use only its writers.
 ///
 /// Each token kind has one strict grammar:
 ///   - unsigned decimal: digits only — no sign, blank or "0x" — and at

@@ -8,7 +8,6 @@
 #include "dsp/units.hpp"
 #include "imd/device.hpp"
 #include "imd/profiles.hpp"
-#include "imd/programmer.hpp"
 #include "imd/protocol.hpp"
 #include "shield/jamgen.hpp"
 #include "sim/timeline.hpp"
@@ -145,33 +144,6 @@ TEST_F(AirFixture, ForgedCommandTriggersImd) {
                    timeline_.sample_position() + 480);
   timeline_.run_for(40e-3);
   EXPECT_EQ(imd_.stats().replies_sent, 1u);
-}
-
-TEST_F(AirFixture, RecordedProgrammerCommandReplaysSuccessfully) {
-  // Section 9's replay methodology: record, demodulate to bits, then
-  // re-modulate a clean copy.
-  imd::ProgrammerConfig pcfg;
-  pcfg.fsk = profile_.fsk;
-  imd::ProgrammerNode programmer(pcfg, medium_, &timeline_.log());
-  timeline_.add_node(&programmer);
-
-  ActiveAdversaryConfig acfg;
-  acfg.position = {3.0, 0};
-  acfg.fsk = profile_.fsk;
-  ActiveAdversaryNode adversary(acfg, medium_, &timeline_.log());
-  timeline_.add_node(&adversary);
-  warmup();
-
-  programmer.send(make_interrogate(profile_.serial, 1));
-  timeline_.run_for(40e-3);
-  ASSERT_EQ(imd_.stats().replies_sent, 1u);
-  ASSERT_FALSE(adversary.recordings().empty());
-
-  // Replay the recorded command bits.
-  const auto& recording = adversary.recordings()[0];
-  adversary.replay(recording.raw_bits);
-  timeline_.run_for(40e-3);
-  EXPECT_EQ(imd_.stats().replies_sent, 2u);
 }
 
 TEST_F(AirFixture, PowerSettingChangesDeliveredPower) {

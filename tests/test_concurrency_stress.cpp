@@ -2,10 +2,9 @@
 // two shared-state hot spots of the campaign engine from many threads at
 // once and assert the determinism contract held.
 //
-// (1) SnapshotCacheStressTest: N threads race mixed find/store traffic
-//     over a small key set against one in-memory cache —
-//     first-store-wins dedup, cross-thread publication of the parsed
-//     document and counter accounting all get exercised simultaneously.
+// (1) SnapshotCacheStressTest: N threads race stores over a small key
+//     set against one in-memory cache — first-store-wins dedup must
+//     hand each key to exactly one store.
 //
 // (2) DispatchStragglerStressTest: the ThreadExecutor runs a campaign
 //     where several shards straggle (wave-counted delay faults) while
@@ -24,7 +23,6 @@
 // sleeps: stress comes from contention, not timing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -38,63 +36,35 @@
 #include "campaign/scenario.hpp"
 #include "serve/scheduler.hpp"
 #include "snapshot/snapshot_cache.hpp"
-#include "snapshot/state_io.hpp"
 
 namespace hs {
 namespace {
-
-/// A valid snapshot document whose payload depends only on `key`, so
-/// every thread racing to store a key offers byte-identical content —
-/// exactly the situation concurrent campaign workers are in.
-std::string snapshot_payload(std::size_t key) {
-  snapshot::StateWriter w;
-  w.begin("stress");
-  w.u64("key", key);
-  w.u64("value", key * 1000003);
-  w.end("stress");
-  return w.finish();
-}
 
 std::string key_name(std::size_t key) {
   return "stress-key-" + std::to_string(key);
 }
 
-TEST(SnapshotCacheStressTest, ManyThreadsMixedHitsAndMisses) {
+TEST(SnapshotCacheStressTest, ManyThreadsRaceStoresFirstStoreWins) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kKeys = 16;
   constexpr std::size_t kRounds = 40;
 
   snapshot::SnapshotCache cache;
-  // Every thread stores and finds in a key order offset by its index, so
-  // the same key sees concurrent store/store and store/find traffic.
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::shared_ptr<const snapshot::StateDoc>> first_seen[kThreads];
+  // Every thread stores in a key order offset by its index, so the same
+  // key sees concurrent store/store traffic. wins[t][k] counts the
+  // stores of thread t that found key k absent.
+  std::vector<std::vector<std::size_t>> wins(
+      kThreads, std::vector<std::size_t>(kKeys, 0));
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto& seen = first_seen[t];
-      seen.assign(kKeys, nullptr);
       for (std::size_t round = 0; round < kRounds; ++round) {
         for (std::size_t k = 0; k < kKeys; ++k) {
           const std::size_t key = (k + t * 3 + round) % kKeys;
-          std::shared_ptr<const snapshot::StateDoc> doc =
-              cache.find(key_name(key));
-          if (doc == nullptr) {
-            doc = cache.store(key_name(key), snapshot_payload(key));
-          }
-          if (doc == nullptr) {
-            ++mismatches;
-            continue;
-          }
-          // The parsed document is shared read-only: every hit for a key
-          // must return the SAME object the thread first saw (first
-          // store wins; no rebinding ever).
-          if (seen[key] == nullptr) {
-            seen[key] = doc;
-          } else if (seen[key] != doc) {
-            ++mismatches;
+          if (cache.store(key_name(key), "payload of " + key_name(key))) {
+            ++wins[t][key];
           }
         }
       }
@@ -102,17 +72,12 @@ TEST(SnapshotCacheStressTest, ManyThreadsMixedHitsAndMisses) {
   }
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(mismatches.load(), 0u);
-  // All threads agree on the per-key document identity.
-  for (std::size_t t = 1; t < kThreads; ++t) {
-    for (std::size_t k = 0; k < kKeys; ++k) {
-      EXPECT_EQ(first_seen[0][k], first_seen[t][k]) << "key " << k;
-    }
+  // First store wins: across all threads, each key was stored once.
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    std::size_t stored = 0;
+    for (std::size_t t = 0; t < kThreads; ++t) stored += wins[t][k];
+    EXPECT_EQ(stored, 1u) << "key " << k;
   }
-  // Accounting: every find was a hit or a miss; every miss was followed
-  // by a store attempt, and first-store-wins means exactly kKeys
-  // documents exist.
-  EXPECT_GE(cache.hits(), kThreads * kRounds * kKeys - cache.misses());
 }
 
 TEST(DispatchStragglerStressTest, OverlappingStragglersAndAKill) {

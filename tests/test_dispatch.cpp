@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -258,9 +259,9 @@ TEST(Dispatch, ProcessExecutorRecoversAKilledChild) {
   EXPECT_GT(rep.metrics.report.phase(obs::Phase::kTrial).calls, 0u);
 }
 
-TEST(DispatchCli, ExecutorAndWorkdirAreRefusedOutsideDispatch) {
-  // Only --dispatch reads --executor and --workdir; any other mode exits
-  // 1 naming the flag instead of ignoring it.
+TEST(DispatchCli, FlagsTheModeDoesNotReadAreRefused) {
+  // Only --dispatch reads --executor and --workdir, and --list reads no
+  // run flag; each exits 1 naming the flag instead of ignoring it.
   const TempDir dir;
   ASSERT_FALSE(dir.path.empty());
   const std::string err = dir.path + "/stderr.txt";
@@ -275,14 +276,16 @@ TEST(DispatchCli, ExecutorAndWorkdirAreRefusedOutsideDispatch) {
     return std::make_pair(WIFEXITED(status) ? WEXITSTATUS(status) : -1,
                           text);
   };
-  const std::pair<std::string, std::string> cases[] = {
-      {"--executor", "--executor=bogus"},
-      {"--workdir", "--workdir=/nonexistent"}};
-  for (const auto& [flag, arg] : cases) {
+  // {argument, the flag the message names, the mode it names}
+  const std::tuple<std::string, std::string, std::string> cases[] = {
+      {"--executor=bogus", "--executor", "--dispatch"},
+      {"--workdir=/nonexistent", "--workdir", "--dispatch"},
+      {"--list", "--scenario", "--list"}};
+  for (const auto& [arg, flag, mode] : cases) {
     const auto [status, text] = run(arg);
     EXPECT_EQ(status, 1) << arg << ": " << text;
     EXPECT_NE(text.find(flag), std::string::npos) << text;
-    EXPECT_NE(text.find("--dispatch"), std::string::npos) << text;
+    EXPECT_NE(text.find(mode), std::string::npos) << text;
   }
   EXPECT_EQ(run("--executor=bogus --workdir=/nonexistent").first, 1);
   EXPECT_EQ(run("").first, 0);

@@ -3,7 +3,6 @@
 #include "dsp/rng.hpp"
 #include "dsp/units.hpp"
 #include "phy/receiver.hpp"
-#include "snapshot/state_io.hpp"
 
 namespace hs::phy {
 namespace {
@@ -116,10 +115,8 @@ TEST(Receiver, BackToBackFramesBothDecoded) {
 }
 
 // output_ is a deque (pop() used to be vector::erase(begin()), O(frames in
-// flight)): a burst of frames must still drain strictly FIFO, and a
-// snapshot taken with frames queued must document and restore them in
-// order — the save format (count + per-frame records) is unchanged.
-TEST(Receiver, BurstOfFramesDrainsFifoAndSnapshotsWithQueueIntact) {
+// flight)): a burst of frames must still drain strictly FIFO.
+TEST(Receiver, BurstOfFramesDrainsFifo) {
   FskParams fsk;
   const std::size_t frame_gap = 6200;
   const std::size_t count = 5;
@@ -133,32 +130,15 @@ TEST(Receiver, BurstOfFramesDrainsFifoAndSnapshotsWithQueueIntact) {
   FskReceiver rx(fsk);
   rx.push(air);
 
-  // Snapshot while all frames are still queued, then drain both receivers
-  // and require identical FIFO order.
-  snapshot::StateWriter w;
-  rx.save_state(w);
-  const std::string text = w.finish();
-  const snapshot::StateDoc doc = snapshot::StateDoc::parse(text, "rx");
-  FskReceiver restored(fsk);
-  snapshot::StateReader r(doc);
-  restored.load_state(r);
-  // Round-trip must re-document byte-identically (deque changed the
-  // container, not the format).
-  snapshot::StateWriter w2;
-  restored.save_state(w2);
-  EXPECT_EQ(w2.finish(), text);
-
+  std::size_t last_start = 0;
   for (std::uint8_t want = 1; want <= count; ++want) {
-    auto a = rx.pop();
-    auto b = restored.pop();
-    ASSERT_TRUE(a.has_value()) << "frame " << int(want);
-    ASSERT_TRUE(b.has_value()) << "frame " << int(want);
-    EXPECT_EQ(a->decode.frame.seq, want);
-    EXPECT_EQ(b->decode.frame.seq, want);
-    EXPECT_EQ(a->start_sample, b->start_sample);
+    auto frame = rx.pop();
+    ASSERT_TRUE(frame.has_value()) << "frame " << int(want);
+    EXPECT_EQ(frame->decode.frame.seq, want);
+    EXPECT_GT(frame->start_sample, last_start);
+    last_start = frame->start_sample;
   }
   EXPECT_FALSE(rx.pop().has_value());
-  EXPECT_FALSE(restored.pop().has_value());
 }
 
 TEST(Receiver, SignalBelowMinGateIgnored) {
