@@ -45,6 +45,8 @@ class ActiveAdversaryNode : public sim::RadioNode {
 
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// Nothing injected is still queued or on the air.
+  bool quiet() const override { return tx_.empty(); }
   std::string_view name() const override { return config_.name; }
 
   channel::AntennaId antenna() const { return antenna_; }

@@ -37,6 +37,8 @@ class CrossTrafficNode : public sim::RadioNode {
 
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// No frame queued or on the air.
+  bool quiet() const override { return tx_.empty(); }
   std::string_view name() const override { return config_.name; }
 
   channel::AntennaId antenna() const { return antenna_; }

@@ -49,6 +49,9 @@ class MonitorNode : public sim::RadioNode {
 
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// The receiver is not locked on a frame. A capture-only monitor never
+  /// feeds its receiver, so it is always quiet.
+  bool quiet() const override { return !receiver_.locked(); }
   std::string_view name() const override { return config_.name; }
 
   channel::AntennaId antenna() const { return antenna_; }

@@ -58,6 +58,8 @@ class ImdDevice : public sim::RadioNode {
   // sim::RadioNode
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// No reply queued or on the air, and the receiver not locked.
+  bool quiet() const override { return tx_.empty() && !receiver_.locked(); }
   std::string_view name() const override { return name_; }
 
   channel::AntennaId antenna() const { return antenna_; }

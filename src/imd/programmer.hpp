@@ -39,6 +39,10 @@ class ProgrammerNode : public sim::RadioNode {
   // sim::RadioNode
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// No command pending or on the air, and the receiver not locked.
+  bool quiet() const override {
+    return pending_.empty() && tx_.empty() && !receiver_.locked();
+  }
   std::string_view name() const override { return name_; }
 
   channel::AntennaId antenna() const { return antenna_; }

@@ -12,6 +12,24 @@
 
 namespace hs::shield {
 
+namespace {
+
+/// Runs one packet's or attempt's 45 ms window. What a trial scores is
+/// final once the air is quiet (sim::RadioNode::quiet), so the last
+/// window ends there. Earlier windows run in full, because where one ends
+/// sets the next one's start sample and every RNG position after it.
+void run_window(Deployment& d, bool last) {
+  constexpr double kWindowS = 45e-3;
+  sim::Timeline& timeline = d.timeline();
+  if (last) {
+    timeline.run_until([&timeline] { return timeline.quiet(); }, kWindowS);
+  } else {
+    timeline.run_for(kWindowS);
+  }
+}
+
+}  // namespace
+
 double EavesdropResult::mean_ber() const {
   if (eavesdropper_ber.empty()) return 0.0;
   double s = 0.0;
@@ -71,7 +89,7 @@ EavesdropResult run_eavesdrop_experiment(const EavesdropOptions& options,
     } else {
       programmer->send(command);
     }
-    d.run_for(45e-3);
+    run_window(d, p + 1 == options.packets);
     if (d.imd().stats().replies_sent == replies_before) continue;
     ++result.imd_packets;
 
@@ -144,7 +162,7 @@ AttackResult run_attack_experiment(const AttackOptions& options,
     }
     adversary.inject(command, d.timeline().sample_position() +
                                   d.options().block_size);
-    d.run_for(45e-3);
+    run_window(d, t + 1 == options.trials);
 
     const bool success =
         options.kind == AttackKind::kTriggerTransmission

@@ -10,6 +10,10 @@
 /// reseeded rather than reconstructed) — bit-identical results, a
 /// fraction of the setup cost. Without one, a private context is used
 /// and discarded, which is plain fresh construction.
+///
+/// Each packet or attempt gets a 45 ms window. In the eavesdrop and
+/// attack drivers the last one ends early, once every node is quiet
+/// (sim::Timeline::quiet): nothing they score can change after that.
 #pragma once
 
 #include <cstdint>

@@ -225,6 +225,12 @@ void ShieldNode::set_jam_power_override(std::optional<double> dbm) {
   jamgen_.set_power(dsp::dbm_to_mw(jam_power_dbm()));
 }
 
+bool ShieldNode::quiet() const {
+  return !active_jam_ && !manual_jam_ && passive_windows_.empty() &&
+         pending_.empty() && tx_.empty() && !monitor_.locked() &&
+         probe_phase_ == ProbePhase::kNone;
+}
+
 void ShieldNode::relay_command(const phy::Frame& frame) {
   // Queue; released by produce() at the next idle block.
   pending_.push_back(frame);

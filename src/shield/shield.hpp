@@ -67,6 +67,10 @@ class ShieldNode : public sim::RadioNode {
   // sim::RadioNode
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
+  /// Not jamming (active or manual), no reply window pending, no relay
+  /// command queued or on the air, the monitor not locked and no probe
+  /// pair in flight.
+  bool quiet() const override;
   std::string_view name() const override { return name_; }
 
   // ---- Relay-facing API -------------------------------------------------

@@ -40,6 +40,15 @@ class RadioNode {
   /// Reads this block's received samples (Medium::rx) and updates state.
   virtual void consume(const StepContext& ctx, channel::Medium& medium) = 0;
 
+  /// True when this node has nothing on the air or scheduled, no
+  /// receiver locked on a frame, and no jam on or pending. Once every
+  /// node is quiet (Timeline::quiet), only thermal noise and shield
+  /// probes reach the air; neither locks a receiver, so no stat a trial
+  /// scores can change, and the attack and eavesdrop drivers end their
+  /// last window there. A node reads quiet one block after its last
+  /// sample: TransmitScheduler drops a finished waveform on the next fill.
+  virtual bool quiet() const = 0;
+
   virtual std::string_view name() const = 0;
 };
 

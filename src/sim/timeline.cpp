@@ -1,5 +1,6 @@
 #include "sim/timeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "snapshot/state_io.hpp"
@@ -23,10 +24,19 @@ void Timeline::step() {
   ++block_index_;
 }
 
-void Timeline::run_for(double seconds) {
-  const auto blocks = static_cast<std::size_t>(std::ceil(
+std::size_t Timeline::blocks_for(double seconds) const {
+  return static_cast<std::size_t>(std::ceil(
       seconds * medium_.fs() / static_cast<double>(medium_.block_size())));
+}
+
+void Timeline::run_for(double seconds) {
+  const std::size_t blocks = blocks_for(seconds);
   for (std::size_t i = 0; i < blocks; ++i) step();
+}
+
+bool Timeline::quiet() const {
+  return std::all_of(nodes_.begin(), nodes_.end(),
+                     [](const RadioNode* node) { return node->quiet(); });
 }
 
 void Timeline::save_state(snapshot::StateWriter& w) const {

@@ -33,20 +33,29 @@ class Timeline {
   /// Advances one block.
   void step();
 
-  /// Advances by (at least) the given duration.
+  /// Whole blocks covering `seconds`: ceil(seconds * fs / block_size).
+  std::size_t blocks_for(double seconds) const;
+
+  /// Advances by (at least) the given duration: blocks_for(seconds)
+  /// blocks.
   void run_for(double seconds);
 
-  /// Advances until the predicate returns true or `max_seconds` elapse.
+  /// Advances until the predicate returns true, checking it before each
+  /// block, or for at most the blocks run_for(max_seconds) would run.
   /// Returns true if the predicate fired.
   template <typename Pred>
   bool run_until(Pred&& pred, double max_seconds) {
-    const double deadline = now_s() + max_seconds;
-    while (now_s() < deadline) {
+    const std::size_t blocks = blocks_for(max_seconds);
+    for (std::size_t i = 0; i < blocks; ++i) {
       if (pred()) return true;
       step();
     }
     return pred();
   }
+
+  /// True when every registered node is quiet() (RadioNode). The
+  /// experiments' last window runs until this holds.
+  bool quiet() const;
 
   std::size_t block_index() const { return block_index_; }
   std::size_t sample_position() const {

@@ -3,9 +3,15 @@
 // options no preset covers (test_claims checks the presets themselves).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "adversary/eavesdropper.hpp"
 #include "channel/geometry.hpp"
+#include "dsp/rng.hpp"
+#include "imd/protocol.hpp"
 #include "shield/calibrate.hpp"
 #include "shield/experiments.hpp"
+#include "shield/trial_context.hpp"
 
 namespace hs::shield {
 namespace {
@@ -183,6 +189,165 @@ TEST(Calibration, BthreshConservativeDefault) {
   // are vanishingly rare (the paper saw 3 in 5000).
   EXPECT_LE(result.shield_error_imd_ok, 2u);
   EXPECT_GE(result.recommended_bthresh, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Quiet means final. The attack and eavesdrop drivers end their last window
+// once every node is quiet (sim::RadioNode::quiet). Each case runs a window
+// until quiet, records what the drivers score, runs out the rest of the
+// 45 ms window, and checks that nothing moved and that the air carried only
+// noise and shield probes: the log gains nothing but probe events.
+// ---------------------------------------------------------------------------
+
+constexpr double kWindowS = 45e-3;
+
+/// Runs the window that began at `start_block` out to its end from a quiet
+/// timeline. Every event logged meanwhile must be a probe, or the jam-end
+/// mark the shield logs in the block after its last jam block.
+void run_out_window(sim::Timeline& timeline, std::size_t start_block) {
+  const std::size_t quiet_events = timeline.log().events().size();
+  const double quiet_s = timeline.now_s();
+  const std::size_t end = start_block + timeline.blocks_for(kWindowS);
+  while (timeline.block_index() < end) timeline.step();
+  const auto& events = timeline.log().events();
+  for (std::size_t i = quiet_events; i < events.size(); ++i) {
+    const sim::Event& e = events[i];
+    const bool jam_end_mark =
+        e.kind == sim::EventKind::kJamEnd && e.time_s == quiet_s;
+    EXPECT_TRUE(e.kind == sim::EventKind::kProbe || jam_end_mark)
+        << e.source << " logged " << sim::event_kind_name(e.kind) << " "
+        << (e.time_s - quiet_s) * 1e3 << " ms after quiet";
+  }
+}
+
+/// Everything the attack driver scores, and the rest of the IMD's stats.
+auto attack_score(Deployment& d) {
+  const imd::ImdStats& imd = d.imd().stats();
+  const bool shield = d.options().shield_present;
+  return std::make_tuple(
+      imd.frames_detected, imd.frames_accepted, imd.crc_failures,
+      imd.wrong_device, imd.replies_sent, imd.therapy_changes,
+      d.imd().battery().tx_energy_spent_mj(),
+      shield ? d.shield().stats().alarms : 0,
+      shield ? d.shield().stats().active_jams : 0);
+}
+
+TEST(QuietMeansFinal, AttackScoresDoNotMoveAfterQuiet) {
+  dsp::Rng rng(41, "quiet-attack");
+  TrialContext pools[2];  // without and with the shield
+  std::size_t ended_early = 0;
+  constexpr std::size_t kCases = 96;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    const bool shield = c % 2 == 1;
+    const bool therapy = c / 2 % 2 == 1;
+    const double extra_power_db = c / 4 % 2 == 1 ? 20.0 : 0.0;
+    DeploymentOptions opt;
+    opt.seed = rng.next_u64();
+    opt.shield_present = shield;
+    opt.shield_config.enable_passive_jamming = false;  // as the driver
+    TrialContext& pool = pools[shield ? 1 : 0];
+    Deployment& d = pool.deployment(opt);
+    const int location = 1 + static_cast<int>(rng.next_u64() % 18);
+    const auto& loc = channel::testbed_location(location);
+    adversary::ActiveAdversaryConfig acfg;
+    acfg.position = loc.position();
+    acfg.walls = loc.walls;
+    acfg.fsk = opt.imd_profile.fsk;
+    acfg.tx_power_dbm = -16.0 + extra_power_db;
+    adversary::ActiveAdversaryNode& adversary = pool.active_adversary(acfg);
+    d.run_for(2e-3);
+
+    const auto& serial = opt.imd_profile.serial;
+    const auto seq = static_cast<std::uint8_t>(c);
+    imd::TherapySettings tampered;
+    tampered.pacing_rate_bpm = 140;
+    const phy::Frame command =
+        therapy ? imd::make_set_therapy(serial, seq, tampered)
+                : imd::make_interrogate(serial, seq);
+    sim::Timeline& timeline = d.timeline();
+    const std::size_t start = timeline.block_index();
+    adversary.inject(command, timeline.sample_position() + opt.block_size);
+    if (timeline.run_until([&] { return timeline.quiet(); }, kWindowS)) {
+      ++ended_early;
+    }
+    const auto at_quiet = attack_score(d);
+    run_out_window(timeline, start);
+    EXPECT_EQ(attack_score(d), at_quiet)
+        << "case " << c << ": location " << location << ", shield "
+        << shield << ", therapy " << therapy << ", +" << extra_power_db
+        << " dB";
+  }
+  EXPECT_EQ(ended_early, kCases);
+}
+
+TEST(QuietMeansFinal, EavesdropScoresDoNotMoveAfterQuiet) {
+  dsp::Rng rng(42, "quiet-eavesdrop");
+  TrialContext pool;
+  std::size_t ended_early = 0;
+  constexpr std::size_t kCases = 24;
+  for (std::size_t c = 0; c < kCases; ++c) {
+    DeploymentOptions opt;
+    opt.seed = rng.next_u64();
+    Deployment& d = pool.deployment(opt);
+    const int location = 1 + static_cast<int>(rng.next_u64() % 18);
+    const auto& loc = channel::testbed_location(location);
+    adversary::MonitorConfig ecfg;
+    ecfg.name = "eavesdropper";
+    ecfg.position = loc.position();
+    ecfg.walls = loc.walls;
+    ecfg.fsk = opt.imd_profile.fsk;
+    ecfg.capture_samples = true;
+    ecfg.decode_enabled = false;
+    adversary::MonitorNode& eavesdropper = pool.monitor(ecfg);
+    d.run_for(2e-3);
+
+    const auto relay = [&](std::size_t p) {
+      eavesdropper.clear_capture();
+      d.shield().relay_command(imd::make_interrogate(
+          opt.imd_profile.serial, static_cast<std::uint8_t>(p)));
+    };
+    // Up to two full packets first, as a trial's earlier packets run.
+    const std::size_t earlier = rng.next_u64() % 3;
+    for (std::size_t p = 0; p < earlier; ++p) {
+      relay(p);
+      d.run_for(kWindowS);
+    }
+    sim::Timeline& timeline = d.timeline();
+    const std::size_t start = timeline.block_index();
+    relay(earlier);
+    if (timeline.run_until([&] { return timeline.quiet(); }, kWindowS)) {
+      ++ended_early;
+    }
+    // The genie decoders at the reply's offset, as the driver scores it;
+    // -1 when the capture does not hold the whole reply.
+    const auto score = [&] {
+      const phy::BitVec& truth = d.imd().last_tx_bits();
+      const auto& capture = eavesdropper.capture();
+      const std::size_t tx_start = d.imd().last_tx_start_sample();
+      double ber = -1.0;
+      double bpf_ber = -1.0;
+      if (!truth.empty() && tx_start >= eavesdropper.capture_start()) {
+        const std::size_t offset = tx_start - eavesdropper.capture_start();
+        if (offset + truth.size() * opt.imd_profile.fsk.sps <=
+            capture.size()) {
+          ber = adversary::eavesdrop_decode(opt.imd_profile.fsk, capture,
+                                            offset, truth)
+                    .ber;
+          bpf_ber = adversary::eavesdrop_decode_bandpass(
+                        opt.imd_profile.fsk, capture, offset, truth)
+                        .ber;
+        }
+      }
+      return std::make_tuple(d.shield().stats().replies_decoded,
+                             d.imd().stats().replies_sent, ber, bpf_ber);
+    };
+    const auto at_quiet = score();
+    run_out_window(timeline, start);
+    EXPECT_EQ(score(), at_quiet)
+        << "case " << c << ": location " << location << ", " << earlier
+        << " earlier packets";
+  }
+  EXPECT_EQ(ended_early, kCases);
 }
 
 }  // namespace

@@ -109,6 +109,7 @@ class LoopbackProbeNode : public RadioNode {
   void consume(const StepContext&, channel::Medium& medium) override {
     heard_.push_back(medium.rx(peer_)[0]);
   }
+  bool quiet() const override { return true; }
   channel::AntennaId antenna() const { return antenna_; }
   std::string_view name() const override { return "loopback"; }
   std::vector<dsp::cplx> heard_;
@@ -157,6 +158,24 @@ TEST(Timeline, RunUntilPredicate) {
   EXPECT_EQ(timeline.block_index(), 5u);
   const bool never = timeline.run_until([] { return false; }, 1e-3);
   EXPECT_FALSE(never);
+
+  // A predicate that never fires runs exactly run_for's blocks from any
+  // start block. Comparing a deadline in floating-point seconds instead
+  // runs one block more from 77 of these starts at 60 ms (the first at
+  // block 237).
+  channel::Medium empty(300e3, 48, 4);
+  Timeline cursor(empty);
+  for (std::size_t start = 0; start < 2000; ++start) {
+    for (const double seconds : {1e-3, 2e-3, 45e-3, 60e-3}) {
+      Timeline by_for = cursor;
+      Timeline by_until = cursor;
+      by_for.run_for(seconds);
+      EXPECT_FALSE(by_until.run_until([] { return false; }, seconds));
+      ASSERT_EQ(by_until.block_index(), by_for.block_index())
+          << "start block " << start << ", " << seconds << " s";
+    }
+    cursor.step();
+  }
 }
 
 TEST(StepContext, DerivedQuantities) {
