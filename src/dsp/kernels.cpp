@@ -9,7 +9,6 @@
 
 #include "dsp/kernels.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,27 +20,42 @@ namespace {
 
 // ---- scalar reference ----------------------------------------------------
 
+// The one body behind both sync-correlation slots (kernels.hpp); the
+// exact slot is exact_sync_correlation<segcorr_scalar>.
 double segcorr_scalar(const double* sig_re, const double* sig_im,
-                      const double* ref_re, const double* ref_im,
-                      std::size_t ref_len, double ref_energy) {
+                      const double* sig_pow, const double* ref_re,
+                      const double* ref_im, std::size_t ref_len,
+                      double ref_energy, const double* ref_tail,
+                      double threshold) {
   // Mirrors the original FskReceiver::correlation_at loop: 6 segments
   // combined by magnitude (rides out carrier-frequency offset), each
   // running 4 independent accumulator lanes with the tail folded into
-  // lane 0 and the lanes reduced pairwise.
-  constexpr std::size_t kSegments = 6;
-  constexpr std::size_t kLanes = 4;
-  const std::size_t seg = ref_len / kSegments;
+  // lane 0 and the lanes reduced pairwise. The energy lanes run first,
+  // all segments together, so the bound test can follow each segment.
+  const SyncSegments g(ref_len);
+  double energy[kSyncSegments][kSyncLanes] = {};
+  for_each_sync_step(g, [&](std::size_t s, std::size_t i) {
+    for (std::size_t l = 0; l < kSyncLanes; ++l) {
+      energy[s][l] += sync_power_term(sig_re, sig_im, sig_pow, i + l);
+    }
+  });
+  double seg_energy[kSyncSegments];
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    for (std::size_t i = g.tail_from(s); i < g.to(s); ++i) {
+      energy[s][0] += sync_power_term(sig_re, sig_im, sig_pow, i);
+    }
+    seg_energy[s] = sync_lane_sum(energy[s]);
+  }
+  const SyncExit exit(seg_energy, ref_energy, ref_tail, threshold);
+
   double acc_mag = 0.0;
-  double sig_energy = 0.0;
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    const std::size_t from = s * seg;
-    const std::size_t to = (s + 1 == kSegments) ? ref_len : from + seg;
-    double acc_re[kLanes] = {};
-    double acc_im[kLanes] = {};
-    double energy[kLanes] = {};
-    std::size_t i = from;
-    for (; i + kLanes <= to; i += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    const std::size_t to = g.to(s);
+    double acc_re[kSyncLanes] = {};
+    double acc_im[kSyncLanes] = {};
+    std::size_t i = g.from(s);
+    for (; i + kSyncLanes <= to; i += kSyncLanes) {
+      for (std::size_t l = 0; l < kSyncLanes; ++l) {
         const double br = sig_re[i + l];
         const double bi = sig_im[i + l];
         const double rr = ref_re[i + l];
@@ -49,7 +63,6 @@ double segcorr_scalar(const double* sig_re, const double* sig_im,
         // b * conj(r)
         acc_re[l] += br * rr + bi * ri;
         acc_im[l] += bi * rr - br * ri;
-        energy[l] += br * br + bi * bi;
       }
     }
     for (; i < to; ++i) {
@@ -57,14 +70,14 @@ double segcorr_scalar(const double* sig_re, const double* sig_im,
       const double bi = sig_im[i];
       acc_re[0] += br * ref_re[i] + bi * ref_im[i];
       acc_im[0] += bi * ref_re[i] - br * ref_im[i];
-      energy[0] += br * br + bi * bi;
     }
-    const double re = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
-    const double im = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    const double re = sync_lane_sum(acc_re);
+    const double im = sync_lane_sum(acc_im);
     acc_mag += std::sqrt(re * re + im * im);
-    sig_energy += (energy[0] + energy[1]) + (energy[2] + energy[3]);
+    double bound;
+    if (exit.below(s, acc_mag, &bound)) return bound;
   }
-  return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
+  return exit.exact(acc_mag);
 }
 
 DualToneAccum dual_tone_scalar(const double* x_re, const double* x_im,
@@ -131,7 +144,11 @@ void fir_cplx_scalar(const double* tap_re, const double* tap_im,
 }
 
 const KernelTable kScalarTable = {
-    &segcorr_scalar, &dual_tone_scalar, &cmac_scalar, &fir_real_scalar,
+    &exact_sync_correlation<segcorr_scalar>,
+    &segcorr_scalar,
+    &dual_tone_scalar,
+    &cmac_scalar,
+    &fir_real_scalar,
     &fir_cplx_scalar,
 };
 
@@ -255,6 +272,31 @@ double segmented_sync_correlation(const double* sig_re, const double* sig_im,
                                   std::size_t ref_len, double ref_energy) {
   return dispatch().table->segmented_sync_correlation(
       sig_re, sig_im, ref_re, ref_im, ref_len, ref_energy);
+}
+
+SyncTailEnergy sync_tail_energy(const double* ref_re, const double* ref_im,
+                                std::size_t ref_len) {
+  const SyncSegments g(ref_len);
+  SyncTailEnergy tail{};
+  double after = 0.0;
+  for (std::size_t s = kSyncSegments - 1; s > 0; --s) {
+    for (std::size_t i = g.from(s); i < g.to(s); ++i) {
+      after += ref_re[i] * ref_re[i] + ref_im[i] * ref_im[i];
+    }
+    tail[s - 1] = after;
+  }
+  return tail;
+}
+
+double sync_correlation_below(const double* sig_re, const double* sig_im,
+                              const double* sig_pow, const double* ref_re,
+                              const double* ref_im, std::size_t ref_len,
+                              double ref_energy,
+                              const SyncTailEnergy& ref_tail,
+                              double threshold) {
+  return dispatch().table->sync_correlation_below(
+      sig_re, sig_im, sig_pow, ref_re, ref_im, ref_len, ref_energy,
+      ref_tail.data(), threshold);
 }
 
 DualToneAccum dual_tone_mac(const double* x_re, const double* x_im,

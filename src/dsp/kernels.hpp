@@ -1,10 +1,11 @@
 // Hand-vectorized SIMD kernels for the DSP hot paths, behind a runtime
 // dispatch table.
 //
-// The profile (the --metrics-json phase breakdown) puts ~62% of per-trial
-// wall time in the receiver demod path and ~18% in Medium::mix; the SoA
-// plane refactor (PR 3/PR 5) made those loops contiguous-plane arithmetic,
-// and this layer is where they become real vector instructions on purpose.
+// A traced fig9-eaves-ber run (the --metrics-json phase breakdown) puts
+// ~34% of per-trial wall time in the receiver demod path and ~32% in
+// Medium::mix; the SoA plane layout made those loops contiguous-plane
+// arithmetic, and this layer is where they become real vector instructions
+// on purpose.
 //
 // Contract — every backend is BIT-EXACT against the scalar reference:
 //  * The scalar implementations in kernels.cpp are the pinned reference;
@@ -27,6 +28,7 @@
 // linter rule `raw-intrinsics`); new vector code goes through this table.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 namespace hs::dsp::kernels {
@@ -55,12 +57,16 @@ Backend active_backend();
 /// `b`. Not thread-safe: call only while no campaign threads are running.
 bool set_backend(Backend b);
 
-/// Segmented noncoherent sync correlation — the FskReceiver::correlation_at
-/// hot loop. The reference `ref_len` samples are split into 6 segments
-/// (each running 4 independent accumulator lanes, tail into lane 0, lanes
-/// reduced pairwise); the per-segment complex correlations are combined by
-/// magnitude and normalized by sqrt(sig_energy * ref_energy), floored at
-/// 1e-30. `sig_*` must have at least `ref_len` readable samples.
+/// Segments the sync correlation splits its reference into.
+inline constexpr std::size_t kSyncSegments = 6;
+
+/// Segmented noncoherent sync correlation. The reference `ref_len` samples
+/// are split into kSyncSegments segments of ref_len / 6 samples, the last
+/// taking the remainder (each running 4 independent accumulator lanes,
+/// tail into lane 0, lanes reduced pairwise); the per-segment complex
+/// correlations c_s are combined by magnitude and normalized by
+/// sqrt(sig_energy * ref_energy), floored at 1e-30. `sig_*` must have at
+/// least `ref_len` readable samples.
 ///
 /// Edge geometry, pinned by KernelsEdge.ShortReferenceFewerThanSegments:
 /// when ref_len < 6 the integer segment stride is 0, the first 5 segments
@@ -69,6 +75,40 @@ bool set_backend(Backend b);
 double segmented_sync_correlation(const double* sig_re, const double* sig_im,
                                   const double* ref_re, const double* ref_im,
                                   std::size_t ref_len, double ref_energy);
+
+/// Reference energy still to come after each segment: entry k is R_{>k},
+/// the energy of segments k+1 .. kSyncSegments-1 of the reference.
+using SyncTailEnergy = std::array<double, kSyncSegments - 1>;
+
+/// R_{>k} of a `ref_len`-sample reference, for sync_correlation_below.
+SyncTailEnergy sync_tail_energy(const double* ref_re, const double* ref_im,
+                                std::size_t ref_len);
+
+/// Early-exit segmented sync correlation — the FskReceiver::correlation_at
+/// hot loop, for a detector that only asks which lags reach `threshold`.
+///
+/// Whenever segmented_sync_correlation's value is >= threshold, this
+/// returns exactly its bits. Otherwise it may stop after segment k < 5 and
+/// return a bound: a value >= the exact one and < threshold. With E_s the
+/// signal's segment energies, E_{>k} their sum over s > k, and norm the
+/// exact value's denominator, Cauchy–Schwarz gives
+/// sum_{s>k} c_s <= sqrt(E_{>k} * R_{>k}), so
+///   bound_k = (sum_{s<=k} c_s + sqrt(E_{>k} * R_{>k})) * (1 + 1e-9) / norm
+/// is at least the exact value; the 1e-9 margin dwarfs the rounding of a
+/// 96-term sum (~1e-14). It returns the first bound_k below threshold, and
+/// the exact value when none is. A threshold <= 0 always gives the exact
+/// value. Every backend returns the same bits.
+///
+/// `sig_pow[i]` must hold sig_re[i] * sig_re[i] + sig_im[i] * sig_im[i],
+/// the term the exact kernel adds to its energy lanes, so that the segment
+/// energies, and hence the exact value, are bit-equal; a null `sig_pow`
+/// computes the terms in place.
+double sync_correlation_below(const double* sig_re, const double* sig_im,
+                              const double* sig_pow, const double* ref_re,
+                              const double* ref_im, std::size_t ref_len,
+                              double ref_energy,
+                              const SyncTailEnergy& ref_tail,
+                              double threshold);
 
 /// Accumulators of the dual-tone noncoherent FSK symbol MAC.
 struct DualToneAccum {
@@ -126,6 +166,11 @@ struct KernelTable {
   double (*segmented_sync_correlation)(const double*, const double*,
                                        const double*, const double*,
                                        std::size_t, double);
+  /// sync_correlation_below, with `ref_tail` pointing at a SyncTailEnergy.
+  double (*sync_correlation_below)(const double*, const double*,
+                                   const double*, const double*,
+                                   const double*, std::size_t, double,
+                                   const double*, double);
   DualToneAccum (*dual_tone_mac)(const double*, const double*, const double*,
                                  const double*, std::size_t);
   void (*cmac)(double*, double*, const double*, const double*, double,

@@ -16,29 +16,50 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace hs::dsp::kernels {
 namespace {
 
 double segcorr_avx2(const double* sig_re, const double* sig_im,
-                    const double* ref_re, const double* ref_im,
-                    std::size_t ref_len, double ref_energy) {
-  constexpr std::size_t kSegments = 6;
-  constexpr std::size_t kLanes = 4;
-  const std::size_t seg = ref_len / kSegments;
+                    const double* sig_pow, const double* ref_re,
+                    const double* ref_im, std::size_t ref_len,
+                    double ref_energy, const double* ref_tail,
+                    double threshold) {
+  const SyncSegments g(ref_len);
+  // Vector lane l IS scalar accumulator lane l; one vector per segment.
+  __m256d ven[kSyncSegments];
+  for (__m256d& v : ven) v = _mm256_setzero_pd();
+  if (sig_pow != nullptr) {
+    for_each_sync_step(g, [&](std::size_t s, std::size_t i) {
+      ven[s] = _mm256_add_pd(ven[s], _mm256_loadu_pd(sig_pow + i));
+    });
+  } else {
+    for_each_sync_step(g, [&](std::size_t s, std::size_t i) {
+      const __m256d br = _mm256_loadu_pd(sig_re + i);
+      const __m256d bi = _mm256_loadu_pd(sig_im + i);
+      ven[s] = _mm256_add_pd(ven[s], _mm256_add_pd(_mm256_mul_pd(br, br),
+                                                   _mm256_mul_pd(bi, bi)));
+    });
+  }
+  double seg_energy[kSyncSegments];
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    double energy[kSyncLanes];
+    _mm256_storeu_pd(energy, ven[s]);
+    for (std::size_t i = g.tail_from(s); i < g.to(s); ++i) {
+      energy[0] += sync_power_term(sig_re, sig_im, sig_pow, i);
+    }
+    seg_energy[s] = sync_lane_sum(energy);
+  }
+  const SyncExit exit(seg_energy, ref_energy, ref_tail, threshold);
+
   double acc_mag = 0.0;
-  double sig_energy = 0.0;
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    const std::size_t from = s * seg;
-    const std::size_t to = (s + 1 == kSegments) ? ref_len : from + seg;
-    // Vector lane l IS scalar accumulator lane l.
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    const std::size_t to = g.to(s);
     __m256d vre = _mm256_setzero_pd();
     __m256d vim = _mm256_setzero_pd();
-    __m256d ven = _mm256_setzero_pd();
-    std::size_t i = from;
-    for (; i + kLanes <= to; i += kLanes) {
+    std::size_t i = g.from(s);
+    for (; i + kSyncLanes <= to; i += kSyncLanes) {
       const __m256d br = _mm256_loadu_pd(sig_re + i);
       const __m256d bi = _mm256_loadu_pd(sig_im + i);
       const __m256d rr = _mm256_loadu_pd(ref_re + i);
@@ -47,26 +68,23 @@ double segcorr_avx2(const double* sig_re, const double* sig_im,
                                              _mm256_mul_pd(bi, ri)));
       vim = _mm256_add_pd(vim, _mm256_sub_pd(_mm256_mul_pd(bi, rr),
                                              _mm256_mul_pd(br, ri)));
-      ven = _mm256_add_pd(ven, _mm256_add_pd(_mm256_mul_pd(br, br),
-                                             _mm256_mul_pd(bi, bi)));
     }
-    double acc_re[kLanes], acc_im[kLanes], energy[kLanes];
+    double acc_re[kSyncLanes], acc_im[kSyncLanes];
     _mm256_storeu_pd(acc_re, vre);
     _mm256_storeu_pd(acc_im, vim);
-    _mm256_storeu_pd(energy, ven);
     for (; i < to; ++i) {
       const double br = sig_re[i];
       const double bi = sig_im[i];
       acc_re[0] += br * ref_re[i] + bi * ref_im[i];
       acc_im[0] += bi * ref_re[i] - br * ref_im[i];
-      energy[0] += br * br + bi * bi;
     }
-    const double re = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
-    const double im = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    const double re = sync_lane_sum(acc_re);
+    const double im = sync_lane_sum(acc_im);
     acc_mag += std::sqrt(re * re + im * im);
-    sig_energy += (energy[0] + energy[1]) + (energy[2] + energy[3]);
+    double bound;
+    if (exit.below(s, acc_mag, &bound)) return bound;
   }
-  return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
+  return exit.exact(acc_mag);
 }
 
 DualToneAccum dual_tone_avx2(const double* x_re, const double* x_im,
@@ -178,7 +196,11 @@ void fir_cplx_avx2(const double* tap_re, const double* tap_im, std::size_t t,
 }
 
 const KernelTable kAvx2Table = {
-    &segcorr_avx2, &dual_tone_avx2, &cmac_avx2, &fir_real_avx2,
+    &exact_sync_correlation<segcorr_avx2>,
+    &segcorr_avx2,
+    &dual_tone_avx2,
+    &cmac_avx2,
+    &fir_real_avx2,
     &fir_cplx_avx2,
 };
 

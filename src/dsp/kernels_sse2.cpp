@@ -16,29 +16,59 @@
 
 #include <emmintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace hs::dsp::kernels {
 namespace {
 
 double segcorr_sse2(const double* sig_re, const double* sig_im,
-                    const double* ref_re, const double* ref_im,
-                    std::size_t ref_len, double ref_energy) {
-  constexpr std::size_t kSegments = 6;
-  constexpr std::size_t kLanes = 4;
-  const std::size_t seg = ref_len / kSegments;
+                    const double* sig_pow, const double* ref_re,
+                    const double* ref_im, std::size_t ref_len,
+                    double ref_energy, const double* ref_tail,
+                    double threshold) {
+  const SyncSegments g(ref_len);
+  // Lanes 0-1 and 2-3 of the scalar reference, as two vectors each.
+  __m128d ven01[kSyncSegments], ven23[kSyncSegments];
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    ven01[s] = _mm_setzero_pd();
+    ven23[s] = _mm_setzero_pd();
+  }
+  if (sig_pow != nullptr) {
+    for_each_sync_step(g, [&](std::size_t s, std::size_t i) {
+      ven01[s] = _mm_add_pd(ven01[s], _mm_loadu_pd(sig_pow + i));
+      ven23[s] = _mm_add_pd(ven23[s], _mm_loadu_pd(sig_pow + i + 2));
+    });
+  } else {
+    for_each_sync_step(g, [&](std::size_t s, std::size_t i) {
+      const __m128d br0 = _mm_loadu_pd(sig_re + i);
+      const __m128d br1 = _mm_loadu_pd(sig_re + i + 2);
+      const __m128d bi0 = _mm_loadu_pd(sig_im + i);
+      const __m128d bi1 = _mm_loadu_pd(sig_im + i + 2);
+      ven01[s] = _mm_add_pd(ven01[s], _mm_add_pd(_mm_mul_pd(br0, br0),
+                                                 _mm_mul_pd(bi0, bi0)));
+      ven23[s] = _mm_add_pd(ven23[s], _mm_add_pd(_mm_mul_pd(br1, br1),
+                                                 _mm_mul_pd(bi1, bi1)));
+    });
+  }
+  double seg_energy[kSyncSegments];
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    double energy[kSyncLanes];
+    _mm_storeu_pd(energy, ven01[s]);
+    _mm_storeu_pd(energy + 2, ven23[s]);
+    for (std::size_t i = g.tail_from(s); i < g.to(s); ++i) {
+      energy[0] += sync_power_term(sig_re, sig_im, sig_pow, i);
+    }
+    seg_energy[s] = sync_lane_sum(energy);
+  }
+  const SyncExit exit(seg_energy, ref_energy, ref_tail, threshold);
+
   double acc_mag = 0.0;
-  double sig_energy = 0.0;
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    const std::size_t from = s * seg;
-    const std::size_t to = (s + 1 == kSegments) ? ref_len : from + seg;
-    // Lanes 0-1 and 2-3 of the scalar reference, as two vectors each.
+  for (std::size_t s = 0; s < kSyncSegments; ++s) {
+    const std::size_t to = g.to(s);
     __m128d vre01 = _mm_setzero_pd(), vre23 = _mm_setzero_pd();
     __m128d vim01 = _mm_setzero_pd(), vim23 = _mm_setzero_pd();
-    __m128d ven01 = _mm_setzero_pd(), ven23 = _mm_setzero_pd();
-    std::size_t i = from;
-    for (; i + kLanes <= to; i += kLanes) {
+    std::size_t i = g.from(s);
+    for (; i + kSyncLanes <= to; i += kSyncLanes) {
       const __m128d br0 = _mm_loadu_pd(sig_re + i);
       const __m128d br1 = _mm_loadu_pd(sig_re + i + 2);
       const __m128d bi0 = _mm_loadu_pd(sig_im + i);
@@ -55,31 +85,25 @@ double segcorr_sse2(const double* sig_re, const double* sig_im,
                                            _mm_mul_pd(br0, ri0)));
       vim23 = _mm_add_pd(vim23, _mm_sub_pd(_mm_mul_pd(bi1, rr1),
                                            _mm_mul_pd(br1, ri1)));
-      ven01 = _mm_add_pd(ven01, _mm_add_pd(_mm_mul_pd(br0, br0),
-                                           _mm_mul_pd(bi0, bi0)));
-      ven23 = _mm_add_pd(ven23, _mm_add_pd(_mm_mul_pd(br1, br1),
-                                           _mm_mul_pd(bi1, bi1)));
     }
-    double acc_re[kLanes], acc_im[kLanes], energy[kLanes];
+    double acc_re[kSyncLanes], acc_im[kSyncLanes];
     _mm_storeu_pd(acc_re, vre01);
     _mm_storeu_pd(acc_re + 2, vre23);
     _mm_storeu_pd(acc_im, vim01);
     _mm_storeu_pd(acc_im + 2, vim23);
-    _mm_storeu_pd(energy, ven01);
-    _mm_storeu_pd(energy + 2, ven23);
     for (; i < to; ++i) {
       const double br = sig_re[i];
       const double bi = sig_im[i];
       acc_re[0] += br * ref_re[i] + bi * ref_im[i];
       acc_im[0] += bi * ref_re[i] - br * ref_im[i];
-      energy[0] += br * br + bi * bi;
     }
-    const double re = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
-    const double im = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    const double re = sync_lane_sum(acc_re);
+    const double im = sync_lane_sum(acc_im);
     acc_mag += std::sqrt(re * re + im * im);
-    sig_energy += (energy[0] + energy[1]) + (energy[2] + energy[3]);
+    double bound;
+    if (exit.below(s, acc_mag, &bound)) return bound;
   }
-  return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
+  return exit.exact(acc_mag);
 }
 
 DualToneAccum dual_tone_sse2(const double* x_re, const double* x_im,
@@ -197,7 +221,11 @@ void fir_cplx_sse2(const double* tap_re, const double* tap_im, std::size_t t,
 }
 
 const KernelTable kSse2Table = {
-    &segcorr_sse2, &dual_tone_sse2, &cmac_sse2, &fir_real_sse2,
+    &exact_sync_correlation<segcorr_sse2>,
+    &segcorr_sse2,
+    &dual_tone_sse2,
+    &cmac_sse2,
+    &fir_real_sse2,
     &fir_cplx_sse2,
 };
 

@@ -56,6 +56,8 @@ void FskReceiver::build_sync_reference() {
   sync_soa_.assign(sync_waveform_);
   ref_energy_ = 0.0;
   for (const cplx& r : sync_waveform_) ref_energy_ += std::norm(r);
+  ref_tail_energy_ = dsp::kernels::sync_tail_energy(
+      sync_soa_.re(), sync_soa_.im(), sync_soa_.size());
 }
 
 void FskReceiver::restart_stream() {
@@ -65,6 +67,7 @@ void FskReceiver::restart_stream() {
   buffer_.clear();
   buffer_base_ = 0;
   corr_cache_.clear();
+  power_.clear();
   total_consumed_ = 0;
   scan_pos_ = 0;
   locked_ = false;
@@ -144,9 +147,28 @@ double FskReceiver::correlation_at(std::size_t lag) {
   // full sweep of these); the segment/lane arithmetic lives in
   // dsp::kernels so it can dispatch to real vector instructions while the
   // scalar reference stays pinned bit-for-bit.
-  memo = dsp::kernels::segmented_sync_correlation(
-      buffer_.re() + lag, buffer_.im() + lag, sync_soa_.re(), sync_soa_.im(),
-      sync_waveform_.size(), ref_energy_);
+  //
+  // Most lags of a sweep land on noise, so the kernel may stop once a
+  // bound proves the value below the threshold. No decision can move:
+  // try_detect uses a value only to pick a sweep's maximum (strict >, from
+  // -1), to compare that maximum with the threshold, and in the alias
+  // climb against a maximum already at or above it. Values at or above
+  // the threshold are exact; a sweep whose values are all below it is a
+  // false alarm whatever they are.
+  const std::size_t ref = sync_waveform_.size();
+  const std::size_t covered = power_.size();
+  if (covered < lag + ref) {
+    power_.resize(lag + ref);
+    const double* re = buffer_.re();
+    const double* im = buffer_.im();
+    for (std::size_t i = covered; i < lag + ref; ++i) {
+      power_[i] = re[i] * re[i] + im[i] * im[i];
+    }
+  }
+  memo = dsp::kernels::sync_correlation_below(
+      buffer_.re() + lag, buffer_.im() + lag, power_.data() + lag,
+      sync_soa_.re(), sync_soa_.im(), ref, ref_energy_, ref_tail_energy_,
+      options_.detect_threshold);
   return memo;
 }
 
@@ -311,6 +333,9 @@ void FskReceiver::compact_buffer(std::size_t keep_from) {
       corr_cache_.begin(),
       corr_cache_.begin() +
           static_cast<long>(std::min(drop, corr_cache_.size())));
+  power_.erase(power_.begin(),
+               power_.begin() +
+                   static_cast<long>(std::min(drop, power_.size())));
   buffer_base_ += drop;
   scan_pos_ = (scan_pos_ >= drop) ? scan_pos_ - drop : 0;
 }

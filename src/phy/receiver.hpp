@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "dsp/kernels.hpp"
 #include "dsp/types.hpp"
 #include "phy/frame.hpp"
 #include "phy/fsk.hpp"
@@ -96,16 +97,18 @@ class FskReceiver {
 
   /// Writes the full streaming state into a warm-state snapshot: scan
   /// buffer planes, lock/partial-frame state, adaptive noise floor and
-  /// the output queue. The correlation memo is not written: it is a pure
-  /// function of the sample stream.
+  /// the output queue. The correlation memo and the power plane are not
+  /// written: both are pure functions of the sample stream.
   void save_state(snapshot::StateWriter& w) const;
 
   const FskParams& params() const { return params_; }
 
  private:
-  /// Compact the scan buffer once the cursor is this far in (bounds the
-  /// buffer near 64 KiB during noise-only stretches).
-  static constexpr std::size_t kCompactScanSamples = 4096;
+  /// Compact the scan buffer once the cursor is this far in. In a
+  /// noise-only stretch this bounds the buffer, memo and power plane to
+  /// ~1,760 samples each (this, a sweep's look-ahead and one block), ~55 KiB
+  /// together.
+  static constexpr std::size_t kCompactScanSamples = 1024;
 
   void build_sync_reference();
   void restart_stream();
@@ -124,6 +127,8 @@ class FskReceiver {
   dsp::Samples sync_waveform_;  ///< modulated preamble+sync reference
   dsp::SoaSamples sync_soa_;    ///< split copy of the reference
   double ref_energy_ = 0.0;
+  /// The reference's energy after each segment, for the early exit.
+  dsp::kernels::SyncTailEnergy ref_tail_energy_{};
 
   // Streaming state. restart_stream() sets every member below; the
   // constructor and reset() both call it, so neither can miss one.
@@ -132,15 +137,24 @@ class FskReceiver {
   dsp::SoaSamples buffer_;       ///< samples not yet fully consumed (SoA)
   std::size_t buffer_base_ = 0;  ///< absolute index of buffer_[0]
   /// Memo of correlation_at results, parallel to buffer_: entry i is the
-  /// correlation at buffer lag i, NaN until computed. The correlation is
-  /// a pure function of the append-only sample stream, and consecutive
-  /// detection sweeps overlap roughly half their lags during noise-floor
-  /// adaptation runs, so reusing the exact values halves the receiver's
-  /// dominant cost without changing a single decision. A sweep grows it
-  /// to the buffer's length (lags past its end are not computed yet), and
-  /// compaction drops its front with buffer_'s. A zero-energy window
-  /// correlates to NaN and is simply recomputed, to the same bits.
+  /// value at buffer lag i, NaN until computed. That value is the exact
+  /// correlation when it reaches options_.detect_threshold and otherwise
+  /// may be an upper bound below it (dsp::kernels::sync_correlation_below);
+  /// either way it is a pure function of the append-only sample stream
+  /// and the threshold. Consecutive detection sweeps overlap roughly half
+  /// their lags during noise-floor adaptation runs, so reusing the values
+  /// halves the receiver's dominant cost without changing a single
+  /// decision. A sweep grows it to the buffer's length (lags past its end
+  /// are not computed yet), and compaction drops its front with buffer_'s.
+  /// A window of NaN samples correlates to NaN and is simply recomputed,
+  /// to the same bits.
   std::vector<double> corr_cache_;
+  /// Power plane, parallel to buffer_: entry i is re*re + im*im of buffer
+  /// sample i, the energy term the sync correlation sums. It is filled
+  /// lazily, only up to the last sample the furthest lag read so far
+  /// covers; nothing extends it while locked, and compaction drops its
+  /// front with buffer_'s.
+  std::vector<double> power_;
   std::size_t total_consumed_ = 0;
   std::size_t scan_pos_ = 0;  ///< buffer-relative scan cursor when unlocked
 

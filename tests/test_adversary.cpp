@@ -5,6 +5,7 @@
 #include "adversary/eavesdropper.hpp"
 #include "adversary/monitor.hpp"
 #include "channel/geometry.hpp"
+#include "dsp/fir.hpp"
 #include "dsp/units.hpp"
 #include "imd/device.hpp"
 #include "imd/profiles.hpp"
@@ -75,6 +76,59 @@ TEST(Eavesdropper, BandpassAttackBeatsConstantJamming) {
   const double shaped = run(shield::JamProfile::kShaped, false);
   const double constant_filtered = run(shield::JamProfile::kConstant, true);
   EXPECT_LT(constant_filtered, shaped - 0.1);
+}
+
+// The decoders convert and filter only the reply's samples; their bits
+// must be those of decoding the whole capture, as they once did, at any
+// start: at the capture's front (the filter's look-back clipped at 0), in
+// the middle, and with the reply running past the capture's end.
+TEST(Eavesdropper, DecodingTheReplyAloneMatchesTheWholeCapture) {
+  phy::FskParams fsk;
+  phy::Frame f;
+  f.device_id = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  f.payload.assign(20, 0x96);
+  const auto truth = phy::encode_frame(f);
+  const auto wave = phy::fsk_modulate(fsk, truth);
+  constexpr std::size_t kTaps = 65;  // eavesdrop_decode_bandpass's filters
+  const double half_bw = 30e3;
+  for (std::size_t start :
+       {std::size_t{0}, std::size_t{1}, std::size_t{20}, kTaps - 1, kTaps,
+        std::size_t{777}, std::size_t{3000}, std::size_t{4000}}) {
+    SCOPED_TRACE(start);
+    dsp::Samples capture(3000 + wave.size() / 2);
+    dsp::Rng rng(start + 1);
+    rng.fill_awgn(capture, dsp::db_to_power(-3.0));
+    for (std::size_t i = 0; i < wave.size() && start + i < capture.size();
+         ++i) {
+      capture[start + i] += wave[i];
+    }
+    const dsp::SoaSamples soa = dsp::to_soa(capture);
+    const phy::NoncoherentFskDemod demod(fsk);
+    EXPECT_EQ(eavesdrop_decode(fsk, capture, start, truth).bits,
+              demod.demodulate(soa.view(), start, truth.size()));
+
+    dsp::ComplexFirFilter filter0(
+        dsp::design_bandpass(fsk.f0, half_bw, fsk.fs, kTaps));
+    dsp::ComplexFirFilter filter1(
+        dsp::design_bandpass(fsk.f1, half_bw, fsk.fs, kTaps));
+    dsp::SoaSamples y0, y1;
+    filter0.process(soa.view(), y0);
+    filter1.process(soa.view(), y1);
+    phy::BitVec whole;
+    for (std::size_t s = 0; s < truth.size(); ++s) {
+      const std::size_t a = start + (kTaps - 1) / 2 + s * fsk.sps;
+      if (a + fsk.sps > y0.size()) break;
+      double e0 = 0.0, e1 = 0.0;
+      for (std::size_t i = a; i < a + fsk.sps; ++i) {
+        e0 += y0.re()[i] * y0.re()[i] + y0.im()[i] * y0.im()[i];
+        e1 += y1.re()[i] * y1.re()[i] + y1.im()[i] * y1.im()[i];
+      }
+      whole.push_back(e1 > e0 ? 1 : 0);
+    }
+    EXPECT_EQ(
+        eavesdrop_decode_bandpass(fsk, capture, start, truth, half_bw).bits,
+        whole);
+  }
 }
 
 class AirFixture : public ::testing::Test {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <numbers>
+#include <string>
+#include <vector>
+
+#include "crypto/sha256.hpp"
 #include "dsp/rng.hpp"
 #include "dsp/units.hpp"
 #include "phy/receiver.hpp"
@@ -353,6 +361,133 @@ TEST(Receiver, PureNoiseNeverLocksLong) {
   FskReceiver rx(fsk);
   rx.push(air);
   EXPECT_FALSE(rx.pop().has_value());
+}
+
+/// A seeded stream of thermal noise with frames at random offsets (SNR
+/// -5..+30 dB, CFO up to +-500 Hz, random payloads; they may collide) and
+/// noise bursts of random power and length.
+dsp::Samples transcript_air(const FskParams& fsk, std::uint64_t seed) {
+  dsp::Rng rng(seed);
+  const double noise = dsp::dbm_to_mw(-112);
+  dsp::Samples air(120000);
+  rng.fill_awgn(air, noise);
+  for (int f = 0; f < 10; ++f) {
+    Frame frame = test_frame(static_cast<std::uint8_t>(f),
+                             rng.uniform_u64(kMaxPayloadBytes + 1));
+    for (auto& b : frame.payload) {
+      b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    }
+    const auto wave = fsk_modulate(fsk, encode_frame(frame));
+    const std::size_t at = rng.uniform_u64(air.size() - wave.size());
+    const double amp =
+        std::sqrt(noise * dsp::db_to_power(rng.uniform(-5.0, 30.0)));
+    const double w = 2.0 * std::numbers::pi * rng.uniform(-500.0, 500.0) /
+                     fsk.fs;
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const double ph = w * static_cast<double>(i);
+      air[at + i] += amp * wave[i] * dsp::cplx(std::cos(ph), std::sin(ph));
+    }
+  }
+  for (int b = 0; b < 8; ++b) {
+    const std::size_t len = 24 + rng.uniform_u64(6000);
+    const std::size_t at = rng.uniform_u64(air.size() - len);
+    const double power = noise * dsp::db_to_power(rng.uniform(0.0, 40.0));
+    for (std::size_t i = at; i < at + len; ++i) air[i] += rng.cgaussian(power);
+  }
+  return air;
+}
+
+/// Feeds `air` in random blocks of 1-300 samples, each through a randomly
+/// chosen push overload, and writes down every observable decision: after
+/// each push the lock state, and every popped frame's start, status, raw
+/// bits and the bit pattern of its RSSI.
+std::string receiver_transcript(const FskParams& fsk,
+                                const ReceiverOptions& options,
+                                const dsp::Samples& air, std::uint64_t seed) {
+  dsp::Rng rng(seed);
+  FskReceiver rx(fsk, options);
+  std::string out;
+  char line[96];
+  for (std::size_t i = 0; i < air.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng.uniform_u64(300), air.size() - i);
+    const dsp::SampleView block(air.data() + i, n);
+    if (rng.uniform_u64(2) == 0) {
+      rx.push(block);
+    } else {
+      dsp::SoaSamples soa;
+      soa.assign(block);
+      rx.push(soa.view());
+    }
+    i += n;
+    std::snprintf(line, sizeof line, "p %zu %d %zu %zu\n", i,
+                  rx.locked() ? 1 : 0, rx.lock_start_sample(),
+                  rx.partial_bits().size());
+    out += line;
+    while (auto f = rx.pop()) {
+      std::snprintf(line, sizeof line, "f %zu %d %016llx ", f->start_sample,
+                    static_cast<int>(f->decode.status),
+                    static_cast<unsigned long long>(
+                        std::bit_cast<std::uint64_t>(f->rssi)));
+      out += line;
+      for (std::uint8_t bit : f->raw_bits) out += static_cast<char>('0' + bit);
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+std::string sha256_hex(const std::string& text) {
+  const auto digest = crypto::Sha256::hash(crypto::ByteView(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string hex;
+  for (std::uint8_t b : digest) {
+    hex += kHex[b >> 4];
+    hex += kHex[b & 15];
+  }
+  return hex;
+}
+
+// Pins every decision the receiver makes, so a change to how it computes
+// its correlations (or to its buffering) must keep them all. The digests
+// were recorded from a build whose sync correlation always ran in full.
+TEST(Receiver, DecisionTranscriptMatchesRecordedDigests) {
+  struct Case {
+    double threshold;
+    double gate;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {0.75, 2.0,
+       "b85cbdf9e9599fffc00752041eb876735bbf9207e1b07cfcb924b40d049a4d78"},
+      {0.75, 4.0,
+       "e2bd2b813083db780bd6aa0cf0319f9ff4addef3c7d7cb08b0bb34a2b0c5dad4"},
+      {0.82, 2.0,
+       "9e860fdaf1d7fe5f6340d3fe8c50e98e70d78742e433d390d6d82af2427bf702"},
+      {0.82, 4.0,
+       "a8f408005012e89c96ab7adaadb764b3280d86f48493911f211f7cfe36f73979"},
+      {0.9, 2.0,
+       "63e701c93bcb5819c3d3f580375e081e2839027a9606d682e93b784ba9df6faa"},
+      {0.9, 4.0,
+       "63e701c93bcb5819c3d3f580375e081e2839027a9606d682e93b784ba9df6faa"},
+  };
+  const FskParams fsk;
+  std::vector<dsp::Samples> streams;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    streams.push_back(transcript_air(fsk, 100 + seed));
+  }
+  for (const Case& c : cases) {
+    ReceiverOptions options;
+    options.detect_threshold = c.threshold;
+    options.gate_factor = c.gate;
+    std::string transcript;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      transcript += receiver_transcript(fsk, options, streams[s], 200 + s);
+    }
+    EXPECT_EQ(sha256_hex(transcript), c.digest)
+        << "threshold " << c.threshold << " gate " << c.gate;
+  }
 }
 
 }  // namespace
