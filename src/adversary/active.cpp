@@ -10,19 +10,9 @@ namespace hs::adversary {
 ActiveAdversaryNode::ActiveAdversaryNode(const ActiveAdversaryConfig& config,
                                          channel::Medium& medium,
                                          sim::EventLog* log)
-    : config_(config),
-      log_(log),
-      modulator_(config.fsk),
-      tx_amplitude_(std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm))) {
-  register_with_medium(medium);
-}
-
-void ActiveAdversaryNode::register_with_medium(channel::Medium& medium) {
-  channel::AntennaDesc desc;
-  desc.name = config_.name + "/antenna";
-  desc.position = config_.position;
-  desc.walls = config_.walls;
-  antenna_ = medium.add_antenna(desc);
+    : modulator_(config.fsk) {
+  // modulator_ has no default constructor; reset() replaces it.
+  reset(config, medium, log);
 }
 
 void ActiveAdversaryNode::reset(const ActiveAdversaryConfig& config,
@@ -35,7 +25,12 @@ void ActiveAdversaryNode::reset(const ActiveAdversaryConfig& config,
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
   next_allowed_sample_ = 0;
   next_block_start_ = 0;
-  register_with_medium(medium);
+
+  channel::AntennaDesc desc;
+  desc.name = config.name + "/antenna";
+  desc.position = config.position;
+  desc.walls = config.walls;
+  antenna_ = medium.add_antenna(desc);
 }
 
 void ActiveAdversaryNode::set_tx_power_dbm(double dbm) {

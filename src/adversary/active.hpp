@@ -36,10 +36,10 @@ class ActiveAdversaryNode : public sim::RadioNode {
   ActiveAdversaryNode(const ActiveAdversaryConfig& config,
                       channel::Medium& medium, sim::EventLog* log);
 
-  /// Returns the node to the state a fresh `ActiveAdversaryNode(config,
-  /// medium, log)` would have, re-registering its antenna with `medium`
-  /// (which the caller has just reset). The new config may move the
-  /// adversary; campaign trial-pool hook.
+  /// Sets the node's trial-start state and registers its antenna with
+  /// `medium` (fresh or just reset). The constructor runs this:
+  /// construction is a reset. The new config may move the adversary;
+  /// campaign trial-pool hook.
   void reset(const ActiveAdversaryConfig& config, channel::Medium& medium,
              sim::EventLog* log);
 
@@ -63,16 +63,15 @@ class ActiveAdversaryNode : public sim::RadioNode {
   double tx_power_dbm() const { return config_.tx_power_dbm; }
 
  private:
-  void register_with_medium(channel::Medium& medium);
-
+  // Every member is set by reset().
   ActiveAdversaryConfig config_;
   channel::AntennaId antenna_;
   sim::EventLog* log_;
   phy::FskModulator modulator_;
   sim::TransmitScheduler tx_;
   double tx_amplitude_;
-  std::size_t next_allowed_sample_ = 0;
-  std::size_t next_block_start_ = 0;  ///< tracked from produce()
+  std::size_t next_allowed_sample_;
+  std::size_t next_block_start_;  ///< tracked from produce()
 };
 
 }  // namespace hs::adversary

@@ -9,19 +9,9 @@ namespace hs::adversary {
 CrossTrafficNode::CrossTrafficNode(const CrossTrafficConfig& config,
                                    channel::Medium& medium,
                                    std::uint64_t seed)
-    : config_(config),
-      rng_(seed, "cross-traffic"),
-      modulator_(config.gmsk),
-      tx_amplitude_(std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm))) {
-  register_with_medium(medium);
-}
-
-void CrossTrafficNode::register_with_medium(channel::Medium& medium) {
-  channel::AntennaDesc desc;
-  desc.name = config_.name + "/antenna";
-  desc.position = config_.position;
-  desc.walls = config_.walls;
-  antenna_ = medium.add_antenna(desc);
+    : modulator_(config.gmsk) {
+  // modulator_ has no default constructor; reset() replaces it.
+  reset(config, medium, seed);
 }
 
 void CrossTrafficNode::reset(const CrossTrafficConfig& config,
@@ -32,7 +22,12 @@ void CrossTrafficNode::reset(const CrossTrafficConfig& config,
   tx_ = sim::TransmitScheduler();
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
   frames_sent_ = 0;
-  register_with_medium(medium);
+
+  channel::AntennaDesc desc;
+  desc.name = config.name + "/antenna";
+  desc.position = config.position;
+  desc.walls = config.walls;
+  antenna_ = medium.add_antenna(desc);
 }
 
 std::pair<std::size_t, std::size_t> CrossTrafficNode::send_frame(

@@ -29,9 +29,9 @@ class CrossTrafficNode : public sim::RadioNode {
   CrossTrafficNode(const CrossTrafficConfig& config, channel::Medium& medium,
                    std::uint64_t seed);
 
-  /// Returns the node to the state a fresh `CrossTrafficNode(config,
-  /// medium, seed)` would have, re-registering its antenna with `medium`
-  /// (which the caller has just reset); campaign trial-pool hook.
+  /// Sets the node's trial-start state and registers its antenna with
+  /// `medium` (fresh or just reset); campaign trial-pool hook. The
+  /// constructor runs this: construction is a reset.
   void reset(const CrossTrafficConfig& config, channel::Medium& medium,
              std::uint64_t seed);
 
@@ -50,15 +50,14 @@ class CrossTrafficNode : public sim::RadioNode {
   std::size_t frames_sent() const { return frames_sent_; }
 
  private:
-  void register_with_medium(channel::Medium& medium);
-
+  // Every member is set by reset().
   CrossTrafficConfig config_;
   channel::AntennaId antenna_;
   dsp::Rng rng_;
   phy::GmskModulator modulator_;
   sim::TransmitScheduler tx_;
   double tx_amplitude_;
-  std::size_t frames_sent_ = 0;
+  std::size_t frames_sent_;
 };
 
 }  // namespace hs::adversary

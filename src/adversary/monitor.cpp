@@ -5,17 +5,8 @@
 namespace hs::adversary {
 
 MonitorNode::MonitorNode(const MonitorConfig& config, channel::Medium& medium)
-    : config_(config), receiver_(config.fsk) {
-  register_with_medium(medium);
-}
-
-void MonitorNode::register_with_medium(channel::Medium& medium) {
-  channel::AntennaDesc desc;
-  desc.name = config_.name + "/antenna";
-  desc.position = config_.position;
-  desc.walls = config_.walls;
-  desc.body_loss_db = config_.body_loss_db;
-  antenna_ = medium.add_antenna(desc);
+    : receiver_(config.fsk) {
+  reset(config, medium);
 }
 
 void MonitorNode::reset(const MonitorConfig& config,
@@ -25,7 +16,13 @@ void MonitorNode::reset(const MonitorConfig& config,
   frames_.clear();
   capture_.clear();
   capture_start_ = 0;
-  register_with_medium(medium);
+
+  channel::AntennaDesc desc;
+  desc.name = config.name + "/antenna";
+  desc.position = config.position;
+  desc.walls = config.walls;
+  desc.body_loss_db = config.body_loss_db;
+  antenna_ = medium.add_antenna(desc);
 }
 
 void MonitorNode::save_state(snapshot::StateWriter& w) const {
@@ -47,9 +44,12 @@ void MonitorNode::produce(const sim::StepContext&, channel::Medium&) {
 void MonitorNode::consume(const sim::StepContext& ctx,
                           channel::Medium& medium) {
   if (config_.capture_samples && capture_.size() < config_.capture_limit) {
-    const auto rx = medium.rx(antenna_);
+    // One resize per block: the capture grows as a whole-block insert.
+    const dsp::SoaView rx = medium.rx_soa(antenna_);
     if (capture_.empty()) capture_start_ = ctx.block_start_sample();
-    capture_.insert(capture_.end(), rx.begin(), rx.end());
+    const std::size_t at = capture_.size();
+    capture_.resize(at + rx.size());
+    dsp::to_aos(rx, dsp::MutSampleView(capture_).subspan(at));
   }
   if (!config_.decode_enabled) return;
   receiver_.push(medium.rx_soa(antenna_));

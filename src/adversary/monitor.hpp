@@ -41,10 +41,12 @@ class MonitorNode : public sim::RadioNode {
  public:
   MonitorNode(const MonitorConfig& config, channel::Medium& medium);
 
-  /// Returns the node to the state a fresh `MonitorNode(config, medium)`
-  /// would have, re-registering its antenna with `medium` (which the
-  /// caller has just reset). The new config may move the monitor — the
-  /// campaign trial pool reuses one eavesdropper across sweep points.
+  /// Sets the node's trial-start state and registers its antenna with
+  /// `medium` (fresh or just reset). The constructor builds only the
+  /// receiver's sync and tone tables, which survive while the FSK
+  /// parameters hold, and then runs this: construction is a reset. The
+  /// new config may move the monitor — the campaign trial pool reuses
+  /// one eavesdropper across sweep points.
   void reset(const MonitorConfig& config, channel::Medium& medium);
 
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
@@ -72,14 +74,13 @@ class MonitorNode : public sim::RadioNode {
   void save_state(snapshot::StateWriter& w) const;
 
  private:
-  void register_with_medium(channel::Medium& medium);
-
+  // Every member is set by reset().
   MonitorConfig config_;
   channel::AntennaId antenna_;
   phy::FskReceiver receiver_;
   std::vector<phy::ReceivedFrame> frames_;
   dsp::Samples capture_;
-  std::size_t capture_start_ = 0;
+  std::size_t capture_start_;
 };
 
 }  // namespace hs::adversary

@@ -13,20 +13,14 @@ namespace hs::channel {
 using dsp::cplx;
 
 Medium::Medium(double fs, std::size_t block_size, std::uint64_t seed,
-               LinkBudgetConfig budget)
-    : fs_(fs),
-      block_size_(block_size),
-      budget_(budget),
-      rng_(seed, "medium") {
-  if (fs_ <= 0 || block_size_ == 0) {
-    throw std::invalid_argument("Medium: invalid fs/block size");
-  }
+               LinkBudgetConfig budget) {
+  reset(fs, block_size, seed, budget);
 }
 
 void Medium::reset(double fs, std::size_t block_size, std::uint64_t seed,
                    const LinkBudgetConfig& budget) {
   if (fs <= 0 || block_size == 0) {
-    throw std::invalid_argument("Medium::reset: invalid fs/block size");
+    throw std::invalid_argument("Medium: invalid fs/block size");
   }
   fs_ = fs;
   block_size_ = block_size;
@@ -37,8 +31,6 @@ void Medium::reset(double fs, std::size_t block_size, std::uint64_t seed,
   tx_.clear();
   tx_active_.clear();
   rx_.clear();
-  rx_aos_.clear();
-  rx_aos_valid_.clear();
   noise_enabled_ = true;
 }
 
@@ -48,8 +40,6 @@ AntennaId Medium::add_antenna(const AntennaDesc& desc) {
   tx_.emplace_back(block_size_);
   tx_active_.push_back(false);
   rx_.emplace_back(block_size_);
-  rx_aos_.emplace_back();
-  rx_aos_valid_.push_back(false);
 
   // Grow the pair matrix to (n+1)^2, preserving existing entries.
   const std::size_t n = antennas_.size();
@@ -236,18 +226,7 @@ void Medium::mix() {
       dsp::kernels::cmac(ore, oim, tx_[from].re(), tx_[from].im(), gr, gi,
                          block_size_);
     }
-    rx_aos_valid_[to] = false;
   }
-}
-
-dsp::SampleView Medium::rx(AntennaId at) const {
-  dsp::Samples& aos = rx_aos_.at(at);
-  if (!rx_aos_valid_.at(at)) {
-    aos.resize(block_size_);
-    dsp::to_aos(rx_.at(at).view(), aos);
-    rx_aos_valid_[at] = true;
-  }
-  return aos;
 }
 
 dsp::SoaView Medium::rx_soa(AntennaId at) const { return rx_.at(at).view(); }

@@ -54,13 +54,11 @@ class Medium {
   Medium(double fs, std::size_t block_size, std::uint64_t seed,
          LinkBudgetConfig budget = {});
 
-  /// Returns the medium to its just-constructed state under a new seed:
-  /// all antennas, pair overrides and buffered samples are dropped and the
-  /// RNG is reseeded. Nodes re-register their antennas afterwards, in the
-  /// same order as at construction, so the per-pair phase/shadowing draws
-  /// replay exactly and a reset+rewire deployment is bit-identical to a
-  /// freshly constructed one. Buffer capacity is retained (the point of
-  /// resetting instead of reconstructing).
+  /// Sets the medium's trial-start state under a new seed: no antennas,
+  /// pair overrides or buffered samples, and a reseeded RNG. The
+  /// constructor runs this: construction is a reset. Nodes register
+  /// their antennas afterwards in a fixed order, so the per-pair
+  /// phase/shadowing draws replay exactly.
   void reset(double fs, std::size_t block_size, std::uint64_t seed,
              const LinkBudgetConfig& budget);
 
@@ -117,16 +115,8 @@ class Medium {
   /// multiply-accumulate and the noise fill autovectorize.
   void mix();
 
-  /// Received samples at `at` for the block just mixed (AoS view,
-  /// materialized lazily from the internal planes on first call per
-  /// block; SoA consumers should prefer rx_soa()). NOTE: despite being
-  /// const, the lazy materialization mutates a per-antenna cache, so
-  /// concurrent rx() calls on a shared Medium race; rx_soa() is the
-  /// read-only accessor. (Today every campaign worker owns its Medium.)
-  dsp::SampleView rx(AntennaId at) const;
-
-  /// Received samples at `at` as split-complex planes — no conversion
-  /// cost; bit-identical sample values to rx().
+  /// Received samples at `at` for the block just mixed, as the
+  /// split-complex planes mix() wrote (no conversion cost).
   dsp::SoaView rx_soa(AntennaId at) const;
 
   /// Mean received power (linear mW) at `at` for the block just mixed.
@@ -160,6 +150,7 @@ class Medium {
   const PairState& pair(AntennaId from, AntennaId to) const;
   void redraw_pair(AntennaId a, AntennaId b);
 
+  // Every member below is set by reset().
   double fs_;
   std::size_t block_size_;
   LinkBudgetConfig budget_;
@@ -170,11 +161,7 @@ class Medium {
   std::vector<dsp::SoaSamples> tx_;
   std::vector<bool> tx_active_;
   std::vector<dsp::SoaSamples> rx_;
-  /// Lazily interleaved copies of rx_ for AoS consumers; entry `a` is
-  /// valid only when rx_aos_valid_[a]. Invalidated by mix()/reset().
-  mutable std::vector<dsp::Samples> rx_aos_;
-  mutable std::vector<bool> rx_aos_valid_;
-  bool noise_enabled_ = true;
+  bool noise_enabled_;
 };
 
 }  // namespace hs::channel

@@ -26,37 +26,14 @@ phy::ReceiverOptions imd_receiver_options(const ImdProfile& profile) {
 
 ImdDevice::ImdDevice(const ImdProfile& profile, channel::Medium& medium,
                      sim::EventLog* log, std::uint64_t seed)
-    : profile_(profile),
-      name_("imd/" + profile.model_name),
-      log_(log),
-      rng_(seed, "imd-device"),
-      receiver_(profile.fsk, imd_receiver_options(profile)),
-      modulator_(profile.fsk),
-      tx_amplitude_(std::sqrt(dsp::dbm_to_mw(profile.tx_power_dbm))) {
-  register_with_medium(medium);
-  fill_patient_data();
-}
-
-void ImdDevice::register_with_medium(channel::Medium& medium) {
-  AntennaDesc desc;
-  desc.name = name_ + "/antenna";
-  desc.position = channel::kImdPosition;
-  desc.body_loss_db = profile_.body_loss_db;
-  antenna_ = medium.add_antenna(desc);
-}
-
-void ImdDevice::fill_patient_data() {
-  // Synthetic "patient data" the device returns on interrogation.
-  patient_data_.resize(1024);
-  for (std::size_t i = 0; i < patient_data_.size(); ++i) {
-    patient_data_[i] = static_cast<std::uint8_t>(rng_.next_u64());
-  }
+    : receiver_(profile.fsk, imd_receiver_options(profile)),
+      modulator_(profile.fsk) {
+  // modulator_ has no default constructor; reset() replaces it.
+  reset(profile, medium, log, seed);
 }
 
 void ImdDevice::reset(const ImdProfile& profile, channel::Medium& medium,
                       sim::EventLog* log, std::uint64_t seed) {
-  // Mirror of the constructor, member for member (the campaign trial-pool
-  // determinism test asserts the equivalence).
   profile_ = profile;
   name_ = "imd/" + profile.model_name;
   log_ = log;
@@ -71,8 +48,18 @@ void ImdDevice::reset(const ImdProfile& profile, channel::Medium& medium,
   data_cursor_ = 0;
   last_tx_bits_.clear();
   last_tx_start_ = 0;
-  register_with_medium(medium);
-  fill_patient_data();
+
+  AntennaDesc desc;
+  desc.name = name_ + "/antenna";
+  desc.position = channel::kImdPosition;
+  desc.body_loss_db = profile.body_loss_db;
+  antenna_ = medium.add_antenna(desc);
+
+  // Synthetic "patient data" the device returns on interrogation.
+  patient_data_.resize(1024);
+  for (std::size_t i = 0; i < patient_data_.size(); ++i) {
+    patient_data_[i] = static_cast<std::uint8_t>(rng_.next_u64());
+  }
 }
 
 void ImdDevice::reseed(std::uint64_t trial_seed) {

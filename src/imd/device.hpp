@@ -47,11 +47,11 @@ class ImdDevice : public sim::RadioNode {
   ImdDevice(const ImdProfile& profile, channel::Medium& medium,
             sim::EventLog* log, std::uint64_t seed);
 
-  /// Returns the device to the state a fresh `ImdDevice(profile, medium,
-  /// log, seed)` would have, re-registering its antenna with `medium`
-  /// (which the caller has just reset). Part of the campaign engine's
-  /// trial-context pool: reused devices behave bit-identically to newly
-  /// constructed ones.
+  /// Sets the device's trial-start state and registers its antenna with
+  /// `medium` (fresh or just reset). The constructor builds only the
+  /// receiver's sync and tone tables, which survive while the FSK
+  /// parameters hold, and then runs this: construction is a reset, so a
+  /// pooled device behaves bit-identically to a new one.
   void reset(const ImdProfile& profile, channel::Medium& medium,
              sim::EventLog* log, std::uint64_t seed);
 
@@ -91,9 +91,8 @@ class ImdDevice : public sim::RadioNode {
  private:
   void handle_frame(const phy::ReceivedFrame& rx, const sim::StepContext& ctx);
   void schedule_reply(const phy::Frame& reply, std::size_t at_sample);
-  void register_with_medium(channel::Medium& medium);
-  void fill_patient_data();
 
+  // Every member is set by reset().
   ImdProfile profile_;
   std::string name_;
   channel::AntennaId antenna_;
@@ -109,9 +108,9 @@ class ImdDevice : public sim::RadioNode {
   Battery battery_;
   ImdStats stats_;
   std::vector<std::uint8_t> patient_data_;
-  std::size_t data_cursor_ = 0;
+  std::size_t data_cursor_;
   phy::BitVec last_tx_bits_;
-  std::size_t last_tx_start_ = 0;
+  std::size_t last_tx_start_;
 };
 
 }  // namespace hs::imd

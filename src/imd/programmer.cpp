@@ -9,20 +9,11 @@ namespace hs::imd {
 ProgrammerNode::ProgrammerNode(const ProgrammerConfig& config,
                                channel::Medium& medium, sim::EventLog* log)
     : config_(config),
-      name_("programmer"),
-      log_(log),
       modulator_(config.fsk),
       receiver_(config.fsk),
-      cca_(config.fsk.fs),
-      tx_amplitude_(std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm))) {
-  register_with_medium(medium);
-}
-
-void ProgrammerNode::register_with_medium(channel::Medium& medium) {
-  channel::AntennaDesc desc;
-  desc.name = "programmer/antenna";
-  desc.position = config_.position;
-  antenna_ = medium.add_antenna(desc);
+      cca_(config.fsk.fs) {
+  // modulator_ has no default constructor; reset() replaces it.
+  reset(config, medium, log);
 }
 
 void ProgrammerNode::reset(const ProgrammerConfig& config,
@@ -41,7 +32,11 @@ void ProgrammerNode::reset(const ProgrammerConfig& config,
   tx_amplitude_ = std::sqrt(dsp::dbm_to_mw(config.tx_power_dbm));
   pending_.clear();
   responses_.clear();
-  register_with_medium(medium);
+
+  channel::AntennaDesc desc;
+  desc.name = "programmer/antenna";
+  desc.position = config.position;
+  antenna_ = medium.add_antenna(desc);
 }
 
 void ProgrammerNode::send(const phy::Frame& frame) {

@@ -30,9 +30,11 @@ class ProgrammerNode : public sim::RadioNode {
   ProgrammerNode(const ProgrammerConfig& config, channel::Medium& medium,
                  sim::EventLog* log);
 
-  /// Returns the node to the state a fresh `ProgrammerNode(config,
-  /// medium, log)` would have, re-registering its antenna with `medium`
-  /// (which the caller has just reset); campaign trial-pool hook.
+  /// Sets the node's trial-start state and registers its antenna with
+  /// `medium` (fresh or just reset); campaign trial-pool hook. The
+  /// constructor builds only the receiver's tables and the CCA meter,
+  /// which survive while the FSK parameters (the meter: the sample rate)
+  /// hold, and then runs this: construction is a reset.
   void reset(const ProgrammerConfig& config, channel::Medium& medium,
              sim::EventLog* log);
 
@@ -64,10 +66,9 @@ class ProgrammerNode : public sim::RadioNode {
   bool waiting_for_clear_channel() const { return !pending_.empty(); }
 
  private:
-  void register_with_medium(channel::Medium& medium);
-
+  // Every member but name_ is set by reset().
   ProgrammerConfig config_;
-  std::string name_;
+  std::string name_ = "programmer";
   channel::AntennaId antenna_;
   sim::EventLog* log_;
 

@@ -34,46 +34,7 @@ adversary::MonitorConfig observer_config_for(const DeploymentOptions& options) {
 
 }  // namespace
 
-Deployment::Deployment(const DeploymentOptions& options) : options_(options) {
-  const std::uint64_t seed = build_seed_for(options_);
-  medium_ = std::make_unique<channel::Medium>(
-      options_.imd_profile.fsk.fs, options_.block_size, seed,
-      options_.budget);
-  timeline_ = std::make_unique<sim::Timeline>(*medium_);
-
-  imd_ = std::make_unique<imd::ImdDevice>(options_.imd_profile, *medium_,
-                                          &timeline_->log(), seed);
-  timeline_->add_node(imd_.get());
-
-  if (options_.shield_present) {
-    shield_ = std::make_unique<ShieldNode>(shield_config_for(options_),
-                                           *medium_, &timeline_->log(), seed);
-    timeline_->add_node(shield_.get());
-    wire_shield_directivity();
-  }
-
-  if (options_.with_observer) {
-    observer_ = std::make_unique<adversary::MonitorNode>(
-        observer_config_for(options_), *medium_);
-    timeline_->add_node(observer_.get());
-  }
-
-  if (options_.warmup_s > 0.0) {
-    obs::ScopedTimer timer(obs::Phase::kWarmup);
-    obs::TraceSpan span("deploy", "warmup");
-    timeline_->run_for(options_.warmup_s);
-  }
-  begin_trial(options_.seed);
-}
-
-void Deployment::wire_shield_directivity() {
-  // The necklace's antennas face outward, away from the chest: extra
-  // attenuation from the shield toward the IMD (calibrated vs Table 1).
-  medium_->add_pair_loss(shield_->jam_antenna(), imd_->antenna(),
-                         channel::kShieldToImdDirectivityLossDb);
-  medium_->add_pair_loss(shield_->rx_antenna(), imd_->antenna(),
-                         channel::kShieldToImdDirectivityLossDb);
-}
+Deployment::Deployment(const DeploymentOptions& options) { reset(options); }
 
 bool Deployment::can_reset_to(const DeploymentOptions& options) const {
   return options.shield_present == (shield_ != nullptr) &&
@@ -81,28 +42,36 @@ bool Deployment::can_reset_to(const DeploymentOptions& options) const {
 }
 
 void Deployment::reset(const DeploymentOptions& options) {
-  // Mirror of the constructor: every step that consumed randomness or
-  // registered state at construction replays in the same order, so the
-  // reset deployment is bit-identical to a fresh one.
+  // Every step that draws randomness or registers an antenna runs in
+  // this one order, whether it builds a node or resets it.
   options_ = options;
   const std::uint64_t seed = build_seed_for(options_);
-  medium_->reset(options_.imd_profile.fsk.fs, options_.block_size, seed,
-                 options_.budget);
-  timeline_->reset();
-
-  imd_->reset(options_.imd_profile, *medium_, &timeline_->log(), seed);
-  timeline_->add_node(imd_.get());
-
-  if (shield_ != nullptr) {
-    shield_->reset(shield_config_for(options_), *medium_, &timeline_->log(),
-                   seed);
-    timeline_->add_node(shield_.get());
-    wire_shield_directivity();
+  channel::Medium& medium =
+      construct_or_reset(medium_, options_.imd_profile.fsk.fs,
+                         options_.block_size, seed, options_.budget);
+  if (timeline_ == nullptr) {
+    timeline_ = std::make_unique<sim::Timeline>(medium);
   }
+  timeline_->reset();
+  sim::EventLog* log = &timeline_->log();
 
-  if (observer_ != nullptr) {
-    observer_->reset(observer_config_for(options_), *medium_);
-    timeline_->add_node(observer_.get());
+  imd::ImdDevice& imd =
+      construct_or_reset(imd_, options_.imd_profile, medium, log, seed);
+  timeline_->add_node(&imd);
+  if (options_.shield_present) {
+    ShieldNode& shield = construct_or_reset(
+        shield_, shield_config_for(options_), medium, log, seed);
+    timeline_->add_node(&shield);
+    // The necklace's antennas face outward, away from the chest: extra
+    // attenuation from the shield toward the IMD (calibrated vs Table 1).
+    medium.add_pair_loss(shield.jam_antenna(), imd.antenna(),
+                         channel::kShieldToImdDirectivityLossDb);
+    medium.add_pair_loss(shield.rx_antenna(), imd.antenna(),
+                         channel::kShieldToImdDirectivityLossDb);
+  }
+  if (options_.with_observer) {
+    timeline_->add_node(
+        &construct_or_reset(observer_, observer_config_for(options_), medium));
   }
 
   if (options_.warmup_s > 0.0) {

@@ -3,13 +3,14 @@
 /// (+ optional observer), wired exactly like the paper's Fig. 6 testbed.
 /// All presets, examples and integration tests build on this, either
 /// directly or through the campaign engine's trial-context pool, which
-/// reset-and-reseeds one Deployment across trials (see reset()).
+/// resets one Deployment across trials (see reset()).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "adversary/monitor.hpp"
 #include "channel/medium.hpp"
@@ -20,6 +21,19 @@
 #include "sim/timeline.hpp"
 
 namespace hs::shield {
+
+/// Acquires a pooled trial object: resets the one in `slot`, or builds
+/// one there when the slot is empty. Every pooled class's constructor
+/// runs its reset(), so both branches leave the same state.
+template <typename T, typename... Args>
+T& construct_or_reset(std::unique_ptr<T>& slot, Args&&... args) {
+  if (slot != nullptr) {
+    slot->reset(std::forward<Args>(args)...);
+  } else {
+    slot = std::make_unique<T>(std::forward<Args>(args)...);
+  }
+  return *slot;
+}
 
 struct DeploymentOptions {
   std::uint64_t seed = 1;
@@ -55,14 +69,14 @@ class Deployment {
   /// True when this deployment's node set can be re-seeded into the state
   /// a fresh `Deployment(options)` would have: the set of allocated nodes
   /// (shield, observer) must match; everything else — seed, profile,
-  /// shield config, link budget — is replayed by reset().
+  /// shield config, link budget — is set by reset().
   bool can_reset_to(const DeploymentOptions& options) const;
 
-  /// Re-seeds the deployment in place: the medium forgets all antennas
-  /// and draws, every node resets and re-registers in construction order,
-  /// and the warm-up re-runs. The result is bit-identical to a freshly
-  /// constructed `Deployment(options)` (asserted by the campaign trial-
-  /// pool determinism test) while skipping the expensive construction
+  /// Sets up the deployment for `options`: the medium resets, every node
+  /// resets (or, on the first call, is built, which runs the same reset)
+  /// and registers in a fixed order, and the warm-up runs. Construction
+  /// is this call, so a reset deployment is bit-identical to a fresh
+  /// `Deployment(options)` while skipping the expensive construction
   /// work. Caller must have checked can_reset_to(). Extra caller-built
   /// nodes registered via add_node() are forgotten — re-add (reset) them
   /// after this returns, exactly as after fresh construction.
@@ -92,12 +106,10 @@ class Deployment {
   /// Two-phase seeding, trial half: reseeds the medium (and redraws its
   /// link realizations), the IMD and the shield from per-trial streams
   /// derived from `trial_seed`. No-op in legacy single-phase mode
-  /// (warmup_seed == 0). The constructor and reset() both end with this.
+  /// (warmup_seed == 0). reset() ends with this.
   void begin_trial(std::uint64_t trial_seed);
 
  private:
-  void wire_shield_directivity();
-
   DeploymentOptions options_;
   std::unique_ptr<channel::Medium> medium_;
   std::unique_ptr<sim::Timeline> timeline_;

@@ -47,16 +47,8 @@ std::vector<double> fsk_power_profile(const phy::FskParams& fsk,
 JammingSignalGenerator::JammingSignalGenerator(const phy::FskParams& fsk,
                                                JamProfile profile,
                                                std::uint64_t seed,
-                                               std::size_t fft_size)
-    : fsk_(fsk),
-      profile_(profile),
-      rng_(seed, "jamming"),
-      fft_size_(fft_size) {
-  if (!dsp::is_pow2(fft_size_)) {
-    throw std::invalid_argument("JammingSignalGenerator: fft_size not 2^k");
-  }
-  shaped_weights_ = fsk_power_profile(fsk_, fft_size_);
-  rebuild_weights();
+                                               std::size_t fft_size) {
+  reset(fsk, profile, seed, fft_size);
 }
 
 void JammingSignalGenerator::reset(const phy::FskParams& fsk,
@@ -65,9 +57,10 @@ void JammingSignalGenerator::reset(const phy::FskParams& fsk,
   if (!dsp::is_pow2(fft_size)) {
     throw std::invalid_argument("JammingSignalGenerator: fft_size not 2^k");
   }
-  const bool profile_stale = fft_size != fft_size_ ||
-                             fsk.fs != fsk_.fs || fsk.sps != fsk_.sps ||
-                             fsk.f0 != fsk_.f0 || fsk.f1 != fsk_.f1;
+  const bool profile_stale = shaped_weights_.empty() ||
+                             fft_size != fft_size_ || fsk.fs != fsk_.fs ||
+                             fsk.sps != fsk_.sps || fsk.f0 != fsk_.f0 ||
+                             fsk.f1 != fsk_.f1;
   fsk_ = fsk;
   profile_ = profile;
   rng_ = dsp::Rng(seed, "jamming");

@@ -39,12 +39,13 @@ class JammingSignalGenerator {
   JammingSignalGenerator(const phy::FskParams& fsk, JamProfile profile,
                          std::uint64_t seed, std::size_t fft_size = 256);
 
-  /// Returns the generator to its just-constructed state under new
-  /// parameters. The empirical FSK power profile — the expensive part of
-  /// construction (a long modulation plus a Welch PSD) — is recomputed
-  /// only when `fsk` or `fft_size` differ from the current ones; it does
-  /// not depend on the seed, so reusing it keeps the output stream
-  /// bit-identical to a fresh generator's.
+  /// Sets the generator's start state under the given parameters; the
+  /// constructor runs this: construction is a reset. The empirical FSK
+  /// power profile — the expensive part (a long modulation plus a Welch
+  /// PSD) — is computed only when there is none yet or `fsk` or
+  /// `fft_size` differ from the current ones; it does not depend on the
+  /// seed, so reusing it keeps the output stream bit-identical to a fresh
+  /// generator's.
   void reset(const phy::FskParams& fsk, JamProfile profile,
              std::uint64_t seed, std::size_t fft_size);
 
@@ -84,18 +85,19 @@ class JammingSignalGenerator {
   void refill();
   void rebuild_weights();
 
+  // Every member but the refill scratch is set by reset().
   phy::FskParams fsk_;
   JamProfile profile_;
   dsp::Rng rng_;
   std::size_t fft_size_;
-  double power_mw_ = 1.0;
+  double power_mw_;
   std::vector<double> shaped_weights_;  // unit-mean FSK profile
   std::vector<double> weights_;         // active profile
   std::vector<double> bin_sigma_;       // sqrt(weights_[k] / 2)
-  double scale_ = 1.0;                  // per-sample amplitude scale
+  double scale_;                        // per-sample amplitude scale
   dsp::Samples bins_;                   // refill scratch: bins, then IFFT
   dsp::SoaSamples buffer_;  // split-complex IFFT output, consumed in slices
-  std::size_t buffer_pos_ = 0;
+  std::size_t buffer_pos_;
 };
 
 }  // namespace hs::shield

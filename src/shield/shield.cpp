@@ -16,74 +16,40 @@ using dsp::Samples;
 
 namespace {
 
-/// Initial noise-floor estimate (dBm) before minimum tracking adapts it;
-/// reset() must seed the same value as the constructor or pooled trials
-/// would diverge from fresh construction.
+/// Initial noise-floor estimate (dBm) before minimum tracking adapts it.
 constexpr double kInitialNoiseFloorDbm = -112.0;
 
-/// S_id: preamble + sync + device serial (section 7(a)), plus the
+/// Matches S_id: preamble + sync + device serial (section 7(a)), plus the
 /// direction bit that distinguishes packets *destined to* the IMD
-/// (commands, type MSB 0) from the IMD's own replies.
-phy::BitVec make_shield_sid(const ShieldConfig& config) {
+/// (commands, type MSB 0) from the IMD's own replies, matched exactly.
+SidMatcher make_sid_matcher(const ShieldConfig& config) {
   phy::BitVec sid = phy::make_sid(config.protected_id);
   sid.push_back(0);
-  return sid;
+  return SidMatcher(std::move(sid), config.bthresh, /*exact_suffix_bits=*/1);
 }
 
 }  // namespace
 
 ShieldNode::ShieldNode(const ShieldConfig& config, channel::Medium& medium,
                        sim::EventLog* log, std::uint64_t seed)
-    : config_(config),
-      log_(log),
-      rng_(seed, "shield"),
-      jamgen_(config.fsk, config.jam_profile, seed, config.jam_fft_size),
+    : jamgen_(config.fsk, config.jam_profile, seed, config.jam_fft_size),
       antidote_(config.hardware_error_sigma, seed),
-      sid_(make_shield_sid(config), config.bthresh, /*exact_suffix_bits=*/1),
+      sid_(make_sid_matcher(config)),
       monitor_(config.fsk),
-      modulator_(config.fsk),
-      probe_waveform_(make_probe_waveform(
-          std::min(config.probe_length, medium.block_size()), seed)),
-      probe_amplitude_(std::sqrt(dsp::dbm_to_mw(config.probe_power_dbm))),
-      noise_floor_mw_(dsp::dbm_to_mw(kInitialNoiseFloorDbm)) {
-  register_with_medium(medium);
-  jamgen_.set_power(dsp::dbm_to_mw(jam_power_dbm()));
-}
-
-void ShieldNode::register_with_medium(channel::Medium& medium) {
-  channel::AntennaDesc jam_desc;
-  jam_desc.name = "shield/jam-antenna";
-  jam_desc.position = channel::kShieldPosition;
-  jam_ant_ = medium.add_antenna(jam_desc);
-
-  channel::AntennaDesc rx_desc;
-  rx_desc.name = "shield/rx-antenna";
-  rx_desc.position = channel::kShieldPosition;
-  rx_ant_ = medium.add_antenna(rx_desc);
-
-  // Hardware couplings: the self-loop wire between the rx antenna's
-  // transmit and receive chains, and the over-the-air coupling between
-  // the two adjacent antennas. |H_jam->rec / H_self| ~ -27 dB (section 5).
-  const cplx h_self =
-      dsp::db_to_amplitude(-config_.self_coupling_db) * rng_.random_phase();
-  const cplx h_jam_rec =
-      dsp::db_to_amplitude(-config_.jam_rec_coupling_db) * rng_.random_phase();
-  medium.set_pair_gain(rx_ant_, rx_ant_, h_self);
-  medium.set_pair_gain(jam_ant_, rx_ant_, h_jam_rec);
+      modulator_(config.fsk) {
+  // antidote_, sid_ and modulator_ have no default constructor; reset()
+  // replaces them.
+  reset(config, medium, log, seed);
 }
 
 void ShieldNode::reset(const ShieldConfig& config, channel::Medium& medium,
                        sim::EventLog* log, std::uint64_t seed) {
-  // Mirror of the constructor, member for member (the campaign trial-pool
-  // determinism test asserts the equivalence). Only jamgen_ keeps state:
-  // its cached spectral profile, which is seed-independent.
   config_ = config;
   log_ = log;
   rng_ = dsp::Rng(seed, "shield");
   jamgen_.reset(config.fsk, config.jam_profile, seed, config.jam_fft_size);
   antidote_ = AntidoteController(config.hardware_error_sigma, seed);
-  sid_ = SidMatcher(make_shield_sid(config), config.bthresh,
-                    /*exact_suffix_bits=*/1);
+  sid_ = make_sid_matcher(config);
   monitor_.reset(config.fsk);
   modulator_ = phy::FskModulator(config.fsk);
   tx_ = sim::TransmitScheduler();
@@ -96,6 +62,7 @@ void ShieldNode::reset(const ShieldConfig& config, channel::Medium& medium,
   probe_due_ = true;
   last_probe_s_ = -1.0;
   active_jam_ = false;
+  active_jam_from_own_tx_ = false;
   manual_jam_ = false;
   antidote_enabled_ = true;
   jammed_this_block_ = false;
@@ -120,7 +87,26 @@ void ShieldNode::reset(const ShieldConfig& config, channel::Medium& medium,
   captured_frames_.clear();
   stats_ = ShieldStats{};
 
-  register_with_medium(medium);
+  channel::AntennaDesc jam_desc;
+  jam_desc.name = "shield/jam-antenna";
+  jam_desc.position = channel::kShieldPosition;
+  jam_ant_ = medium.add_antenna(jam_desc);
+
+  channel::AntennaDesc rx_desc;
+  rx_desc.name = "shield/rx-antenna";
+  rx_desc.position = channel::kShieldPosition;
+  rx_ant_ = medium.add_antenna(rx_desc);
+
+  // Hardware couplings: the self-loop wire between the rx antenna's
+  // transmit and receive chains, and the over-the-air coupling between
+  // the two adjacent antennas. |H_jam->rec / H_self| ~ -27 dB (section 5).
+  const cplx h_self =
+      dsp::db_to_amplitude(-config.self_coupling_db) * rng_.random_phase();
+  const cplx h_jam_rec =
+      dsp::db_to_amplitude(-config.jam_rec_coupling_db) * rng_.random_phase();
+  medium.set_pair_gain(rx_ant_, rx_ant_, h_self);
+  medium.set_pair_gain(jam_ant_, rx_ant_, h_jam_rec);
+
   jamgen_.set_power(dsp::dbm_to_mw(jam_power_dbm()));
 }
 
@@ -160,6 +146,7 @@ void ShieldNode::save_state(snapshot::StateWriter& w) const {
   w.f64("last_probe_s", last_probe_s_);
 
   w.boolean("active_jam", active_jam_);
+  w.boolean("active_jam_from_own_tx", active_jam_from_own_tx_);
   w.boolean("manual_jam", manual_jam_);
   w.boolean("antidote_enabled", antidote_enabled_);
   w.boolean("jammed_this_block", jammed_this_block_);
@@ -226,9 +213,9 @@ void ShieldNode::set_jam_power_override(std::optional<double> dbm) {
 }
 
 bool ShieldNode::quiet() const {
-  return !active_jam_ && !manual_jam_ && passive_windows_.empty() &&
-         pending_.empty() && tx_.empty() && !monitor_.locked() &&
-         probe_phase_ == ProbePhase::kNone;
+  return !active_jam_ && !manual_jam_ && !jammed_this_block_ &&
+         passive_windows_.empty() && pending_.empty() && tx_.empty() &&
+         !monitor_.locked() && probe_phase_ == ProbePhase::kNone;
 }
 
 void ShieldNode::relay_command(const phy::Frame& frame) {
@@ -344,8 +331,12 @@ void ShieldNode::produce(const sim::StepContext& ctx,
       probe_due_ = true;
     }
     if (!was_jamming && log_ != nullptr) {
+      const char* trigger =
+          active_jam_ ? (active_jam_from_own_tx_ ? "concurrent-with-own-tx"
+                                                 : "sid-match")
+                      : (passive ? "passive" : "manual");
       log_->record(ctx.block_start_s(), name_, sim::EventKind::kJamStart,
-                   active_jam_ ? "active" : (passive ? "passive" : "manual"));
+                   trigger);
     }
     emit_jam(ctx, medium);
     return;
@@ -419,18 +410,19 @@ void ShieldNode::consume(const sim::StepContext& ctx,
   // contribution out of the received block and keep monitoring the
   // remainder — the shield must not be deaf while probing, or an
   // adversary packet starting during the probe would slip past S_id.
-  // Probing is rare, so this path stays on the AoS view; the every-block
-  // monitoring path below runs on the medium's split-complex planes.
+  // Probing is rare, so this path works on an interleaved copy of the
+  // block; the every-block monitoring path below runs on the medium's
+  // split-complex planes.
   if (probe_phase_ == ProbePhase::kJamAntenna ||
       probe_phase_ == ProbePhase::kSelfLoop) {
-    const auto rx = medium.rx(rx_ant_);
+    Samples residual = dsp::to_aos(medium.rx_soa(rx_ant_));
     Samples ref(probe_waveform_.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ref[i] = probe_waveform_[i] * probe_amplitude_;
     }
     const cplx h = dsp::estimate_flat_channel(
-        dsp::SampleView(rx.data(), std::min(rx.size(), ref.size())), ref);
-    Samples residual(rx.begin(), rx.end());
+        dsp::SampleView(residual.data(), std::min(residual.size(), ref.size())),
+        ref);
     for (std::size_t i = 0; i < ref.size() && i < residual.size(); ++i) {
       residual[i] -= h * ref[i];
     }
@@ -546,15 +538,12 @@ void ShieldNode::start_active_jam(const sim::StepContext& ctx,
                                   double trigger_rssi, bool from_own_tx) {
   if (active_jam_) return;
   active_jam_ = true;
+  active_jam_from_own_tx_ = from_own_tx;
   active_jam_started_block_ = ctx.block_index;
   quiet_blocks_ = 0;
   ++stats_.active_jams;
   high_power_suspect_ =
       trigger_rssi > dsp::dbm_to_mw(config_.pthresh_dbm);
-  if (log_ != nullptr) {
-    log_->record(ctx.block_start_s(), name_, sim::EventKind::kJamStart,
-                 from_own_tx ? "concurrent-with-own-tx" : "sid-match");
-  }
   if (config_.alarm_enabled && high_power_suspect_) {
     ++stats_.alarms;
     if (log_ != nullptr) {
@@ -566,10 +555,6 @@ void ShieldNode::start_active_jam(const sim::StepContext& ctx,
 
 void ShieldNode::stop_active_jam(const sim::StepContext& ctx) {
   active_jam_ = false;
-  if (log_ != nullptr) {
-    log_->record(ctx.block_start_s(), name_, sim::EventKind::kJamEnd,
-                 "medium idle");
-  }
   if (high_power_suspect_) {
     // The command may have reached the IMD despite jamming; jam the reply
     // window as if the message had been our own (section 7(d)).

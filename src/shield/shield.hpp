@@ -54,22 +54,23 @@ class ShieldNode : public sim::RadioNode {
   ShieldNode(const ShieldConfig& config, channel::Medium& medium,
              sim::EventLog* log, std::uint64_t seed);
 
-  /// Returns the node to the state a fresh `ShieldNode(config, medium,
-  /// log, seed)` would have, re-registering its antennas and pair gains
-  /// with `medium` (which the caller has just reset). Reuses the jamming
-  /// generator's cached spectral profile when the FSK parameters are
-  /// unchanged — the expensive part of construction — so a reset shield
-  /// behaves bit-identically to a newly built one at a fraction of the
-  /// cost. Part of the campaign engine's trial-context pool.
+  /// Sets the node's trial-start state and registers its antennas and
+  /// pair gains with `medium` (fresh or just reset). The constructor
+  /// builds only the jamming generator's spectral profile — the expensive
+  /// part — and the monitor's sync and tone tables, which survive while
+  /// the FSK parameters hold, and then runs this: construction is a
+  /// reset, so a pooled shield behaves bit-identically to a new one. Part
+  /// of the campaign engine's trial-context pool.
   void reset(const ShieldConfig& config, channel::Medium& medium,
              sim::EventLog* log, std::uint64_t seed);
 
   // sim::RadioNode
   void produce(const sim::StepContext& ctx, channel::Medium& medium) override;
   void consume(const sim::StepContext& ctx, channel::Medium& medium) override;
-  /// Not jamming (active or manual), no reply window pending, no relay
-  /// command queued or on the air, the monitor not locked and no probe
-  /// pair in flight.
+  /// Not jamming (active or manual) and no jam on the air in the last
+  /// block (whose end the next block logs), no reply window pending, no
+  /// relay command queued or on the air, the monitor not locked and no
+  /// probe pair in flight.
   bool quiet() const override;
   std::string_view name() const override { return name_; }
 
@@ -122,10 +123,6 @@ class ShieldNode : public sim::RadioNode {
  private:
   enum class ProbePhase { kNone, kJamAntenna, kSelfLoop };
 
-  /// Adds the two antennas and their hardware-coupling pair gains to the
-  /// medium (shared by the constructor and reset()).
-  void register_with_medium(channel::Medium& medium);
-
   void start_active_jam(const sim::StepContext& ctx, double trigger_rssi,
                         bool from_own_tx);
   void stop_active_jam(const sim::StepContext& ctx);
@@ -140,6 +137,7 @@ class ShieldNode : public sim::RadioNode {
   void check_sid_mid_packet(const sim::StepContext& ctx, double block_power);
   static bool f_is_reply_window_failure(const phy::ReceivedFrame& frame);
 
+  // Every member but name_ and the two scratch planes is set by reset().
   ShieldConfig config_;
   std::string name_ = "shield";
   channel::AntennaId jam_ant_;
@@ -155,43 +153,44 @@ class ShieldNode : public sim::RadioNode {
   sim::TransmitScheduler tx_;
 
   // Probing.
-  ProbePhase probe_phase_ = ProbePhase::kNone;
+  ProbePhase probe_phase_;
   dsp::Samples probe_waveform_;
   double probe_amplitude_;
-  bool probe_due_ = true;
-  double last_probe_s_ = -1.0;
+  bool probe_due_;
+  double last_probe_s_;
 
   // Jamming state.
-  bool active_jam_ = false;
-  bool manual_jam_ = false;
-  bool antidote_enabled_ = true;
-  bool jammed_this_block_ = false;
+  bool active_jam_;
+  bool active_jam_from_own_tx_;  ///< the trigger the jam start logs
+  bool manual_jam_;
+  bool antidote_enabled_;
+  bool jammed_this_block_;
   dsp::SoaSamples jam_block_;      ///< split-complex jam stream slice
   dsp::SoaSamples antidote_block_; ///< scratch: coeff * jam_block_
   dsp::SoaSamples work_;           ///< scratch: rx minus own-tx cancellation
-  std::size_t active_jam_started_block_ = 0;
-  std::size_t quiet_blocks_ = 0;
-  bool high_power_suspect_ = false;
+  std::size_t active_jam_started_block_;
+  std::size_t quiet_blocks_;
+  bool high_power_suspect_;
   std::vector<std::pair<std::size_t, std::size_t>> passive_windows_;
 
   // Own transmissions.
   std::vector<phy::Frame> pending_;  ///< relay commands awaiting release
   std::deque<std::pair<std::size_t, std::size_t>> own_tx_ranges_;
   dsp::Samples own_tx_block_;
-  bool transmitted_this_block_ = false;
-  dsp::cplx self_cancel_error_{0.0, 0.0};
+  bool transmitted_this_block_;
+  dsp::cplx self_cancel_error_;
 
   // Monitoring state.
   double noise_floor_mw_;
-  double last_block_power_ = 0.0;  ///< most recent un-jammed block power
-  double imd_rssi_mw_ = 0.0;  ///< EWMA of decoded IMD frame power
+  double last_block_power_;  ///< most recent un-jammed block power
+  double imd_rssi_mw_;       ///< EWMA of decoded IMD frame power
   std::optional<double> jam_power_override_dbm_;
-  std::size_t sid_checked_bits_ = 0;
-  std::size_t current_lock_start_ = 0;
-  double current_lock_peak_power_ = 0.0;
+  std::size_t sid_checked_bits_;
+  std::size_t current_lock_start_;
+  double current_lock_peak_power_;
 
   std::vector<phy::ReceivedFrame> decoded_replies_;
-  bool capture_frames_ = false;
+  bool capture_frames_;
   std::vector<phy::ReceivedFrame> captured_frames_;
   ShieldStats stats_;
 };

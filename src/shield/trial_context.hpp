@@ -6,13 +6,14 @@
 /// estimation warm-up — dominates the campaign engine's trials/sec. A
 /// `TrialContext` keeps one deployment and one of each auxiliary node
 /// (eavesdropper monitor, programmer, active adversary, radiosonde) alive
-/// across trials and *reset-and-reseeds* them instead of reconstructing:
-/// every piece of state replays exactly as at construction, so a reused
-/// context produces bit-identical results to fresh objects (the campaign
-/// determinism test asserts this), while skipping the expensive
-/// construction work — chiefly the jamming generator's spectral-profile
+/// across trials and resets them instead of reconstructing. Every pooled
+/// class's constructor builds only what its reset() keeps and then runs
+/// that reset(), so construction is a reset and a reused context produces
+/// bit-identical results to fresh objects by construction, while skipping
+/// the expensive work — chiefly the jamming generator's spectral-profile
 /// estimation, and each receiver's sync reference, tone tables and
-/// buffer capacity (FskReceiver::reset keeps them).
+/// buffer capacity (FskReceiver::reset keeps them). construct_or_reset()
+/// is the one acquire path for every slot.
 ///
 /// Each campaign worker thread owns one TrialContext (contexts are not
 /// thread-safe). Every campaign path pools; a test that needs the fresh
@@ -87,6 +88,13 @@ class TrialContext {
   std::size_t snapshots_saved() const { return snapshots_saved_; }
 
  private:
+  /// Registers an acquired auxiliary node with the current deployment.
+  template <typename Node>
+  Node& attach(Node& node) {
+    deployment_->add_node(&node);
+    return node;
+  }
+
   std::unique_ptr<Deployment> deployment_;
   std::unique_ptr<adversary::MonitorNode> monitor_;
   std::unique_ptr<imd::ProgrammerNode> programmer_;

@@ -37,7 +37,8 @@ class RadioNode {
   /// Writes this block's transmissions into the medium (Medium::set_tx).
   virtual void produce(const StepContext& ctx, channel::Medium& medium) = 0;
 
-  /// Reads this block's received samples (Medium::rx) and updates state.
+  /// Reads this block's received samples (Medium::rx_soa) and updates
+  /// state.
   virtual void consume(const StepContext& ctx, channel::Medium& medium) = 0;
 
   /// True when this node has nothing on the air or scheduled, no

@@ -246,6 +246,18 @@ TEST(TrialContext, DeploymentResetMatchesFreshConstruction) {
   EXPECT_FALSE(pooled.can_reset_to(observed));
 }
 
+/// A preset cut to at most two sweep points, one unit and two trials per
+/// point: the real trial code paths at test speed.
+campaign::Scenario shrink(const campaign::Scenario& preset) {
+  campaign::Scenario s = preset;
+  if (s.axis != campaign::SweepAxis::kNone && s.axis_values.size() > 2) {
+    s.axis_values.resize(2);
+  }
+  s.units_per_trial = std::min<std::size_t>(s.units_per_trial, 1);
+  s.default_trials = 2;
+  return s;
+}
+
 /// The fresh-construction reference the pool must match: every trial
 /// gets a new TrialContext carrying only the campaign's warm policy (no
 /// snapshot cache), and the chunk accumulators fold in chunk order.
@@ -317,17 +329,60 @@ TEST(TrialContext, PoolReusesAndStaysBitIdentical) {
   }
 }
 
-// ---- Golden report digests -----------------------------------------------
-
-campaign::Scenario shrink(const campaign::Scenario& preset) {
-  campaign::Scenario s = preset;
-  if (s.axis != campaign::SweepAxis::kNone && s.axis_values.size() > 2) {
-    s.axis_values.resize(2);
+TEST(TrialContext, OneContextAcrossPresetsMatchesFresh) {
+  // The service worker's pool path: one resident context runs interleaved
+  // chunks of different campaigns, so it switches node sets (shield,
+  // observer) and auxiliary nodes from chunk to chunk. Together these
+  // presets use every pooled slot. Each chunk's accumulators must equal a
+  // fresh context's bit for bit.
+  struct Campaign {
+    Scenario scenario;
+    ShardPlan plan;
+    std::uint64_t warmup_seed;
+  };
+  const std::uint64_t seed = 5;
+  std::vector<Campaign> campaigns;
+  for (const char* name :
+       {"fig8-tradeoff", "fig11-trigger-noshield", "fig3-imd-timing",
+        "table1-pthresh", "table2-coexistence", "ext-multipath"}) {
+    const Scenario* preset = find_scenario(name);
+    ASSERT_NE(preset, nullptr) << name;
+    const Scenario s = shrink(*preset);
+    CampaignOptions options;
+    options.seed = seed;
+    campaigns.push_back({s, plan_shard(s, options, 1, 0),
+                         campaign_warmup_seed(seed, s.name)});
   }
-  s.units_per_trial = std::min<std::size_t>(s.units_per_trial, 1);
-  s.default_trials = 2;
-  return s;
+
+  shield::TrialContext resident;
+  for (std::size_t c = 0;; ++c) {
+    bool ran = false;
+    for (const Campaign& k : campaigns) {
+      if (c >= k.plan.chunks.size()) continue;
+      ran = true;
+      SCOPED_TRACE(k.scenario.name + " chunk " + std::to_string(c));
+      const ChunkRef& chunk = k.plan.chunks[c];
+      const ChunkMetrics pooled =
+          run_chunk(k.scenario, seed, chunk, &resident, k.warmup_seed, nullptr);
+      shield::TrialContext fresh;
+      const ChunkMetrics want =
+          run_chunk(k.scenario, seed, chunk, &fresh, k.warmup_seed, nullptr);
+      for (std::size_t m = 0; m < kMetricCount; ++m) {
+        EXPECT_EQ(pooled[m].count(), want[m].count());
+        EXPECT_EQ(pooled[m].mean(), want[m].mean());
+        EXPECT_EQ(pooled[m].stddev(), want[m].stddev());
+        EXPECT_EQ(pooled[m].min(), want[m].min());
+        EXPECT_EQ(pooled[m].max(), want[m].max());
+      }
+    }
+    if (!ran) break;
+  }
+  // The first build, at least one rebuild on a node-set switch, and reuse.
+  EXPECT_GE(resident.deployments_built(), 2u);
+  EXPECT_GE(resident.deployments_reused(), 1u);
 }
+
+// ---- Golden report digests -----------------------------------------------
 
 std::string sha256_hex(const std::string& text) {
   const auto digest = crypto::Sha256::hash(crypto::ByteView(

@@ -164,7 +164,7 @@ TEST_F(MediumTest, MixSuperposesTransmissions) {
   medium_.set_tx(ia, sa);
   medium_.set_tx(ib, sb);
   medium_.mix();
-  const auto rx = medium_.rx(ic);
+  const dsp::Samples rx = dsp::to_aos(medium_.rx_soa(ic));
   const dsp::cplx expected =
       medium_.gain(ia, ic) * sa[0] + medium_.gain(ib, ic) * sb[0];
   for (const auto& x : rx) {
@@ -183,7 +183,7 @@ TEST_F(MediumTest, SetTxAccumulates) {
   medium_.set_tx(ia, s);
   medium_.set_tx(ia, s);  // second waveform on the same antenna
   medium_.mix();
-  const auto rx = medium_.rx(ib);
+  const dsp::Samples rx = dsp::to_aos(medium_.rx_soa(ib));
   EXPECT_NEAR(std::abs(rx[0]), 2.0 * std::abs(medium_.gain(ia, ib)), 1e-12);
 }
 

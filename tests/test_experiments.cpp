@@ -202,8 +202,7 @@ TEST(Calibration, BthreshConservativeDefault) {
 constexpr double kWindowS = 45e-3;
 
 /// Runs the window that began at `start_block` out to its end from a quiet
-/// timeline. Every event logged meanwhile must be a probe, or the jam-end
-/// mark the shield logs in the block after its last jam block.
+/// timeline. Every event logged meanwhile must be a probe.
 void run_out_window(sim::Timeline& timeline, std::size_t start_block) {
   const std::size_t quiet_events = timeline.log().events().size();
   const double quiet_s = timeline.now_s();
@@ -212,9 +211,7 @@ void run_out_window(sim::Timeline& timeline, std::size_t start_block) {
   const auto& events = timeline.log().events();
   for (std::size_t i = quiet_events; i < events.size(); ++i) {
     const sim::Event& e = events[i];
-    const bool jam_end_mark =
-        e.kind == sim::EventKind::kJamEnd && e.time_s == quiet_s;
-    EXPECT_TRUE(e.kind == sim::EventKind::kProbe || jam_end_mark)
+    EXPECT_TRUE(e.kind == sim::EventKind::kProbe)
         << e.source << " logged " << sim::event_kind_name(e.kind) << " "
         << (e.time_s - quiet_s) * 1e3 << " ms after quiet";
   }

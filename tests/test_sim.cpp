@@ -107,7 +107,8 @@ class LoopbackProbeNode : public RadioNode {
     medium.set_tx(antenna_, block);
   }
   void consume(const StepContext&, channel::Medium& medium) override {
-    heard_.push_back(medium.rx(peer_)[0]);
+    const dsp::SoaView rx = medium.rx_soa(peer_);
+    heard_.emplace_back(rx.re[0], rx.im[0]);
   }
   bool quiet() const override { return true; }
   channel::AntennaId antenna() const { return antenna_; }
