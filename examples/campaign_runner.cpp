@@ -578,12 +578,12 @@ int run_dispatch(const Cli& cli, const campaign::Scenario& scenario) {
     campaign::DispatchReport drep;
     campaign::CampaignResult result;
     if (cli.executor_name == "thread") {
-      campaign::ThreadExecutor ex(scenario, cli.options, dopt.faults);
+      campaign::ThreadExecutor ex(scenario, cli.options);
       result = campaign::dispatch_campaign(scenario, cli.options, dopt, ex,
                                            &drep);
     } else {
       campaign::SubprocessExecutor ex(cli.argv0, cli.workdir, scenario.name,
-                                      cli.options, dopt.faults);
+                                      cli.options);
       result = campaign::dispatch_campaign(scenario, cli.options, dopt, ex,
                                            &drep);
     }

@@ -1,9 +1,8 @@
 #include "campaign/dispatch.hpp"
 
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "wire/file.hpp"
@@ -162,22 +161,37 @@ std::string apply_stream_faults(const FaultPlan& plan, std::size_t shard,
         break;
       }
       case FaultKind::kDelay:
-        break;  // a delivery fault; executors consult delay_waves()
+        break;  // a delivery fault; Executor::deliver consults delay_waves()
     }
   }
   return text;
 }
 
-void DelayQueue::push(TaskOutcome outcome, std::size_t waves) {
-  entries_.push_back(Entry{std::move(outcome), waves});
+// ---------------------------------------------------------------------------
+// Executor: delivery
+
+std::vector<TaskOutcome> Executor::deliver(const std::vector<ShardTask>& tasks,
+                                           std::vector<TaskOutcome> outcomes) {
+  // Task order (the counters are first-wins order-sensitive, though the
+  // aggregates never are).
+  std::vector<TaskOutcome> due;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::size_t waves = tasks[i].faults.delay_waves(tasks[i].slot);
+    if (waves > 0) {
+      withheld_.push_back(Withheld{std::move(outcomes[i]), waves});
+    } else {
+      due.push_back(std::move(outcomes[i]));
+    }
+  }
+  return due;
 }
 
-std::vector<TaskOutcome> DelayQueue::advance() {
+std::vector<TaskOutcome> Executor::collect_delayed() {
   std::vector<TaskOutcome> due;
-  for (auto it = entries_.begin(); it != entries_.end();) {
+  for (auto it = withheld_.begin(); it != withheld_.end();) {
     if (--it->waves_left == 0) {
       due.push_back(std::move(it->outcome));
-      it = entries_.erase(it);
+      it = withheld_.erase(it);
     } else {
       ++it;
     }
@@ -185,10 +199,10 @@ std::vector<TaskOutcome> DelayQueue::advance() {
   return due;
 }
 
-std::vector<TaskOutcome> DelayQueue::drain() {
+std::vector<TaskOutcome> Executor::drain() {
   std::vector<TaskOutcome> due;
-  for (auto& e : entries_) due.push_back(std::move(e.outcome));
-  entries_.clear();
+  for (Withheld& w : withheld_) due.push_back(std::move(w.outcome));
+  withheld_.clear();
   return due;
 }
 
@@ -196,9 +210,8 @@ std::vector<TaskOutcome> DelayQueue::drain() {
 // ThreadExecutor
 
 ThreadExecutor::ThreadExecutor(const Scenario& scenario,
-                               const CampaignOptions& options,
-                               FaultPlan faults)
-    : scenario_(scenario), options_(options), faults_(std::move(faults)) {
+                               const CampaignOptions& options)
+    : scenario_(scenario), options_(options) {
   // Task results are consumed as serialized text; trace buffers belong
   // to real shard processes, not dispatch tasks.
   options_.trace = nullptr;
@@ -207,52 +220,39 @@ ThreadExecutor::ThreadExecutor(const Scenario& scenario,
 std::vector<TaskOutcome> ThreadExecutor::run_wave(
     const std::vector<ShardTask>& tasks) {
   std::vector<TaskOutcome> outcomes(tasks.size());
+  std::vector<std::exception_ptr> errors(tasks.size());
   std::vector<std::thread> threads;
   threads.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    threads.emplace_back([this, &tasks, &outcomes, i] {
-      const ShardTask& task = tasks[i];
-      const ShardExecution exec =
-          run_campaign_chunks(scenario_, options_, task.plan);
-      std::string text = serialize_chunk_stream(scenario_, options_, exec);
-      bool task_killed = false;
-      if (task.generation == 0) {
-        text = apply_stream_faults(faults_, task.slot, std::move(text),
-                                   &task_killed);
-      }
-      TaskOutcome& o = outcomes[i];
-      o.slot = task.slot;
-      o.generation = task.generation;
-      o.exited_ok = !task_killed;
-      o.stream_text = std::move(text);
-      o.source = "thread slot " + std::to_string(task.slot) + " gen " +
-                 std::to_string(task.generation);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Deliver in task order (determinism is first-wins order-sensitive for
-  // the counters, though never for the aggregates); delay faults divert
-  // generation-0 outcomes into the queue.
-  std::vector<TaskOutcome> ready;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::size_t waves = tasks[i].generation == 0
-                                  ? faults_.delay_waves(tasks[i].slot)
-                                  : 0;
-    if (waves > 0) {
-      delayed_.push(std::move(outcomes[i]), waves);
-    } else {
-      ready.push_back(std::move(outcomes[i]));
+  const auto join_all = [&threads] {
+    for (auto& t : threads) t.join();
+  };
+  try {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      threads.emplace_back([this, &tasks, &outcomes, &errors, i] {
+        const ShardTask& task = tasks[i];
+        try {
+          const ShardExecution exec =
+              run_campaign_chunks(scenario_, options_, task.plan);
+          outcomes[i].stream_text = apply_stream_faults(
+              task.faults, task.slot,
+              serialize_chunk_stream(scenario_, options_, exec), nullptr);
+          outcomes[i].source = "thread slot " + std::to_string(task.slot) +
+                               " gen " + std::to_string(task.generation);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
     }
+  } catch (...) {
+    join_all();  // a thread that failed to start: finish the started ones
+    throw;
   }
-  return ready;
+  join_all();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return deliver(tasks, std::move(outcomes));
 }
-
-std::vector<TaskOutcome> ThreadExecutor::collect_delayed() {
-  return delayed_.advance();
-}
-
-std::vector<TaskOutcome> ThreadExecutor::drain() { return delayed_.drain(); }
 
 // ---------------------------------------------------------------------------
 // SubprocessExecutor
@@ -278,13 +278,11 @@ std::string shell_quote(std::string_view s) {
 SubprocessExecutor::SubprocessExecutor(std::string runner_path,
                                        std::string workdir,
                                        std::string scenario_name,
-                                       CampaignOptions options,
-                                       FaultPlan faults)
+                                       CampaignOptions options)
     : runner_path_(std::move(runner_path)),
       workdir_(std::move(workdir)),
       scenario_name_(std::move(scenario_name)),
-      options_(options),
-      faults_(std::move(faults)) {}
+      options_(options) {}
 
 std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     const std::vector<ShardTask>& tasks) {
@@ -324,11 +322,8 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
         ids += std::to_string(ref.chunk_index);
       }
       cmd += " --chunks=" + shell_quote(ids);
-    } else {
-      const FaultPlan shard_faults = faults_.for_shard(task.slot);
-      if (!shard_faults.empty()) {
-        cmd += " --fault-plan=" + shell_quote(shard_faults.to_string());
-      }
+    } else if (!task.faults.empty()) {
+      cmd += " --fault-plan=" + shell_quote(task.faults.to_string());
     }
     cmd += " >/dev/null";  // stderr passes through: failures stay visible
     child.pipe = ::popen(cmd.c_str(), "r");
@@ -338,39 +333,20 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     }
   }
 
-  std::vector<TaskOutcome> ready;
+  std::vector<TaskOutcome> outcomes(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const int status = ::pclose(children[i].pipe);
-    TaskOutcome o;
-    o.slot = tasks[i].slot;
-    o.generation = tasks[i].generation;
-    o.exited_ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    o.source = children[i].path;
-    // A dead child's stream is whatever it wrote before dying — possibly
-    // nothing; an unreadable file is data loss, not an error.
+    // The exit status tells nothing the stream does not: a dead child's
+    // stream is whatever it wrote before dying — possibly nothing; an
+    // unreadable file is data loss, not an error.
+    ::pclose(children[i].pipe);
+    outcomes[i].source = children[i].path;
     std::string text;
     if (wire::read_whole_file(children[i].path, text) ==
         wire::FileReadStatus::kOk) {
-      o.stream_text = std::move(text);
-    }
-    const std::size_t waves = tasks[i].generation == 0
-                                  ? faults_.delay_waves(tasks[i].slot)
-                                  : 0;
-    if (waves > 0) {
-      delayed_.push(std::move(o), waves);
-    } else {
-      ready.push_back(std::move(o));
+      outcomes[i].stream_text = std::move(text);
     }
   }
-  return ready;
-}
-
-std::vector<TaskOutcome> SubprocessExecutor::collect_delayed() {
-  return delayed_.advance();
-}
-
-std::vector<TaskOutcome> SubprocessExecutor::drain() {
-  return delayed_.drain();
+  return deliver(tasks, std::move(outcomes));
 }
 
 // ---------------------------------------------------------------------------
@@ -394,88 +370,126 @@ void add_dispatch_counters(DispatchReport& rep) {
       rep.tasks_retried;
 }
 
-/// Chunk accumulators accepted so far, by global chunk id.
-struct ChunkCover {
-  explicit ChunkCover(std::size_t total_chunks)
-      : metrics(total_chunks), accepted(total_chunks, false) {}
+/// The recovery loop dispatch_campaign and recover_campaign share. The
+/// global chunk enumeration is the single source of truth: every
+/// accepted record must match it exactly, and every id must end up
+/// covered.
+///
+/// Each round accepts the streams the executor delivers. A stream whose
+/// header disagrees with the campaign geometry contributes nothing.
+/// Otherwise its records, which salvage already checked one by one
+/// under the strict rules, are pinned to the global enumeration (a
+/// stream from a different build or a hand-edited geometry cannot
+/// smuggle a mislabeled chunk in) and accepted first-wins by chunk id.
+/// Duplicates are bit-identical by determinism, so which copy merges
+/// never matters. Only a complete stream's trailer is trustworthy
+/// accounting: a salvaged prefix merges its records but forfeits its
+/// counters. The ids still missing are then re-dealt round-robin over up
+/// to K repair tasks, for at most `max_rounds` rounds.
+///
+/// `seeded` streams are accepted before the first round, whose wave is
+/// `tasks` (the initial deal, or nothing when the streams already
+/// exist). The result is canonical: runtime fields zeroed, exactly as
+/// merge_chunk_streams produces.
+CampaignResult recover_chunks(const Scenario& scenario,
+                              const CampaignOptions& options,
+                              std::size_t K, std::size_t max_rounds,
+                              const std::vector<SalvagedStream>& seeded,
+                              std::vector<ShardTask> tasks,
+                              Executor& executor, DispatchReport* report) {
+  const ShardPlan global = plan_shard(scenario, options, 1, 0);
+  DispatchReport rep;
+  std::vector<ChunkMetrics> metrics(global.total_chunks);
+  std::vector<bool> accepted(global.total_chunks, false);
+  std::vector<bool> slot_complete(K, false);
 
-  std::vector<std::size_t> missing() const {
-    std::vector<std::size_t> ids;
-    for (std::size_t id = 0; id < accepted.size(); ++id) {
-      if (!accepted[id]) ids.push_back(id);
+  const auto accept = [&](const SalvagedStream& s, bool late) {
+    const ChunkStreamHeader& h = s.header;
+    if (!s.header_valid || h.scenario != scenario.name ||
+        h.seed != options.seed ||
+        h.trials_per_point != global.trials_per_point ||
+        h.chunk_size != global.chunk_size || h.shard_count != K ||
+        h.point_count != global.point_count ||
+        h.total_chunks != global.total_chunks) {
+      return;
     }
-    return ids;
-  }
-
-  std::vector<ChunkMetrics> metrics;
-  std::vector<bool> accepted;
-};
-
-/// What one stream contributed to the cover.
-struct StreamAcceptance {
-  std::size_t duplicates = 0;
-  /// The stream matched the geometry and was complete, so its trailer
-  /// was added to the report.
-  bool trailer = false;
-};
-
-/// The record-acceptance step dispatch_campaign and recover_campaign
-/// share. A stream whose header disagrees with the campaign geometry
-/// contributes nothing. Otherwise its records, which salvage already
-/// checked one by one under the strict rules, are pinned to the global
-/// chunk enumeration (a stream from a different build or a hand-edited
-/// geometry cannot smuggle a mislabeled chunk in) and accepted
-/// first-wins by chunk id. Duplicates are bit-identical by determinism,
-/// so which copy merges never matters. Only a complete stream's trailer
-/// is trustworthy accounting: a salvaged prefix merges its records but
-/// forfeits its counters.
-StreamAcceptance accept_stream(const SalvagedStream& s,
-                               const Scenario& scenario, std::uint64_t seed,
-                               std::size_t shard_count, const ShardPlan& global,
-                               ChunkCover& cover, DispatchReport& rep) {
-  StreamAcceptance out;
-  const bool geometry_ok =
-      s.header_valid && s.header.scenario == scenario.name &&
-      s.header.seed == seed &&
-      s.header.trials_per_point == global.trials_per_point &&
-      s.header.chunk_size == global.chunk_size &&
-      s.header.shard_count == shard_count &&
-      s.header.point_count == global.point_count &&
-      s.header.total_chunks == global.total_chunks;
-  if (!geometry_ok) return out;
-  for (const ChunkRecord& rec : s.chunks) {
-    const std::size_t id = rec.ref.chunk_index;
-    if (!(rec.ref == global.chunks[id])) break;
-    if (cover.accepted[id]) {
-      ++out.duplicates;
-      continue;
+    std::size_t duplicates = 0;
+    for (const ChunkRecord& rec : s.chunks) {
+      const std::size_t id = rec.ref.chunk_index;
+      if (!(rec.ref == global.chunks[id])) break;
+      if (accepted[id]) {
+        ++duplicates;
+        continue;
+      }
+      metrics[id] = rec.metrics;
+      accepted[id] = true;
     }
-    cover.metrics[id] = rec.metrics;
-    cover.accepted[id] = true;
-  }
-  rep.chunks_duplicate += out.duplicates;
-  if (s.complete) {
-    out.trailer = true;
+    rep.chunks_duplicate += duplicates;
+    if (late && duplicates > 0) ++rep.shards_straggler;
+    if (!s.complete) return;
+    if (!h.repair) slot_complete[h.shard_index] = true;
     ++rep.streams_complete;
     ++rep.metrics.shards;
     rep.metrics.threads += s.trailer.threads;
     rep.metrics.wall_ns += s.trailer.wall_ns;
     rep.metrics.report.merge(s.trailer.report);
-  }
-  return out;
-}
+  };
+  const auto accept_all = [&](const std::vector<TaskOutcome>& outcomes,
+                              bool late) {
+    for (const TaskOutcome& o : outcomes) {
+      accept(salvage_chunk_stream(o.stream_text, o.source), late);
+    }
+  };
 
-/// The canonical result of a fully covered campaign: runtime fields
-/// zeroed, exactly as merge_chunk_streams produces.
-CampaignResult fold_canonical(const Scenario& scenario, std::uint64_t seed,
-                              const ShardPlan& global,
-                              const ChunkCover& cover) {
+  for (const SalvagedStream& s : seeded) accept(s, false);
+  for (std::size_t round = 0;; ++round) {
+    accept_all(executor.run_wave(tasks), false);
+    accept_all(executor.collect_delayed(), true);
+
+    std::vector<std::size_t> missing;
+    for (std::size_t id = 0; id < accepted.size(); ++id) {
+      if (!accepted[id]) missing.push_back(id);
+    }
+    if (missing.empty()) break;
+    if (round >= max_rounds) {
+      throw DispatchError(
+          "dispatch: " + std::to_string(missing.size()) +
+          " chunk(s) still missing after " + std::to_string(round) +
+          " recovery round(s) (first missing id " +
+          std::to_string(missing.front()) + ")");
+    }
+
+    // Re-deal ONLY the missing ids, round-robin over the worker slots.
+    rep.rounds = round + 1;
+    rep.chunks_redealt += missing.size();
+    tasks.assign(std::min(K, missing.size()), ShardTask{});
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      std::vector<std::size_t> ids;
+      for (std::size_t m = j; m < missing.size(); m += tasks.size()) {
+        ids.push_back(missing[m]);
+      }
+      tasks[j].slot = j;
+      tasks[j].generation = round + 1;
+      tasks[j].plan = make_repair_plan(scenario, options, K, j, ids);
+    }
+    rep.tasks_retried += tasks.size();
+  }
+
+  // Account stragglers that were still in flight when recovery finished.
+  accept_all(executor.drain(), true);
+  for (std::size_t i = 0; i < K; ++i) {
+    if (!slot_complete[i]) ++rep.shards_dead;
+  }
+
+  add_dispatch_counters(rep);
   CampaignOptions canonical;
-  canonical.seed = seed;
+  canonical.seed = options.seed;
   canonical.trials_per_point = global.trials_per_point;
   canonical.chunk_size = global.chunk_size;
   canonical.threads = 0;
-  return fold_chunks(scenario, canonical, global, cover.metrics);
+  CampaignResult result = fold_chunks(scenario, canonical, global, metrics);
+  if (report != nullptr) *report = std::move(rep);
+  return result;
 }
 
 }  // namespace
@@ -496,84 +510,16 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
                           " of a " + std::to_string(K) + "-shard campaign");
     }
   }
-  // The global chunk enumeration is the single source of truth: every
-  // accepted record must match it exactly, every id must end up covered.
-  const ShardPlan global = plan_shard(scenario, options, 1, 0);
-
-  DispatchReport rep;
-  ChunkCover cover(global.total_chunks);
-  std::vector<bool> slot_complete(K, false);
-
-  const auto process_outcome = [&](TaskOutcome& o, bool from_delay) {
-    const SalvagedStream s = salvage_chunk_stream(o.stream_text, o.source);
-    const StreamAcceptance a =
-        accept_stream(s, scenario, options.seed, K, global, cover, rep);
-    if (a.trailer && o.generation == 0 && o.slot < K) {
-      slot_complete[o.slot] = true;
-    }
-    if (from_delay && a.duplicates > 0) ++rep.shards_straggler;
-  };
-
   // Initial deal: the same round-robin plans a faultless sharded run
-  // uses, one task per slot.
-  std::vector<ShardTask> tasks;
-  tasks.reserve(K);
+  // uses, one task per slot, each carrying its slot's faults.
+  std::vector<ShardTask> tasks(K);
   for (std::size_t i = 0; i < K; ++i) {
-    ShardTask task;
-    task.slot = i;
-    task.generation = 0;
-    task.plan = plan_shard(scenario, options, K, i);
-    tasks.push_back(std::move(task));
+    tasks[i].slot = i;
+    tasks[i].plan = plan_shard(scenario, options, K, i);
+    tasks[i].faults = dispatch.faults.for_shard(i);
   }
-  std::vector<TaskOutcome> outcomes = executor.run_wave(tasks);
-
-  for (std::size_t round = 0;; ++round) {
-    for (TaskOutcome& o : outcomes) process_outcome(o, false);
-    for (TaskOutcome& o : executor.collect_delayed()) {
-      process_outcome(o, true);
-    }
-
-    const std::vector<std::size_t> missing = cover.missing();
-    if (missing.empty()) break;
-    if (round >= dispatch.max_rounds) {
-      throw DispatchError(
-          "dispatch: " + std::to_string(missing.size()) +
-          " chunk(s) still missing after " + std::to_string(round) +
-          " recovery round(s) (first missing id " +
-          std::to_string(missing.front()) + ")");
-    }
-
-    // Re-deal ONLY the missing ids, round-robin over the worker slots.
-    rep.rounds = round + 1;
-    rep.chunks_redealt += missing.size();
-    const std::size_t repair_slots = std::min(K, missing.size());
-    std::vector<ShardTask> repairs;
-    for (std::size_t j = 0; j < repair_slots; ++j) {
-      std::vector<std::size_t> ids;
-      for (std::size_t m = j; m < missing.size(); m += repair_slots) {
-        ids.push_back(missing[m]);
-      }
-      ShardTask task;
-      task.slot = j;
-      task.generation = round + 1;
-      task.plan = make_repair_plan(scenario, options, K, j, ids);
-      repairs.push_back(std::move(task));
-    }
-    rep.tasks_retried += repairs.size();
-    outcomes = executor.run_wave(repairs);
-  }
-
-  // Account stragglers that were still in flight when recovery finished.
-  for (TaskOutcome& o : executor.drain()) process_outcome(o, true);
-  for (std::size_t i = 0; i < K; ++i) {
-    if (!slot_complete[i]) ++rep.shards_dead;
-  }
-
-  add_dispatch_counters(rep);
-  CampaignResult result =
-      fold_canonical(scenario, options.seed, global, cover);
-  if (report != nullptr) *report = std::move(rep);
-  return result;
+  return recover_chunks(scenario, options, K, dispatch.max_rounds, {},
+                        std::move(tasks), executor, report);
 }
 
 CampaignResult recover_campaign(const Scenario& scenario,
@@ -603,7 +549,6 @@ CampaignResult recover_campaign(const Scenario& scenario,
   ropt.seed = h.seed;
   ropt.trials_per_point = h.trials_per_point;
   ropt.chunk_size = h.chunk_size;
-  const std::size_t K = h.shard_count;
   const ShardPlan global = plan_shard(scenario, ropt, 1, 0);
   if (global.trials_per_point != h.trials_per_point ||
       global.point_count != h.point_count ||
@@ -612,42 +557,13 @@ CampaignResult recover_campaign(const Scenario& scenario,
                         " geometry disagrees with scenario '" +
                         scenario.name + "'");
   }
-
-  DispatchReport rep;
-  ChunkCover cover(global.total_chunks);
-  for (const SalvagedStream& s : streams) {
-    if (!accept_stream(s, scenario, h.seed, K, global, cover, rep).trailer) {
-      ++rep.shards_dead;
-    }
-  }
-
-  const std::vector<std::size_t> missing = cover.missing();
-  if (!missing.empty()) {
-    // One in-process repair execution covers every missing chunk —
-    // chunk identity, not worker identity, keys the trial seeds, so
-    // this is bit-identical to what the dead shards would have run.
-    rep.rounds = 1;
-    rep.chunks_redealt = missing.size();
-    rep.tasks_retried = 1;
-    const ShardExecution exec = run_campaign_chunks(
-        scenario, ropt, make_repair_plan(scenario, ropt, K, 0, missing));
-    for (std::size_t c = 0; c < exec.plan.chunks.size(); ++c) {
-      const std::size_t id = exec.plan.chunks[c].chunk_index;
-      cover.metrics[id] = exec.chunk_metrics[c];
-      cover.accepted[id] = true;
-    }
-    ++rep.streams_complete;
-    ++rep.metrics.shards;
-    rep.metrics.threads += exec.threads;
-    rep.metrics.wall_ns +=
-        static_cast<std::uint64_t>(exec.wall_seconds * 1e9);
-    rep.metrics.report.merge(exec.metrics);
-  }
-
-  add_dispatch_counters(rep);
-  CampaignResult result = fold_canonical(scenario, h.seed, global, cover);
-  if (report != nullptr) *report = std::move(rep);
-  return result;
+  // This process is the repair executor. Chunk identity, not worker
+  // identity, keys the trial seeds, so a repaired chunk is bit-identical
+  // to what the dead shard would have run.
+  ThreadExecutor executor(scenario, ropt);
+  return recover_chunks(scenario, ropt, h.shard_count,
+                        DispatchOptions{}.max_rounds, streams, {}, executor,
+                        report);
 }
 
 }  // namespace hs::campaign

@@ -26,18 +26,21 @@
 /// and every record must match the global chunk enumeration recomputed
 /// from the scenario. Duplicates (a straggler finishing after its chunks
 /// were re-dealt) are suppressed first-wins — harmless either way, since
-/// determinism makes both copies bit-identical.
+/// determinism makes both copies bit-identical. dispatch_campaign and
+/// the offline recover_campaign run this one loop; recover seeds it with
+/// streams that already exist and repairs in-process.
 ///
 /// Every recovery path is exercised deterministically through FaultPlan:
 /// a declarative list of faults (kill after N records, truncate at a
-/// byte/line, delay delivery by N waves, corrupt one line) that both
-/// executors inject into generation-0 tasks. Faults are data, not race
-/// conditions, so tests/test_dispatch.cpp can sweep the full
+/// byte/line, delay delivery by N waves, corrupt one line). The
+/// dispatcher hands each generation-0 task its slot's share
+/// (ShardTask::faults); the executor applies the stream faults, and the
+/// Executor base class withholds the delayed outcomes. Faults are data,
+/// not race conditions, so tests/test_dispatch.cpp can sweep the full
 /// kill-each-shard-at-each-chunk matrix reproducibly.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -113,33 +116,32 @@ std::string apply_stream_faults(const FaultPlan& plan, std::size_t shard,
                                 std::string text, bool* killed);
 
 /// One unit of executor work: run `plan`'s chunks, emit the stream.
-/// generation 0 is the initial round-robin deal (fault injection
-/// applies); generation g >= 1 is the g-th repair wave.
+/// generation 0 is the initial round-robin deal; generation g >= 1 is
+/// the g-th repair wave.
 struct ShardTask {
   std::size_t slot = 0;  ///< worker slot == plan.shard_index
   std::size_t generation = 0;
   ShardPlan plan;
+  /// The slot's share of DispatchOptions::faults on a generation-0 task;
+  /// empty on a repair task, which is never faulted.
+  FaultPlan faults;
 };
 
 /// What came back from a task: the stream text as it exists after any
-/// faults (possibly truncated, corrupted, or empty), plus whether the
-/// task itself finished cleanly. The dispatcher never trusts exited_ok —
-/// a clean exit with a corrupt stream is still a corrupt stream — it
-/// salvages the text regardless.
+/// faults (possibly truncated, corrupted, or empty). The dispatcher
+/// trusts nothing else about the task — a clean exit with a corrupt
+/// stream is still a corrupt stream — and salvages the text regardless.
 struct TaskOutcome {
-  std::size_t slot = 0;
-  std::size_t generation = 0;
-  bool exited_ok = false;
   std::string stream_text;
   std::string source;  ///< label for diagnostics ("thread 1 gen 0", a path)
 };
 
-/// Where shard tasks actually run. Implementations must deliver every
-/// task exactly once across run_wave / collect_delayed / drain, and must
-/// inject the FaultPlan they were built with into generation-0 tasks
-/// only. ThreadExecutor (in-process shards) and SubprocessExecutor
-/// (campaign_runner child processes) implement it, behind
-/// campaign_runner's `--executor=thread|process`.
+/// Where shard tasks actually run. An implementation runs every task of
+/// a wave, applies the task's own stream faults, and returns the
+/// outcomes through deliver(), so each outcome leaves exactly once
+/// across run_wave / collect_delayed / drain. ThreadExecutor (in-process
+/// shards) and SubprocessExecutor (campaign_runner child processes)
+/// implement it, behind campaign_runner's `--executor=thread|process`.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -151,77 +153,67 @@ class Executor {
 
   /// Advances withheld outcomes one wave and returns those now due.
   /// The dispatcher calls this once per recovery round.
-  virtual std::vector<TaskOutcome> collect_delayed() = 0;
+  virtual std::vector<TaskOutcome> collect_delayed();
 
   /// All still-withheld outcomes, immediately (end-of-dispatch drain so
   /// stragglers are accounted even when recovery finished first).
-  virtual std::vector<TaskOutcome> drain() = 0;
-};
+  virtual std::vector<TaskOutcome> drain();
 
-/// FIFO of delay-faulted outcomes shared by both executors.
-class DelayQueue {
- public:
-  void push(TaskOutcome outcome, std::size_t waves);
-  std::vector<TaskOutcome> advance();  ///< one wave passes
-  std::vector<TaskOutcome> drain();
+ protected:
+  /// Takes one outcome per task, in task order, and returns those due
+  /// now; an outcome whose task carries a delay fault is withheld for
+  /// that many collect waves.
+  std::vector<TaskOutcome> deliver(const std::vector<ShardTask>& tasks,
+                                   std::vector<TaskOutcome> outcomes);
 
  private:
-  struct Entry {
+  struct Withheld {
     TaskOutcome outcome;
-    std::size_t waves_left;
+    std::size_t waves_left = 0;
   };
-  std::deque<Entry> entries_;
+  std::vector<Withheld> withheld_;  ///< in delivery order
 };
 
 /// Runs tasks as in-process threads (run_campaign_chunks + serialize),
-/// applying stream faults to generation-0 results in memory. The
-/// cheapest transport, and the one the deterministic fault matrix in
-/// tests/test_dispatch.cpp sweeps.
+/// applying each task's stream faults in memory. The cheapest transport,
+/// and the one the deterministic fault matrix in tests/test_dispatch.cpp
+/// sweeps. A task that throws fails the wave: run_wave joins every task
+/// and rethrows the first task's exception.
 class ThreadExecutor : public Executor {
  public:
-  ThreadExecutor(const Scenario& scenario, const CampaignOptions& options,
-                 FaultPlan faults = {});
+  ThreadExecutor(const Scenario& scenario, const CampaignOptions& options);
 
   std::vector<TaskOutcome> run_wave(
       const std::vector<ShardTask>& tasks) override;
-  std::vector<TaskOutcome> collect_delayed() override;
-  std::vector<TaskOutcome> drain() override;
 
  private:
   const Scenario& scenario_;
   CampaignOptions options_;
-  FaultPlan faults_;
-  DelayQueue delayed_;
 };
 
 /// Runs tasks as local campaign_runner child processes (`--shards
 /// --shard --emit-chunks`, repair waves via `--chunks`), forwarding each
-/// shard's faults with `--fault-plan` so the child itself writes the
+/// task's faults with `--fault-plan` so the child itself writes the
 /// faulted stream and dies for kill faults — the real crash path, not a
 /// simulation of it. Streams land in `workdir` as
 /// `shard-<slot>-gen<generation>.jsonl`; with `metrics_timers` set, each
 /// child also writes `shard-<slot>-gen<generation>.metrics.json`, which
 /// is what turns its phase timers on. Child stdout is discarded, child
-/// stderr passes through. Delay faults are delivery faults and stay
-/// parent-side.
+/// stderr passes through. A child ignores delay faults: delivery is the
+/// parent's, and deliver() withholds the outcome.
 class SubprocessExecutor : public Executor {
  public:
   SubprocessExecutor(std::string runner_path, std::string workdir,
-                     std::string scenario_name, CampaignOptions options,
-                     FaultPlan faults = {});
+                     std::string scenario_name, CampaignOptions options);
 
   std::vector<TaskOutcome> run_wave(
       const std::vector<ShardTask>& tasks) override;
-  std::vector<TaskOutcome> collect_delayed() override;
-  std::vector<TaskOutcome> drain() override;
 
  private:
   std::string runner_path_;
   std::string workdir_;
   std::string scenario_name_;
   CampaignOptions options_;
-  FaultPlan faults_;
-  DelayQueue delayed_;
 };
 
 struct DispatchOptions {
@@ -230,7 +222,9 @@ struct DispatchOptions {
   /// single-fault plan recovers in 1; the bound only trips when loss
   /// repeats every round.
   std::size_t max_rounds = 4;
-  FaultPlan faults;  ///< injected into generation-0 tasks
+  /// The campaign's one fault plan: each generation-0 task carries its
+  /// slot's share (ShardTask::faults).
+  FaultPlan faults;
 };
 
 /// How the campaign was recovered: the dispatcher's own accounting plus
@@ -265,11 +259,13 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
 
 /// Offline recovery: fold already-written (possibly truncated, corrupted
 /// or missing) shard streams, then run the missing chunks in-process and
-/// fold those too. The `--recover` path — same invariants as
-/// dispatch_campaign, but the streams already exist and the "executor"
-/// for repairs is this process. `options` supplies the worker thread
-/// count for the repair run; campaign identity (seed, trials, chunk
-/// size, shard count) comes from the salvaged headers.
+/// fold those too. The `--recover` path — dispatch_campaign's recovery
+/// loop, seeded with the salvaged streams instead of an initial deal,
+/// with an in-process ThreadExecutor running up to K repair tasks.
+/// `options` supplies each repair task's worker thread count; campaign
+/// identity (seed, trials, chunk size, shard count) comes from the
+/// salvaged headers. `shards_dead` counts the initial-deal slots with no
+/// complete stream, and `streams_complete` includes every repair task.
 /// Throws DispatchError when no stream yields a valid header or the
 /// headers disagree with `scenario`.
 CampaignResult recover_campaign(const Scenario& scenario,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <optional>
 #include <string>
 #include <thread>
@@ -579,12 +580,33 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   if (thread_count <= 1) {
     worker(0);
   } else {
+    // A worker that throws (a trial's invalid configuration) parks the
+    // cursor at the end, so the others stop after their current chunk;
+    // every thread is joined before the first exception is rethrown.
+    std::vector<std::exception_ptr> errors(thread_count);
+    const auto stop = [&] { next_chunk.store(chunks.size()); };
     std::vector<std::thread> pool;
     pool.reserve(thread_count);
-    for (unsigned i = 0; i < thread_count; ++i) {
-      pool.emplace_back(worker, i);
+    try {
+      for (unsigned i = 0; i < thread_count; ++i) {
+        pool.emplace_back([&, i] {
+          try {
+            worker(i);
+          } catch (...) {
+            errors[i] = std::current_exception();
+            stop();
+          }
+        });
+      }
+    } catch (...) {
+      stop();  // a thread that failed to start: finish the started ones
+      for (auto& th : pool) th.join();
+      throw;
     }
     for (auto& th : pool) th.join();
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
   }
   const auto t1 = std::chrono::steady_clock::now();
   exec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -18,9 +18,9 @@
 //     still report bytes identical to its serial run.
 //
 // The TSan CI job runs these suites with halt-on-error; any data race
-// in SnapshotCache, the runner's chunk cursor, the DelayQueue or the
-// obs thread-local merge fails the build. Keep this file free of
-// sleeps: stress comes from contention, not timing.
+// in SnapshotCache, the runner's chunk cursor, the executor's withheld
+// outcomes or the obs thread-local merge fails the build. Keep this
+// file free of sleeps: stress comes from contention, not timing.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -107,7 +107,7 @@ TEST(DispatchStragglerStressTest, OverlappingStragglersAndAKill) {
   d.shard_count = 4;
   d.max_rounds = 6;
   d.faults = FaultPlan::parse("delay:0@2,delay:2@2,delay:3@2,kill:1@1");
-  ThreadExecutor exec(s, opt, d.faults);
+  ThreadExecutor exec(s, opt);
   DispatchReport rep;
   const CampaignResult got = dispatch_campaign(s, opt, d, exec, &rep);
 

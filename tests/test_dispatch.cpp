@@ -12,13 +12,19 @@
 // (7) SubprocessExecutor recovers a really killed campaign_runner child
 // (HS_CAMPAIGN_RUNNER, built alongside this test) to the serial bytes,
 // with the children's phase timers reaching the parent's report; (8)
-// that binary refuses the dispatch-only flags outside --dispatch.
+// that binary refuses the dispatch-only flags outside --dispatch; (9) a
+// trial that throws fails its campaign on the serial, pooled and
+// dispatched paths instead of terminating the process; (10) the
+// Executor base class withholds each delay-faulted outcome for its
+// waves and never a repair task's.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -89,7 +95,7 @@ void sweep_kill_matrix(const char* preset, std::vector<double> axis) {
         d.shard_count = k;
         d.faults = FaultPlan::parse("kill:" + std::to_string(shard) + "@" +
                                     std::to_string(after));
-        ThreadExecutor exec(s, opt, d.faults);
+        ThreadExecutor exec(s, opt);
         DispatchReport rep;
         const CampaignResult got = dispatch_campaign(s, opt, d, exec, &rep);
         const std::string label = std::string(preset) + " K=" +
@@ -148,7 +154,7 @@ TEST(Dispatch, RecoversFromTruncationAndCorruption) {
   DispatchOptions d;
   d.shard_count = 3;
   d.faults = FaultPlan::parse("trunc:0@120,truncl:1@1,corrupt:2@2");
-  ThreadExecutor exec(s, opt, d.faults);
+  ThreadExecutor exec(s, opt);
   DispatchReport rep;
   expect_matches(dispatch_campaign(s, opt, d, exec, &rep), want,
                  "trunc+corrupt");
@@ -169,7 +175,7 @@ TEST(Dispatch, StragglerAfterRedealDoesNotDoubleMerge) {
   // Shard 1's (complete, correct) stream arrives two collect waves late:
   // after its chunks were re-dealt and the repair results merged.
   d.faults = FaultPlan::parse("delay:1@2");
-  ThreadExecutor exec(s, opt, d.faults);
+  ThreadExecutor exec(s, opt);
   DispatchReport rep;
   const CampaignResult got = dispatch_campaign(s, opt, d, exec, &rep);
   expect_matches(got, want, "straggler");
@@ -201,7 +207,7 @@ TEST(Dispatch, UnrecoverableLossRaisesAfterMaxRounds) {
   d.shard_count = 2;
   d.max_rounds = 0;  // any loss is immediately unrecoverable
   d.faults = FaultPlan::parse("kill:1@0");
-  ThreadExecutor exec(s, opt, d.faults);
+  ThreadExecutor exec(s, opt);
   EXPECT_THROW(dispatch_campaign(s, opt, d, exec), DispatchError);
 }
 
@@ -211,8 +217,76 @@ TEST(Dispatch, FaultPastTheLastShardIsRefused) {
   DispatchOptions d;
   d.shard_count = 3;
   d.faults = FaultPlan::parse("kill:5@3");
-  ThreadExecutor exec(s, opt, d.faults);
+  ThreadExecutor exec(s, opt);
   EXPECT_THROW(dispatch_campaign(s, opt, d, exec), DispatchError);
+}
+
+TEST(Dispatch, ATrialThatThrowsFailsTheCampaignOnEveryPath) {
+  // Zero samples per symbol: every trial's FskModulator throws.
+  Scenario s = shrunk("fig3-imd-timing", {}, 1);
+  s.imd_profiles[0].fsk.sps = 0;
+  CampaignOptions opt = small_options();
+  EXPECT_THROW(run_campaign(s, opt), std::invalid_argument);
+  opt.threads = 2;  // the exception leaves a pool thread
+  EXPECT_THROW(run_campaign(s, opt), std::invalid_argument);
+  opt.threads = 1;  // ... and a dispatch task's thread
+  DispatchOptions d;
+  d.shard_count = 2;
+  ThreadExecutor exec(s, opt);
+  EXPECT_THROW(dispatch_campaign(s, opt, d, exec), std::invalid_argument);
+}
+
+/// Hands back one canned outcome per task, named after the task,
+/// through the base class's delivery.
+class CannedExecutor : public Executor {
+ public:
+  std::vector<TaskOutcome> run_wave(
+      const std::vector<ShardTask>& tasks) override {
+    std::vector<TaskOutcome> outcomes(tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      outcomes[i].source = "slot " + std::to_string(tasks[i].slot) + " gen " +
+                           std::to_string(tasks[i].generation);
+    }
+    return deliver(tasks, std::move(outcomes));
+  }
+};
+
+std::vector<std::string> sources(const std::vector<TaskOutcome>& outcomes) {
+  std::vector<std::string> out;
+  for (const TaskOutcome& o : outcomes) out.push_back(o.source);
+  return out;
+}
+
+TEST(Dispatch, DeliveryWithholdsEachDelayedOutcome) {
+  using Names = std::vector<std::string>;
+  const FaultPlan plan = FaultPlan::parse("delay:1@2,delay:2@1");
+  std::vector<ShardTask> deal(4);
+  for (std::size_t i = 0; i < deal.size(); ++i) {
+    deal[i].slot = i;
+    deal[i].faults = plan.for_shard(i);
+  }
+  // A repair wave on the delayed slots: repair tasks carry no faults.
+  std::vector<ShardTask> repairs(2);
+  for (std::size_t j = 0; j < repairs.size(); ++j) {
+    repairs[j].slot = j + 1;
+    repairs[j].generation = 1;
+  }
+
+  CannedExecutor ex;
+  EXPECT_EQ(sources(ex.run_wave(deal)),
+            (Names{"slot 0 gen 0", "slot 3 gen 0"}));
+  EXPECT_EQ(sources(ex.collect_delayed()), Names{"slot 2 gen 0"});
+  EXPECT_EQ(sources(ex.run_wave(repairs)),
+            (Names{"slot 1 gen 1", "slot 2 gen 1"}));
+  EXPECT_EQ(sources(ex.collect_delayed()), Names{"slot 1 gen 0"});
+  EXPECT_TRUE(ex.collect_delayed().empty());
+  EXPECT_TRUE(ex.drain().empty());
+
+  // drain() hands back everything still withheld at once, in task order.
+  EXPECT_EQ(sources(ex.run_wave(deal)),
+            (Names{"slot 0 gen 0", "slot 3 gen 0"}));
+  EXPECT_EQ(sources(ex.drain()), (Names{"slot 1 gen 0", "slot 2 gen 0"}));
+  EXPECT_TRUE(ex.collect_delayed().empty());
 }
 
 /// A fresh directory under the system temp dir, removed with its
@@ -248,8 +322,7 @@ TEST(Dispatch, ProcessExecutorRecoversAKilledChild) {
   DispatchOptions d;
   d.shard_count = 3;
   d.faults = FaultPlan::parse("kill:1@3");
-  SubprocessExecutor exec(HS_CAMPAIGN_RUNNER, workdir.path, s->name, opt,
-                          d.faults);
+  SubprocessExecutor exec(HS_CAMPAIGN_RUNNER, workdir.path, s->name, opt);
   DispatchReport rep;
   expect_matches(dispatch_campaign(*s, opt, d, exec, &rep), want,
                  "process kill:1@3");
@@ -371,9 +444,12 @@ TEST(Recover, FoldsDamagedStreamsBackToSerialBytes) {
   expect_matches(recover_campaign(s, opt, streams, &rep), want, "recover");
   EXPECT_EQ(rep.shards_dead, 2u);
   EXPECT_GT(rep.chunks_redealt, 0u);
-  // The intact input stream plus the in-process repair execution both
-  // contribute complete trailers.
-  EXPECT_EQ(rep.streams_complete, 2u);
+  // One round re-deals the missing chunks over up to K in-process repair
+  // tasks; the intact input stream and every repair task contribute
+  // complete trailers.
+  EXPECT_EQ(rep.rounds, 1u);
+  EXPECT_EQ(rep.tasks_retried, std::min(k, rep.chunks_redealt));
+  EXPECT_EQ(rep.streams_complete, 1 + rep.tasks_retried);
 }
 
 TEST(Recover, AllStreamsInvalidRaises) {
