@@ -328,6 +328,9 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     cmd += " >/dev/null";  // stderr passes through: failures stay visible
     child.pipe = ::popen(cmd.c_str(), "r");
     if (child.pipe == nullptr) {
+      // Reap the children already started, so a caller that survives the
+      // error keeps neither their pipes nor unwaited processes.
+      for (std::size_t j = 0; j < i; ++j) ::pclose(children[j].pipe);
       throw DispatchError("dispatch: popen failed for slot " +
                           std::to_string(task.slot));
     }

@@ -2,10 +2,10 @@
 //
 // The scalar bodies below are the contract: they reproduce, operation for
 // operation, the loops that used to live inline at the call sites, and the
-// SIMD backends must match them bit for bit (see kernels.hpp). The build
-// compiles every TU with -ffp-contract=off (CMakeLists.txt), so the
-// compiler cannot fuse the multiplies and adds into FMAs and silently
-// change the reference.
+// SIMD backends (kernels_vector.hpp, built for SSE2 and for AVX2) must
+// match them bit for bit (see kernels.hpp). The build compiles every TU
+// with -ffp-contract=off (CMakeLists.txt), so the compiler cannot fuse
+// the multiplies and adds into FMAs and silently change the reference.
 
 #include "dsp/kernels.hpp"
 

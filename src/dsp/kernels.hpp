@@ -24,8 +24,9 @@
 //    (CMakeLists.txt), so no backend can fuse a multiply-add the reference
 //    does not.
 //
-// Raw intrinsics are forbidden outside src/dsp/kernels.* (determinism
-// linter rule `raw-intrinsics`); new vector code goes through this table.
+// The SSE2 and AVX2 backends build one set of bodies, kernels_vector.hpp.
+// The determinism linter (`raw-intrinsics`) forbids raw intrinsics, and
+// GCC vector types outside that header; new vector code goes there.
 #pragma once
 
 #include <array>

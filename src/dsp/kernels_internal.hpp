@@ -1,8 +1,9 @@
 // Internal glue between the kernel dispatch (kernels.cpp) and the
-// per-ISA translation units (kernels_sse2.cpp, kernels_avx2.cpp). Each ISA
-// TU is compiled with exactly its target flag on top of the build's flags
-// and returns nullptr when the build could not enable that ISA, so dispatch
-// degrades gracefully on non-x86 hosts and conservative toolchains.
+// per-ISA translation units (kernels_sse2.cpp, kernels_avx2.cpp), which
+// each build the kernels_vector.hpp bodies. Each ISA TU is compiled with
+// exactly its target flag on top of the build's flags and returns nullptr
+// when the build could not enable that ISA, so dispatch degrades
+// gracefully on non-x86 hosts and conservative toolchains.
 #pragma once
 
 #include <algorithm>

@@ -16,11 +16,15 @@
 // trial that throws fails its campaign on the serial, pooled and
 // dispatched paths instead of terminating the process; (10) the
 // Executor base class withholds each delay-faulted outcome for its
-// waves and never a repair task's.
+// waves and never a repair task's; (11) a SubprocessExecutor wave whose
+// third launch fails reaps the two children it started.
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
@@ -330,6 +334,71 @@ TEST(Dispatch, ProcessExecutorRecoversAKilledChild) {
   EXPECT_GT(rep.chunks_redealt, 0u);
   // The children's trailers carry their phase timers.
   EXPECT_GT(rep.metrics.report.phase(obs::Phase::kTrial).calls, 0u);
+}
+
+/// The descriptors this process has open, ascending.
+std::vector<int> open_fds() {
+  std::vector<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int own = ::dirfd(dir);
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    const int fd = std::atoi(e->d_name);
+    if (fd != own) fds.push_back(fd);
+  }
+  ::closedir(dir);
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
+
+TEST(Dispatch, ProcessExecutorReapsStartedChildrenWhenALaunchFails) {
+  const Scenario* s = find_scenario("fig3-imd-timing");
+  ASSERT_NE(s, nullptr);
+  CampaignOptions opt;
+  opt.seed = 5;
+  opt.threads = 1;
+  opt.trials_per_point = 1;
+  const TempDir workdir;
+  ASSERT_FALSE(workdir.path.empty());
+  SubprocessExecutor exec(HS_CAMPAIGN_RUNNER, workdir.path, s->name, opt);
+  std::vector<ShardTask> wave(4);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    wave[i].slot = i;
+    wave[i].plan = plan_shard(*s, opt, wave.size(), i);
+  }
+
+  // A launch opens its pipe on the two lowest free descriptors and keeps
+  // the lower one, so a soft limit at the fourth free descriptor lets two
+  // launches through and fails the third. At that limit the children's
+  // shells fail too ("sh: 1: 1: Invalid argument").
+  const std::vector<int> before = open_fds();
+  int limit = -1;
+  for (int free_seen = 0; free_seen < 4;) {
+    ++limit;
+    if (!std::binary_search(before.begin(), before.end(), limit)) {
+      ++free_seen;
+    }
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(limit);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::string error;
+  try {
+    exec.run_wave(wave);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_NE(error.find("popen failed for slot 2"), std::string::npos) << error;
+  EXPECT_EQ(open_fds(), before);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(DispatchCli, FlagsTheModeDoesNotReadAreRefused) {

@@ -247,7 +247,8 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         rule_id="raw-intrinsics",
-        summary="raw SIMD intrinsics outside src/dsp/kernels.*",
+        summary="raw SIMD intrinsics or GCC vector types outside "
+                "src/dsp/kernels*",
         scope="all",
         patterns=(
             _p(r"\bimmintrin\.h|\bemmintrin\.h|\bxmmintrin\.h|"
@@ -259,6 +260,9 @@ RULES: tuple[Rule, ...] = (
                "raw x86 intrinsic call outside the kernel layer"),
             _p(r"\b__m(128|256|512)[di]?\b",
                "raw x86 vector type outside the kernel layer"),
+            _p(r"\bvector_size\b",
+               "GCC vector type outside the kernel layer; write vector "
+               "kernels over V4 in src/dsp/kernels_vector.hpp"),
         ),
     ),
     Rule(

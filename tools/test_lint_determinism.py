@@ -328,6 +328,26 @@ class TestRawIntrinsics(LintCase):
         code, out = run_lint(self.repo, config)
         self.assertEqual(code, 0, out)
 
+    def test_gcc_vector_type(self):
+        self.write("src/a.hpp", """
+            typedef double V2 __attribute__((vector_size(16)));
+            V2 twice(V2 v) { return v + v; }
+            """)
+        self.assert_flags("raw-intrinsics", "vector_size")
+
+    def test_allowlisted_vector_header(self):
+        self.write("src/kernels_vector.hpp", """
+            typedef double V4 __attribute__((vector_size(32)));
+            """)
+        config = BASE_CONFIG + textwrap.dedent("""\
+            [rules.raw-intrinsics]
+            allow = [
+              { file = "src/kernels_vector.hpp", reason = "the lane type" },
+            ]
+            """)
+        code, out = run_lint(self.repo, config)
+        self.assertEqual(code, 0, out)
+
     def test_dispatch_callers_are_clean(self):
         self.write("src/a.cpp", """
             #include "dsp/kernels.hpp"
